@@ -28,7 +28,6 @@ __all__ = [
     "softmax",
     "log_variance",
     "binary_cross_entropy",
-    "stack_scalars",
     "Adam",
 ]
 
@@ -87,9 +86,12 @@ class Node:
                 node._backward(node.grad)
 
     def _accumulate(self, g):
+        # the first gradient is kept as it arrives; later ones make a new sum,
+        # so an array handed to several parents is never written to
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad = self.grad + g
+            self.grad = np.asarray(g, dtype=np.float64)
+        else:
+            self.grad = self.grad + g
 
 
 class Parameter(Node):
@@ -131,17 +133,6 @@ def scale(a: Node, s: float) -> Node:
     return Node(a.value * s, (a,), backward)
 
 
-def stack_scalars(nodes) -> Node:
-    """Stack 0-d/1-element nodes into a vector (used for small param groups)."""
-    nodes = list(nodes)
-
-    def backward(g):
-        for i, n in enumerate(nodes):
-            _maybe_backward(n, np.asarray(g[i]).reshape(n.shape))
-
-    return Node(np.stack([n.value.reshape(()) for n in nodes]), tuple(nodes), backward)
-
-
 def stack_rows(nodes) -> Node:
     """Stack equal-length 1-d nodes into a matrix, one per row."""
     nodes = list(nodes)
@@ -151,19 +142,6 @@ def stack_rows(nodes) -> Node:
             _maybe_backward(n, g[i])
 
     return Node(np.stack([n.value for n in nodes]), tuple(nodes), backward)
-
-
-def concat_columns(nodes) -> Node:
-    """Concatenate N x d_i nodes along the feature axis."""
-    nodes = list(nodes)
-    widths = [n.shape[1] for n in nodes]
-    offsets = np.cumsum([0] + widths)
-
-    def backward(g):
-        for i, n in enumerate(nodes):
-            _maybe_backward(n, g[:, offsets[i]:offsets[i + 1]])
-
-    return Node(np.concatenate([n.value for n in nodes], axis=1), tuple(nodes), backward)
 
 
 def expand_maps(x: Node, k: int) -> Node:
@@ -188,12 +166,39 @@ def slice_map(x: Node, index: int) -> Node:
     return Node(x.value[:, index], (x,), backward)
 
 
+def _toeplitz_bands(kernels: np.ndarray, t_len: int) -> np.ndarray:
+    """K x T x T banded matrices B with (x @ B[k])[t] = sum_w xpad[t + w] kernels[k, w].
+
+    B[k, s, t] = kernels[k, s - t + pad_l], read from a strided view of each
+    kernel zero-padded to 2T - 1 taps.
+    """
+    n_maps, klen = kernels.shape
+    lead = t_len - 1 - (klen - 1) // 2
+    padded = np.zeros((n_maps, 2 * t_len - 1))
+    padded[:, lead:lead + klen] = kernels
+    # windows[k, a, t] = padded[k, 2T - 2 - a - t]; a = T - 1 - s gives B[k, s, t]
+    windows = np.lib.stride_tricks.sliding_window_view(padded[:, ::-1], t_len, axis=1)
+    return np.ascontiguousarray(windows[:, ::-1])
+
+
+def _diagonal_sums(x: np.ndarray, g: np.ndarray, klen: int) -> np.ndarray:
+    """Kernel gradient K x klen: entry w sums g[n,k,c,t] * x[n,k,c,t + w - pad_l],
+    which is the diagonal at offset w - pad_l of G_k^T X_k over (N*C) x T rows."""
+    n_maps, t_len = x.shape[1], x.shape[3]
+    pad_l = (klen - 1) // 2
+    products = np.stack([g[:, k].reshape(-1, t_len).T @ x[:, k].reshape(-1, t_len)
+                         for k in range(n_maps)])
+    return np.stack([np.trace(products, offset=w - pad_l, axis1=1, axis2=2)
+                     for w in range(klen)], axis=1)
+
+
 def conv_same_temporal(x: Node, kernels: Node, bias: Node | None = None) -> Node:
     """Depthwise temporal convolution with zero 'same' padding.
 
     x: N x K x C x T, kernels: K x k. Feature map i is convolved along the
     time axis with kernel i only; channels are untouched. Output time length
-    equals input time length.
+    equals input time length. Each map is one matmul against its kernel's
+    banded Toeplitz matrix, so the work runs on BLAS.
     """
     n_maps = x.shape[1]
     if kernels.value.ndim != 2 or kernels.shape[0] != n_maps:
@@ -203,24 +208,19 @@ def conv_same_temporal(x: Node, kernels: Node, bias: Node | None = None) -> Node
     t_len = x.shape[3]
     if klen > t_len:
         raise NumericalError("kernel longer than the time axis")
-    pad_l = (klen - 1) // 2
-    pad_r = klen // 2
 
-    xpad = np.pad(x.value, ((0, 0), (0, 0), (0, 0), (pad_l, pad_r)))
-    windows = np.lib.stride_tricks.sliding_window_view(xpad, klen, axis=3)
-    out = np.einsum("nkctw,kw->nkct", windows, kernels.value)
+    bands = _toeplitz_bands(kernels.value, t_len)
+    out = np.matmul(x.value, bands)
     parents = [x, kernels]
     if bias is not None:
-        out = out + bias.value[None, :, None, None]
+        out += bias.value[None, :, None, None]
         parents.append(bias)
 
     def backward(g):
         if kernels.requires_grad:
-            kernels._accumulate(np.einsum("nkctw,nkct->kw", windows, g))
+            kernels._accumulate(_diagonal_sums(x.value, g, klen))
         if x.requires_grad:
-            gpad = np.pad(g, ((0, 0), (0, 0), (0, 0), (pad_r, pad_l)))
-            gwin = np.lib.stride_tricks.sliding_window_view(gpad, klen, axis=3)
-            x._accumulate(np.einsum("nkctw,kw->nkct", gwin, kernels.value[:, ::-1]))
+            x._accumulate(np.matmul(g, bands.transpose(0, 2, 1)))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)))
 
@@ -232,9 +232,9 @@ def project_channels(x: Node, w: np.ndarray) -> Node:
     w = np.asarray(w, dtype=np.float64)
 
     def backward(g):
-        _maybe_backward(x, np.einsum("cd,ndt->nct", w, g))
+        _maybe_backward(x, np.matmul(w, g))
 
-    return Node(np.einsum("cd,nct->ndt", w, x.value), (x,), backward)
+    return Node(np.matmul(w.T, x.value), (x,), backward)
 
 
 class BatchNormState:

@@ -43,7 +43,7 @@ def class_covariances(batch: np.ndarray,
         trials = batch[labels == cls]
         if len(trials) == 0:
             raise NumericalError(f"class {cls} missing from batch; CSP undefined")
-        covs = np.einsum("nct,ndt->ncd", trials, trials)
+        covs = np.matmul(trials, trials.transpose(0, 2, 1))
         traces = np.trace(covs, axis1=1, axis2=2)
         if np.any(traces <= 0):
             raise NumericalError("zero-power trial in covariance estimation")
@@ -102,7 +102,7 @@ def fit_branch(batch: np.ndarray, labels: np.ndarray, branch_index: int) -> CspB
 
 def spatial_filter_features(batch: np.ndarray, w_reduced: np.ndarray) -> np.ndarray:
     """log(var(W_r^T X)) per trial; plain numpy path for frozen inference."""
-    projected = np.einsum("cd,nct->ndt", w_reduced, np.asarray(batch, dtype=np.float64))
+    projected = np.matmul(np.asarray(w_reduced).T, np.asarray(batch, dtype=np.float64))
     variances = projected.var(axis=-1)
     if np.any(variances <= 0):
         idx = np.argwhere(variances <= 0)[0]

@@ -7,8 +7,11 @@ or on how many workers execute them. Results merge keyed by subject id.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
 import hashlib
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -68,6 +71,49 @@ def _run_fold(train: data.TrialSet, test: data.TrialSet, config: ModelConfig,
     return accuracy, net
 
 
+# (getter, setter) names of the BLAS thread count in the OpenBLAS that numpy's
+# wheels ship (scipy-openblas, 64-bit integers) and in a system OpenBLAS
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_functions():
+    """(get, set) for the thread count of numpy's OpenBLAS, or None when the
+    BLAS numpy links is not OpenBLAS."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes = []
+            get.restype = ctypes.c_int
+            set_.argtypes = [ctypes.c_int]
+            set_.restype = None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _blas_threads(n):
+    """Run the block with `n` BLAS threads and restore the old count on exit,
+    also when the block raises. Does nothing without numpy's OpenBLAS."""
+    functions = _openblas_thread_functions()
+    if functions is None:
+        yield
+        return
+    get, set_ = functions
+    old = get()
+    set_(n)
+    try:
+        yield
+    finally:
+        set_(old)
+
+
 def _run_folds(folds, config, approach, ablation, jobs):
     """folds: list of (subject_id, train set, test set)."""
     start = time.monotonic()
@@ -81,7 +127,10 @@ def _run_folds(folds, config, approach, ablation, jobs):
     if jobs == 1:
         outcomes = [work(f) for f in folds]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        # every fold thread calls BLAS, which would otherwise start one
+        # thread per core in each of them
+        with _blas_threads(max(1, (os.cpu_count() or 1) // jobs)), \
+                ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(work, folds))
     outcomes.sort(key=lambda o: o[0])
     return RunResult(

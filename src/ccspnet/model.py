@@ -308,8 +308,8 @@ class CCSPNet:
             raise DataError("empty training set")
         for epoch in range(self.config.epochs):
             order = self._rng.permutation(n)
-            for bi, start in enumerate(range(0, n, self.config.batch_size)):
-                idx = order[start:start + self.config.batch_size]
+            for bi, idx in enumerate(_train_batches(order, labels,
+                                                    self.config.batch_size)):
                 loss_l, loss_j, combined = self.train_step(trials[idx], labels[idx])
                 self.history.append((float(epoch), float(bi),
                                      loss_l, loss_j, combined))
@@ -489,6 +489,30 @@ class CCSPNet:
                                                mu0=float(mu[0]),
                                                mu1=float(mu[1]), fitted=True)
             self.finalized = True
+
+
+def _trainable(batch_labels) -> bool:
+    """Batch norm needs two trials and the CSP fit needs both classes."""
+    return len(batch_labels) >= 2 and len(np.unique(batch_labels)) == 2
+
+
+def _train_batches(order, labels, batch_size):
+    """Split the epoch's trial order into batches of batch_size trials.
+
+    A batch that cannot train is merged into its neighbour (the previous one,
+    or the next for the first batch) until every batch can, or one is left.
+    When every plain batch can train the split is the plain one.
+    """
+    batches = [order[start:start + batch_size]
+               for start in range(0, len(order), batch_size)]
+    i = 0
+    while i < len(batches) and len(batches) > 1:
+        if _trainable(labels[batches[i]]):
+            i += 1
+            continue
+        i = max(i - 1, 0)
+        batches[i:i + 2] = [np.concatenate(batches[i:i + 2])]
+    return batches
 
 
 class _Reader:

@@ -116,3 +116,40 @@ def anova_f_range(groups, half_width):
     ssw_max = float((ns - 1) @ (sds + half_width) ** 2)
     scale = (total - k) / (k - 1)
     return scale * ssb_min / ssw_max, scale * ssb_max / ssw_min
+
+
+def conv_same_temporal_einsum(x, kernels, g):
+    """Depthwise 'same' temporal convolution by explicit sliding windows.
+
+    x: N x K x C x T, kernels: K x klen, g: an upstream gradient shaped like
+    the output. Returns (output without bias, kernel gradient, input gradient)
+    computed with einsum over zero-padded windows, independently of the
+    banded-matmul kernels in autodiff.
+    """
+    klen = kernels.shape[1]
+    pad_l, pad_r = (klen - 1) // 2, klen // 2
+    xpad = np.pad(x, ((0, 0), (0, 0), (0, 0), (pad_l, pad_r)))
+    windows = np.lib.stride_tricks.sliding_window_view(xpad, klen, axis=3)
+    out = np.einsum("nkctw,kw->nkct", windows, kernels)
+    kernel_grad = np.einsum("nkctw,nkct->kw", windows, g)
+    gpad = np.pad(g, ((0, 0), (0, 0), (0, 0), (pad_r, pad_l)))
+    gwin = np.lib.stride_tricks.sliding_window_view(gpad, klen, axis=3)
+    input_grad = np.einsum("nkctw,kw->nkct", gwin, kernels[:, ::-1])
+    return out, kernel_grad, input_grad
+
+
+def class_covariances_einsum(batch, labels):
+    """Per-class mean of trace-normalized trial covariances, symmetrized."""
+    out = []
+    for cls in (0, 1):
+        trials = batch[labels == cls]
+        covs = np.einsum("nct,ndt->ncd", trials, trials)
+        covs = covs / np.einsum("ncc->n", covs)[:, None, None]
+        mean = covs.mean(axis=0)
+        out.append(0.5 * (mean + mean.T))
+    return tuple(out)
+
+
+def project_channels_einsum(w, x, g):
+    """w^T X per trial and its input gradient W G, by einsum."""
+    return np.einsum("cd,nct->ndt", w, x), np.einsum("cd,ndt->nct", w, g)

@@ -4,7 +4,8 @@ import pytest
 from ccspnet import autodiff as ad
 from ccspnet.errors import NumericalError
 
-from oracles import central_difference, rel_err
+from oracles import (central_difference, conv_same_temporal_einsum,
+                     project_channels_einsum, rel_err)
 
 
 def grad_check(build_loss, x0, eps=1e-6, tol=1e-5):
@@ -100,6 +101,87 @@ class TestConvSameTemporal:
         x = ad.constant(np.zeros((1, 3, 2, 10)))
         with pytest.raises(NumericalError):
             ad.conv_same_temporal(x, ad.constant(np.zeros((2, 3))))
+
+
+class TestBlasKernelsMatchEinsum:
+    """The banded-matmul convolution and the matmul projection against the
+    einsum forms they replaced, within 1e-10."""
+
+    @pytest.mark.parametrize("n, k, c, t, klen, with_bias", [
+        (3, 2, 4, 20, 5, False),     # odd klen
+        (3, 2, 4, 20, 6, True),      # even klen
+        (2, 3, 3, 12, 12, True),     # klen == T, even
+        (2, 2, 3, 11, 11, False),    # klen == T, odd
+        (4, 2, 3, 10, 1, True),      # klen == 1
+        (1, 4, 5, 30, 8, True),      # one trial
+        (300, 2, 6, 40, 9, False),   # a paper-size batch
+        (300, 4, 6, 40, 16, True),
+    ])
+    def test_conv_forward_and_gradients(self, n, k, c, t, klen, with_bias):
+        rng = np.random.default_rng(n * 1000 + klen)
+        x = ad.Parameter(rng.normal(size=(n, k, c, t)))
+        kernels = ad.Parameter(rng.normal(size=(k, klen)))
+        bias = ad.Parameter(rng.normal(size=k)) if with_bias else None
+        g = rng.normal(size=(n, k, c, t))
+        out = ad.conv_same_temporal(x, kernels, bias)
+        out._backward(g)
+
+        want_out, want_kernel_grad, want_input_grad = conv_same_temporal_einsum(
+            x.value, kernels.value, g)
+        if with_bias:
+            want_out = want_out + bias.value[None, :, None, None]
+            np.testing.assert_allclose(bias.grad, g.sum(axis=(0, 2, 3)),
+                                       rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(out.value, want_out, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(kernels.grad, want_kernel_grad, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(x.grad, want_input_grad, rtol=1e-10, atol=1e-10)
+
+    def test_conv_of_repeated_maps(self):
+        # the wavelet layer's input, as expand_maps builds it
+        rng = np.random.default_rng(7)
+        base = rng.normal(size=(5, 1, 4, 30))
+        x = ad.expand_maps(ad.constant(base), 3)
+        kernels = ad.Parameter(rng.normal(size=(3, 7)))
+        g = rng.normal(size=(5, 3, 4, 30))
+        out = ad.conv_same_temporal(x, kernels)
+        out._backward(g)
+        want_out, want_kernel_grad, _ = conv_same_temporal_einsum(x.value, kernels.value, g)
+        np.testing.assert_allclose(out.value, want_out, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(kernels.grad, want_kernel_grad, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 300])
+    def test_project_channels(self, n):
+        rng = np.random.default_rng(n)
+        # a strided map slice, as slice_map hands it over
+        maps = ad.Parameter(rng.normal(size=(n, 3, 8, 25)))
+        x = ad.slice_map(maps, 1)
+        w = rng.normal(size=(8, 4))
+        g = rng.normal(size=(n, 4, 25))
+        out = ad.project_channels(x, w)
+        out._backward(g)
+        want_out, want_grad = project_channels_einsum(w, x.value, g)
+        np.testing.assert_allclose(out.value, want_out, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(x.grad, want_grad, rtol=1e-10, atol=1e-10)
+
+
+class TestAccumulate:
+    def test_first_gradient_kept_and_later_ones_summed(self):
+        x = ad.Parameter(np.zeros(3))
+        first, second = np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5, 0.5])
+        x._accumulate(first)
+        assert x.grad is first
+        x._accumulate(second)
+        np.testing.assert_array_equal(x.grad, [1.5, 2.5, 3.5])
+        # the array handed over first is not written to
+        np.testing.assert_array_equal(first, [1.0, 2.0, 3.0])
+
+    def test_shared_gradient_stays_separate(self):
+        a, b = ad.Parameter(np.ones(2)), ad.Parameter(np.ones(2))
+        y = ad.add(a, b)
+        y._backward(np.array([1.0, 1.0]))
+        a._accumulate(np.array([2.0, 2.0]))
+        np.testing.assert_array_equal(a.grad, [3.0, 3.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
 
 class TestBatchNorm:

@@ -5,7 +5,8 @@ from ccspnet import autodiff as ad
 from ccspnet import csp
 from ccspnet.errors import NumericalError
 
-from oracles import central_difference, rel_err
+from oracles import (central_difference, class_covariances_einsum,
+                     project_channels_einsum, rel_err)
 
 
 def random_spd(rng, n):
@@ -47,6 +48,17 @@ class TestClassCovariances:
         batch = np.random.default_rng(2).normal(size=(4, 3, 20))
         with pytest.raises(NumericalError):
             csp.class_covariances(batch, np.zeros(4, dtype=int))
+
+
+    @pytest.mark.parametrize("n", [2, 300])
+    def test_matches_einsum_oracle(self, n):
+        rng = np.random.default_rng(n)
+        # a strided map slice, as the model hands each branch over
+        batch = rng.normal(size=(n, 4, 10, 60))[:, 2]
+        labels = np.arange(n) % 2
+        for got, want in zip(csp.class_covariances(batch, labels),
+                             class_covariances_einsum(batch, labels)):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
 class TestSolveCsp:
@@ -167,6 +179,16 @@ class TestSpatialFilterFeatures:
         wr = rng.normal(size=(6, 4))
         node = csp.spatial_filter_features_node(ad.constant(x), wr)
         assert np.allclose(node.value, csp.spatial_filter_features(x, wr))
+
+
+    @pytest.mark.parametrize("n", [1, 300])
+    def test_matches_einsum_oracle(self, n):
+        rng = np.random.default_rng(n)
+        batch = rng.normal(size=(n, 4, 10, 60))[:, 1]
+        wr = rng.normal(size=(10, 4))
+        projected, _ = project_channels_einsum(wr, batch, np.zeros((n, 4, 60)))
+        np.testing.assert_allclose(csp.spatial_filter_features(batch, wr),
+                                   np.log(projected.var(axis=-1)), rtol=1e-10, atol=1e-10)
 
 
 class TestCspLoss:

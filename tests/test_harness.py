@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,47 @@ class TestRunLoso:
         assert harness.fold_seed(7, 3) == harness.fold_seed(7, 3)
         assert harness.fold_seed(7, 3) != harness.fold_seed(7, 4)
         assert harness.fold_seed(7, 3) != harness.fold_seed(8, 3)
+
+
+class TestFoldThreads:
+    def test_two_fold_threads_match_serial(self, small_dataset):
+        serial = harness.run_sd(small_dataset, fast_config(), jobs=1)
+        pooled = harness.run_sd(small_dataset, fast_config(), jobs=2)
+        assert serial.accuracies == pooled.accuracies
+        for sid in serial.subject_ids:
+            _, test = data.split_sd(small_dataset.for_subject(sid))
+            np.testing.assert_array_equal(serial.models[sid].predict(test.trials),
+                                          pooled.models[sid].predict(test.trials))
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_blas_threads_split_and_restored(self, small_dataset, monkeypatch, fail):
+        get, set_ = harness._openblas_thread_functions()
+        seen = []
+
+        def fold(train, test, config, seed, ablation):
+            seen.append(get())
+            if fail:
+                raise RuntimeError("fold failed")
+            return 50.0, None
+
+        monkeypatch.setattr(harness, "_run_fold", fold)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        before = get()
+        set_(1)
+        try:
+            with pytest.raises(RuntimeError) if fail else contextlib.nullcontext():
+                harness.run_sd(small_dataset, fast_config(), jobs=2)
+            # 4 cores over 2 fold threads, then back to the count before
+            assert seen and set(seen) == {2}
+            assert get() == 1
+        finally:
+            set_(before)
+
+    def test_pool_runs_without_openblas(self, small_dataset, monkeypatch):
+        monkeypatch.setattr(harness, "_openblas_thread_functions", lambda: None)
+        pooled = harness.run_sd(small_dataset, fast_config(epochs=1), jobs=2)
+        serial = harness.run_sd(small_dataset, fast_config(epochs=1), jobs=1)
+        assert pooled.accuracies == serial.accuracies
 
 
 class TestRunAblation:

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,68 @@ class TestTrainStep:
             net.train(trials, y)
             runs.append([row[2] for row in net.history])
         assert np.allclose(runs[0], runs[1], rtol=1e-9, atol=1e-12)
+
+
+def plain_batches(order, batch_size):
+    return [order[i:i + batch_size] for i in range(0, len(order), batch_size)]
+
+
+def can_train(batch_labels):
+    return len(batch_labels) >= 2 and len(np.unique(batch_labels)) == 2
+
+
+class TestTrainBatches:
+    @pytest.mark.parametrize("n, seed, error", [
+        (21, 0, "batch size >= 2"),       # a one-trial tail
+        (22, 9, "missing from batch"),    # a one-class tail of 2
+        (24, 23, "missing from batch"),   # a one-class tail of 4
+    ])
+    def test_untrainable_tail_merges_into_previous_batch(self, n, seed, error):
+        trials, labels = desk_batch(np.random.default_rng(n), n=n)
+        net = model.CCSPNet(desk_config(batch_size=10, epochs=1, seed=seed))
+        order = copy.deepcopy(net._rng).permutation(n)
+        tail = plain_batches(order, 10)[-1]
+        assert not can_train(labels[tail])
+        # the plain tail batch raises what training used to raise
+        with pytest.raises(Exception, match=error):
+            model.CCSPNet(desk_config(seed=seed)).train_step(trials[tail], labels[tail])
+        net.train(trials, labels)
+        assert [row[1] for row in net.history] == [0.0, 1.0]
+
+    def test_batches_that_train_are_unchanged(self):
+        rng = np.random.default_rng(0)
+        checked = 0
+        for _ in range(500):
+            n = int(rng.integers(2, 60))
+            batch_size = int(rng.integers(1, 25))
+            labels = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(int)
+            order = rng.permutation(n)
+            plain = plain_batches(order, batch_size)
+            got = model._train_batches(order, labels, batch_size)
+            # merges join neighbours, so the epoch order is kept
+            np.testing.assert_array_equal(np.concatenate(got), order)
+            if all(can_train(labels[b]) for b in plain):
+                assert len(got) == len(plain)
+                for a, b in zip(got, plain):
+                    np.testing.assert_array_equal(a, b)
+                checked += 1
+            elif len(got) > 1 or can_train(labels):
+                assert all(can_train(labels[b]) for b in got)
+        assert checked > 50
+
+    def test_training_steps_on_the_plain_batches(self):
+        # end to end: train() gives the parameters of train_step over the
+        # plain slices of each epoch's permutation
+        trials, labels = desk_batch(np.random.default_rng(3), n=40)
+        cfg = desk_config(batch_size=8, epochs=2, seed=5)
+        net = model.CCSPNet(cfg)
+        replay = model.CCSPNet(cfg)
+        net.train(trials, labels)
+        for _ in range(cfg.epochs):
+            for idx in plain_batches(replay._rng.permutation(len(trials)), 8):
+                replay.train_step(trials[idx], labels[idx])
+        for name, p in net._params.items():
+            np.testing.assert_array_equal(p.value, replay._params[name].value)
 
 
 class TestEndToEndGradient:
