@@ -228,13 +228,17 @@ def conv_same_temporal(x: Node, kernels: Node, bias: Node | None = None) -> Node
 
 
 def project_channels(x: Node, w: np.ndarray) -> Node:
-    """Apply a constant spatial projection: N x C x T -> N x d x T via w^T X."""
+    """Apply a constant spatial projection w^T X along the last two axes.
+
+    A C x d `w` maps N x C x T to N x d x T; a stacked K x C x d `w` maps
+    N x K x C x T to N x K x d x T, one projection per feature map.
+    """
     w = np.asarray(w, dtype=np.float64)
 
     def backward(g):
         _maybe_backward(x, np.matmul(w, g))
 
-    return Node(np.matmul(w.T, x.value), (x,), backward)
+    return Node(np.matmul(np.swapaxes(w, -1, -2), x.value), (x,), backward)
 
 
 class BatchNormState:
@@ -247,49 +251,69 @@ class BatchNormState:
         self.eps = eps
 
 
+def _per_feature(a: np.ndarray) -> np.ndarray:
+    """View N x F x ... as N x F x M, M being the entries per (sample, feature)."""
+    return a.reshape(a.shape[0], a.shape[1], -1)
+
+
+def _feature_sums(a: np.ndarray) -> np.ndarray:
+    """Sum of a over every axis but axis 1."""
+    return _per_feature(a).sum(axis=2).sum(axis=0)
+
+
+def _feature_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of a * b over every axis but axis 1, as one BLAS dot per
+    (sample, feature) pair, so no array of the size of a is made."""
+    rows_a, rows_b = _per_feature(a), _per_feature(b)
+    return np.matmul(rows_a[:, :, None, :], rows_b[:, :, :, None]).sum(axis=(0, 2, 3))
+
+
 def batch_norm(x: Node, gamma: Node, beta: Node, state: BatchNormState,
                training: bool) -> Node:
     """Batch normalization over all axes except the feature axis.
 
     2D flavour: x is N x K x C x T, features are the K maps. 1D flavour:
     x is N x F, features are the F columns. Feature axis is axis 1 in both.
+    The forward makes two arrays of the size of x (x-hat and the output) and
+    the backward at most two (the x gradient and, in training, one term of it).
     """
-    reduce_axes = tuple(i for i in range(x.value.ndim) if i != 1)
     feat_shape = [1] * x.value.ndim
     feat_shape[1] = x.shape[1]
+    count = x.value.size // x.shape[1]
 
     if training:
         if x.shape[0] < 2:
             raise NumericalError("batch norm in train mode requires batch size >= 2")
-        mean = x.value.mean(axis=reduce_axes)
-        var = x.value.var(axis=reduce_axes)
+        mean = _feature_sums(x.value) / count
+        xhat = x.value - mean.reshape(feat_shape)
+        var = _feature_dots(xhat, xhat) / count
         m = state.momentum
         state.running_mean = (1 - m) * state.running_mean + m * mean
         state.running_var = (1 - m) * state.running_var + m * var
     else:
-        mean = state.running_mean
         var = state.running_var
+        xhat = x.value - state.running_mean.reshape(feat_shape)
 
-    mean_b = mean.reshape(feat_shape)
-    istd_b = 1.0 / np.sqrt(var + state.eps).reshape(feat_shape)
-    xhat = (x.value - mean_b) * istd_b
-    out = gamma.value.reshape(feat_shape) * xhat + beta.value.reshape(feat_shape)
-    count = x.value.size // x.shape[1]
+    istd = 1.0 / np.sqrt(var + state.eps)
+    xhat *= istd.reshape(feat_shape)
+    out = xhat * gamma.value.reshape(feat_shape)
+    out += beta.value.reshape(feat_shape)
 
     def backward(g):
+        sum_g = _feature_sums(g)
+        sum_g_xhat = _feature_dots(g, xhat)
         if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=reduce_axes))
+            gamma._accumulate(sum_g_xhat)
         if beta.requires_grad:
-            beta._accumulate(g.sum(axis=reduce_axes))
+            beta._accumulate(sum_g)
         if x.requires_grad:
-            ghat = g * gamma.value.reshape(feat_shape)
+            scale_g = gamma.value * istd
+            dx = g * scale_g.reshape(feat_shape)
             if training:
-                # batch statistics depend on x
-                sum_ghat = ghat.sum(axis=reduce_axes, keepdims=True)
-                sum_ghat_xhat = (ghat * xhat).sum(axis=reduce_axes, keepdims=True)
-                dx = istd_b * (ghat - sum_ghat / count - xhat * sum_ghat_xhat / count)
-            else:
-                dx = ghat * istd_b
+                # batch statistics depend on x:
+                # dx = gamma istd (g - sum_g / count - xhat sum_g_xhat / count)
+                dx -= xhat * (scale_g * sum_g_xhat / count).reshape(feat_shape)
+                dx -= (scale_g * sum_g / count).reshape(feat_shape)
             x._accumulate(dx)
 
     return Node(out, (x, gamma, beta), backward)

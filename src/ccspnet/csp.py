@@ -101,8 +101,13 @@ def fit_branch(batch: np.ndarray, labels: np.ndarray, branch_index: int) -> CspB
 
 
 def spatial_filter_features(batch: np.ndarray, w_reduced: np.ndarray) -> np.ndarray:
-    """log(var(W_r^T X)) per trial; plain numpy path for frozen inference."""
-    projected = np.matmul(np.asarray(w_reduced).T, np.asarray(batch, dtype=np.float64))
+    """log(var(W_r^T X)) per trial; plain numpy path for frozen inference.
+
+    A C x 4 `w_reduced` turns N x C x T into N x 4 features; a stacked
+    K x C x 4 one turns N x K x C x T maps into N x K x 4, branch by branch.
+    """
+    projected = np.matmul(np.swapaxes(np.asarray(w_reduced), -1, -2),
+                          np.asarray(batch, dtype=np.float64))
     variances = projected.var(axis=-1)
     if np.any(variances <= 0):
         idx = np.argwhere(variances <= 0)[0]

@@ -188,8 +188,13 @@ class CCSPNet:
             rows.append(ad.Node(w, (f, h, c), backward))
         return ad.stack_rows(rows)
 
-    def forward_spectral(self, batch: np.ndarray, training: bool) -> ad.Node:
-        """WKCNN + TCNN stack: N x C x T in, node with N x K x C x T out."""
+    def forward_spectral(self, batch: np.ndarray, training: bool,
+                         stages: dict | None = None) -> ad.Node:
+        """WKCNN + TCNN stack: N x C x T in, node with N x K x C x T out.
+
+        When `stages` is a dict, each stage's output value is stored in it:
+        'raw' (N x C x T) and 'wkcnn' and 'tcnn' (N x K x C x T) when present.
+        """
         cfg = self.config
         batch = np.asarray(batch, dtype=np.float64)
         if batch.ndim != 3 or batch.shape[1] != cfg.n_channels \
@@ -197,37 +202,22 @@ class CCSPNet:
             raise DataError(
                 f"batch shape {batch.shape} does not match model input "
                 f"(N, {cfg.n_channels}, {cfg.n_timepoints})")
+        if stages is not None:
+            stages["raw"] = batch
         x = ad.expand_maps(ad.constant(batch[:, None]), cfg.n_wavelet_kernels)
         if cfg.ablate != "wkcnn":
             x = ad.conv_same_temporal(x, self._wavelet_kernel_nodes())
             x = ad.batch_norm(x, self.bn_wk.gamma, self.bn_wk.beta,
                               self.bn_wk.state, training)
+            if stages is not None:
+                stages["wkcnn"] = x.value
         if cfg.ablate != "tcnn":
             x = ad.conv_same_temporal(x, self.temporal_kernels, self.temporal_bias)
             x = ad.batch_norm(x, self.bn_tc.gamma, self.bn_tc.beta,
                               self.bn_tc.state, training)
+            if stages is not None:
+                stages["tcnn"] = x.value
         return x
-
-    def spectral_stages(self, batch) -> dict:
-        """Eval-mode intermediate outputs keyed by stage name.
-
-        'raw' is N x C x T; 'wkcnn' and 'tcnn' (when present) are N x K x C x T.
-        """
-        cfg = self.config
-        batch = np.asarray(batch, dtype=np.float64)
-        stages = {"raw": batch}
-        x = ad.expand_maps(ad.constant(batch[:, None]), cfg.n_wavelet_kernels)
-        if cfg.ablate != "wkcnn":
-            x = ad.conv_same_temporal(x, self._wavelet_kernel_nodes())
-            x = ad.batch_norm(x, self.bn_wk.gamma, self.bn_wk.beta,
-                              self.bn_wk.state, training=False)
-            stages["wkcnn"] = x.value
-        if cfg.ablate != "tcnn":
-            x = ad.conv_same_temporal(x, self.temporal_kernels, self.temporal_bias)
-            x = ad.batch_norm(x, self.bn_tc.gamma, self.bn_tc.beta,
-                              self.bn_tc.state, training=False)
-            stages["tcnn"] = x.value
-        return stages
 
     def _dense_forward(self, x: ad.Node, training: bool) -> ad.Node:
         h = x
@@ -247,15 +237,16 @@ class CCSPNet:
         """
         labels = np.asarray(labels)
         spectral = self.forward_spectral(batch, training)
-        feats, wrs = [], []
-        for i in range(self.config.n_wavelet_kernels):
-            xi = ad.slice_map(spectral, i)
-            if frozen_wr is None:
-                wr = csp.fit_branch(xi.value, labels, i + 1).w_reduced
-            else:
-                wr = frozen_wr[i]
-            wrs.append(wr)
-            feats.append(csp.spatial_filter_features_node(xi, wr))
+        n_maps = self.config.n_wavelet_kernels
+        if frozen_wr is None:
+            wrs = [csp.fit_branch(spectral.value[:, i], labels, i + 1).w_reduced
+                   for i in range(n_maps)]
+        else:
+            wrs = list(frozen_wr)
+        # all branches in one projection: N x K x 4 features, and one
+        # N x K x C x T gradient for the maps
+        stacked = csp.spatial_filter_features_node(spectral, np.stack(wrs))
+        feats = [ad.slice_map(stacked, i) for i in range(n_maps)]
         return csp.csp_loss(feats, labels), feats, wrs
 
     # training -------------------------------------------------------------
@@ -335,10 +326,14 @@ class CCSPNet:
         self.finalized = True
         return self
 
+    def frozen_projection(self) -> np.ndarray:
+        """The frozen branches' reduced CSP projections stacked, K x C x 4."""
+        return np.stack([br.w_reduced for br in self.frozen_branches])
+
     def _frozen_features(self, spectral_value: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [csp.spatial_filter_features(spectral_value[:, i], br.w_reduced)
-             for i, br in enumerate(self.frozen_branches)], axis=1)
+        """N x 4K features, the K branches' four features side by side."""
+        feats = csp.spatial_filter_features(spectral_value, self.frozen_projection())
+        return feats.reshape(len(feats), -1)
 
     def predict(self, batch) -> np.ndarray:
         if not self.finalized:

@@ -11,7 +11,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from . import dsp
+from . import csp, dsp
 from .errors import DataError, ModelStateError
 from .model import CCSPNet
 
@@ -72,7 +72,8 @@ def stft_stage_grids(net: CCSPNet, trial: np.ndarray, channel: int,
     if not 0 <= channel < trial.shape[0]:
         raise DataError(f"channel {channel} outside 0..{trial.shape[0] - 1}")
     fs = net.config.sample_rate_hz
-    stages = net.spectral_stages(trial[None])
+    stages = {}
+    net.forward_spectral(trial[None], training=False, stages=stages)
     grids = {"raw": [dsp.stft(trial[channel], window_len, hop, fs)]}
     for name in ("wkcnn", "tcnn"):
         if name in stages:
@@ -127,19 +128,12 @@ def csp_scatter_points(net: CCSPNet, trials, labels) -> list[dict]:
     if not net.finalized:
         raise ModelStateError("CSP scatter needs a finalized model")
     labels = np.asarray(labels)
-    stages = net.spectral_stages(np.asarray(trials, dtype=np.float64))
-    spectral = stages.get("tcnn", stages.get("wkcnn"))
-    if spectral is None:
-        raise ModelStateError("model has no spectral stage to scatter")
-    rows = []
-    from . import csp as csp_mod
-    for i, branch in enumerate(net.frozen_branches):
-        feats = csp_mod.spatial_filter_features(spectral[:, i], branch.w_reduced)
-        for n in range(feats.shape[0]):
-            rows.append({"branch": i + 1, "trial": n,
-                         "x": float(feats[n, 0]), "y": float(feats[n, -1]),
-                         "label": int(labels[n])})
-    return rows
+    spectral = net.forward_spectral(trials, training=False)
+    feats = csp.spatial_filter_features(spectral.value, net.frozen_projection())
+    return [{"branch": i + 1, "trial": n,
+             "x": float(feats[n, i, 0]), "y": float(feats[n, i, -1]),
+             "label": int(labels[n])}
+            for i in range(feats.shape[1]) for n in range(feats.shape[0])]
 
 
 def write_scatter_csv(path, rows) -> None:

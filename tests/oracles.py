@@ -153,3 +153,37 @@ def class_covariances_einsum(batch, labels):
 def project_channels_einsum(w, x, g):
     """w^T X per trial and its input gradient W G, by einsum."""
     return np.einsum("cd,nct->ndt", w, x), np.einsum("cd,ndt->nct", w, g)
+
+
+def batch_norm_reference(x, gamma, beta, running_mean, running_var, g,
+                         training, momentum=0.1, eps=1e-5):
+    """Batch norm over every axis but axis 1, and its gradients, written
+    out the plain way: numpy mean and var, whole-array temporaries.
+
+    Returns (output, running mean, running var, x gradient, gamma gradient,
+    beta gradient) for the upstream gradient g; the running statistics are
+    the updated ones in training and the given ones in eval mode.
+    """
+    reduce_axes = tuple(i for i in range(x.ndim) if i != 1)
+    feat_shape = [1] * x.ndim
+    feat_shape[1] = x.shape[1]
+    if training:
+        mean = x.mean(axis=reduce_axes)
+        var = x.var(axis=reduce_axes)
+        running_mean = (1 - momentum) * running_mean + momentum * mean
+        running_var = (1 - momentum) * running_var + momentum * var
+    else:
+        mean, var = running_mean, running_var
+    istd_b = 1.0 / np.sqrt(var + eps).reshape(feat_shape)
+    xhat = (x - mean.reshape(feat_shape)) * istd_b
+    out = gamma.reshape(feat_shape) * xhat + beta.reshape(feat_shape)
+    count = x.size // x.shape[1]
+    ghat = g * gamma.reshape(feat_shape)
+    if training:
+        sum_ghat = ghat.sum(axis=reduce_axes, keepdims=True)
+        sum_ghat_xhat = (ghat * xhat).sum(axis=reduce_axes, keepdims=True)
+        dx = istd_b * (ghat - sum_ghat / count - xhat * sum_ghat_xhat / count)
+    else:
+        dx = ghat * istd_b
+    return (out, running_mean, running_var, dx,
+            (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes))

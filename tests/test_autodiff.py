@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ccspnet import autodiff as ad
 from ccspnet.errors import NumericalError
 
-from oracles import (central_difference, conv_same_temporal_einsum,
-                     project_channels_einsum, rel_err)
+from oracles import (batch_norm_reference, central_difference,
+                     conv_same_temporal_einsum, project_channels_einsum, rel_err)
 
 
 def grad_check(build_loss, x0, eps=1e-6, tol=1e-5):
@@ -164,6 +166,31 @@ class TestBlasKernelsMatchEinsum:
         np.testing.assert_allclose(x.grad, want_grad, rtol=1e-10, atol=1e-10)
 
 
+class TestStackedProjection:
+    """All K branches in one project_channels call against one
+    slice_map -> project_channels path per branch."""
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_matches_per_branch_path(self, k):
+        rng = np.random.default_rng(40 + k)
+        w = rng.normal(size=(k, 8, 4))
+        g = rng.normal(size=(6, k, 4, 25))
+        stacked_in = ad.Parameter(rng.normal(size=(6, k, 8, 25)))
+        stacked = ad.project_channels(stacked_in, w)
+        stacked._backward(g)
+
+        branch_in = ad.Parameter(stacked_in.value.copy())
+        for i in range(k):
+            piece = ad.slice_map(branch_in, i)
+            out = ad.project_channels(piece, w[i])
+            np.testing.assert_allclose(stacked.value[:, i], out.value,
+                                       rtol=1e-10, atol=1e-10)
+            out._backward(g[:, i])
+            piece._backward(piece.grad)
+        np.testing.assert_allclose(stacked_in.grad, branch_in.grad,
+                                   rtol=1e-10, atol=1e-10)
+
+
 class TestAccumulate:
     def test_first_gradient_kept_and_later_ones_summed(self):
         x = ad.Parameter(np.zeros(3))
@@ -237,6 +264,102 @@ class TestBatchNorm:
         grad_check(lambda x: make(x, ad.constant(gamma0), ad.constant(beta0)), x0)
         grad_check(lambda g: make(ad.constant(x0), g, ad.constant(beta0)), gamma0)
         grad_check(lambda b: make(ad.constant(x0), ad.constant(gamma0), b), beta0)
+
+
+class TestBatchNormMatchesReference:
+    """The fused batch norm against the plain form in tests/oracles.py."""
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 5), (300, 4, 6, 20),
+                                       (2, 5), (300, 16)])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("zero_gamma", [False, True])
+    def test_forward_statistics_and_gradients(self, shape, training, zero_gamma):
+        rng = np.random.default_rng(sum(shape) + 2 * training + zero_gamma)
+        n_feat = shape[1]
+        x = ad.Parameter(rng.normal(1.5, 2.0, size=shape))
+        gamma = ad.Parameter(rng.uniform(0.5, 1.5, size=n_feat))
+        if zero_gamma:
+            gamma.value[1] = 0.0
+        beta = ad.Parameter(rng.normal(size=n_feat))
+        state = ad.BatchNormState(n_feat)
+        state.running_mean = rng.normal(size=n_feat)
+        state.running_var = rng.uniform(0.5, 2.0, size=n_feat)
+        g = rng.normal(size=shape)
+        x_before, g_before = x.value.copy(), g.copy()
+
+        want = batch_norm_reference(x.value, gamma.value, beta.value,
+                                    state.running_mean, state.running_var, g,
+                                    training)
+        out = ad.batch_norm(x, gamma, beta, state, training)
+        out._backward(g)
+        got = (out.value, state.running_mean, state.running_var, x.grad,
+               gamma.grad, beta.grad)
+        for name, a, b in zip(("out", "running_mean", "running_var", "dx",
+                               "dgamma", "dbeta"), got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10, err_msg=name)
+        np.testing.assert_array_equal(x.value, x_before)
+        np.testing.assert_array_equal(g, g_before)
+
+    def test_eval_mode_input_gradient_matches_fd(self):
+        rng = np.random.default_rng(17)
+        x0 = rng.normal(size=(3, 4, 2, 5))
+        gamma = ad.constant(rng.uniform(0.5, 1.5, size=4))
+        beta = ad.constant(rng.normal(size=4))
+        weights = rng.normal(size=x0.shape)
+        state = ad.BatchNormState(4)
+        state.running_mean = rng.normal(size=4)
+        state.running_var = rng.uniform(0.5, 2.0, size=4)
+
+        def loss(x_node):
+            out = ad.batch_norm(x_node, gamma, beta, state, training=False)
+            return ad.Node((out.value * weights).sum(), (out,),
+                           lambda g: out._accumulate(g * weights), requires_grad=True)
+
+        grad_check(loss, x0)
+
+
+def _traced_peak(fn):
+    """Peak of traced allocations made while fn runs, above the level at its start."""
+    start = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    result = fn()
+    return result, tracemalloc.get_traced_memory()[1] - start
+
+
+class TestBatchNormAllocations:
+    """The fused batch norm makes few arrays of the size of its input map:
+    x-hat and the output in the forward, the x gradient and one term of it
+    in the training backward, the x gradient alone in the eval backward."""
+
+    SHAPE = (40, 4, 16, 250)
+
+    def _peaks(self, training):
+        rng = np.random.default_rng(3)
+        x = ad.Parameter(rng.normal(size=self.SHAPE))
+        gamma = ad.Parameter(rng.uniform(0.5, 1.5, size=4))
+        beta = ad.Parameter(rng.normal(size=4))
+        state = ad.BatchNormState(4)
+        g = rng.normal(size=self.SHAPE)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            out, fwd = _traced_peak(
+                lambda: ad.batch_norm(x, gamma, beta, state, training))
+            _, bwd = _traced_peak(lambda: out._backward(g))
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        return fwd / g.nbytes, bwd / g.nbytes
+
+    def test_training_mode(self):
+        fwd, bwd = self._peaks(training=True)
+        assert fwd <= 2.5, f"forward peak {fwd:.2f} map sizes"
+        assert bwd <= 2.5, f"backward peak {bwd:.2f} map sizes"
+
+    def test_eval_mode_backward(self):
+        _, bwd = self._peaks(training=False)
+        assert bwd <= 1.5, f"backward peak {bwd:.2f} map sizes"
 
 
 class TestDense:

@@ -3,7 +3,8 @@ import copy
 import numpy as np
 import pytest
 
-from ccspnet import data, model
+from ccspnet import autodiff as ad
+from ccspnet import csp, data, model
 from ccspnet.errors import ConfigError, DataError, ModelStateError
 
 from oracles import rel_err
@@ -67,6 +68,24 @@ class TestForwardSpectral:
         net = model.CCSPNet(desk_config())
         with pytest.raises(DataError):
             net.forward_spectral(np.zeros((2, 7, 40)), training=False)
+
+    def test_stages_recorded_along_the_forward(self):
+        net = model.CCSPNet(desk_config())
+        x = np.random.default_rng(2).normal(size=(3, 6, 40))
+        stages = {}
+        out = net.forward_spectral(x, training=False, stages=stages)
+        assert set(stages) == {"raw", "wkcnn", "tcnn"}
+        np.testing.assert_array_equal(stages["raw"], x)
+        assert stages["wkcnn"].shape == (3, 4, 6, 40)
+        assert stages["tcnn"] is out.value
+
+    def test_stages_of_a_wrongly_shaped_batch_rejected(self):
+        net = model.CCSPNet(desk_config(n_channels=8, n_timepoints=64))
+        stages = {}
+        with pytest.raises(DataError):
+            net.forward_spectral(np.zeros((2, 7, 40)), training=False,
+                                 stages=stages)
+        assert stages == {}
 
 
 class TestConfigValidation:
@@ -232,6 +251,48 @@ class TestEndToEndGradient:
             assert rel_err(np.asarray(g).reshape(-1), fd) < 1e-3, name
             checked += 1
         assert checked == 13  # 12 wavelet scalars + the temporal kernel bank
+
+
+class TestStackedBranches:
+    """All CSP branches in one projection against one per branch."""
+
+    def test_feedback_loss_and_gradients_match_per_branch_sum(self):
+        net = model.CCSPNet(desk_config(seed=4))
+        trials, labels = desk_batch(np.random.default_rng(5))
+        _, _, wrs = net.csp_feedback_loss(trials, labels, training=True)
+
+        net.optimizer.zero_grad()
+        loss = net.csp_feedback_loss(trials, labels, training=True,
+                                     frozen_wr=wrs)[0]
+        loss.backward()
+        grads = {name: p.grad for name, p in net._params.items()}
+
+        net.optimizer.zero_grad()
+        spectral = net.forward_spectral(trials, training=True)
+        per_branch = csp.csp_loss(
+            [csp.spatial_filter_features_node(ad.slice_map(spectral, i), wr)
+             for i, wr in enumerate(wrs)], labels)
+        per_branch.backward()
+
+        assert float(loss.value) == pytest.approx(float(per_branch.value),
+                                                  rel=1e-12, abs=1e-12)
+        for name, p in net._params.items():
+            if p.grad is None:
+                assert grads[name] is None, name
+            else:
+                np.testing.assert_allclose(grads[name], p.grad, rtol=1e-10,
+                                           atol=1e-10, err_msg=name)
+
+    def test_frozen_features_match_per_branch(self):
+        net = model.CCSPNet(desk_config(epochs=1))
+        trials, labels = desk_batch(np.random.default_rng(6))
+        net.train(trials, labels).finalize(trials, labels)
+        spectral = net.forward_spectral(trials, training=False).value
+        want = np.concatenate(
+            [csp.spatial_filter_features(spectral[:, i], br.w_reduced)
+             for i, br in enumerate(net.frozen_branches)], axis=1)
+        np.testing.assert_allclose(net._frozen_features(spectral), want,
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestTrainingOnSyntheticData:

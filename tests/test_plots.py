@@ -42,6 +42,11 @@ class TestStftGrids:
         with pytest.raises(DataError):
             plots.stft_stage_grids(net, train.trials[0], channel=99)
 
+    def test_wrongly_shaped_trial_rejected(self, fitted):
+        net, _, _ = fitted
+        with pytest.raises(DataError):
+            plots.stft_stage_grids(net, np.zeros((7, 40)), channel=0)
+
     def test_csv_row_count(self, fitted, tmp_path):
         net, train, _ = fitted
         grids = plots.stft_stage_grids(net, train.trials[0], channel=0)
@@ -83,6 +88,11 @@ class TestCspScatter:
         net = CCSPNet(ModelConfig(n_channels=8, epochs=0, seed=1))
         with pytest.raises(ModelStateError):
             plots.csp_scatter_points(net, train.trials, train.labels)
+
+    def test_wrongly_shaped_trials_rejected(self, fitted):
+        net, _, _ = fitted
+        with pytest.raises(DataError):
+            plots.csp_scatter_points(net, np.zeros((2, 7, 40)), np.array([0, 1]))
 
     def test_csv_and_svg_outputs(self, fitted, tmp_path):
         net, _, test = fitted
