@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 
@@ -26,11 +26,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-_EXTRA_CONFIG_KEYS = ("manifest", "out_dir", "phase", "jobs")
-
-
-def _model_config_field_types():
-    return {f.name: f.type for f in fields(ModelConfig)}
+# the keys a config file may set beside the ModelConfig fields, with the
+# value a run takes when neither the file nor a flag sets one
+_EXTRA_CONFIG_DEFAULTS = {"manifest": None, "out_dir": None, "phase": "offline",
+                          "jobs": os.cpu_count() or 1}
 
 
 def parse_config_file(path) -> dict:
@@ -38,7 +37,6 @@ def parse_config_file(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    types = _model_config_field_types()
     out = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.strip()
@@ -48,39 +46,30 @@ def parse_config_file(path) -> dict:
             raise ConfigError(f"{path.name}:{lineno}: expected 'key: value'")
         key, _, raw = stripped.partition(":")
         key, raw = key.strip(), raw.strip()
-        if key in types:
-            try:
-                out[key] = _coerce(types[key], key, raw)
-            except ValueError as exc:
-                raise ConfigError(f"{path.name}:{lineno}: bad value for "
-                                  f"{key!r}: {exc}")
-        elif key in _EXTRA_CONFIG_KEYS:
-            out[key] = int(raw) if key == "jobs" else raw
-        else:
-            raise ConfigError(f"{path.name}:{lineno}: unknown key {key!r}")
+        try:
+            if key == "jobs":
+                out[key] = int(raw)
+            elif key == "phase" and raw not in data.PHASE_CODES:
+                raise ValueError(f"choose one of {sorted(data.PHASE_CODES)}")
+            elif key in _EXTRA_CONFIG_DEFAULTS:
+                out[key] = raw
+            else:
+                # the line as a one-field config text for ModelConfig's codec
+                parsed = ModelConfig.from_text(f"{key}={raw}", partial=True)
+                out[key] = getattr(parsed, key)
+        except ValueError as exc:
+            why = f"bad value for {key!r}: {exc}" if key in _EXTRA_CONFIG_DEFAULTS else exc
+            raise ConfigError(f"{path.name}:{lineno}: {why}") from None
     return out
 
 
-def _coerce(ftype, key, raw):
-    if key == "dense_dims":
-        return tuple(int(x) for x in raw.split(","))
-    if ftype == "int":
-        return int(raw)
-    if ftype == "float":
-        return float(raw)
-    return raw
-
-
 def build_model_config(args) -> ModelConfig:
-    values = {}
-    if getattr(args, "config", None):
-        file_values = parse_config_file(args.config)
-        for key in _EXTRA_CONFIG_KEYS:
-            if key in file_values and getattr(args, key, None) in (None, ""):
-                setattr(args, key, file_values.pop(key))
-            else:
-                file_values.pop(key, None)
-        values.update(file_values)
+    values = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    # flag > config file > default for the extra keys
+    for key, default in _EXTRA_CONFIG_DEFAULTS.items():
+        value = values.pop(key, default)
+        if getattr(args, key, None) in (None, ""):
+            setattr(args, key, value)
     for flag in ("epochs", "batch_size", "seed", "loss_ratio"):
         v = getattr(args, flag, None)
         if v is not None:
@@ -254,8 +243,9 @@ def _add_common_run_flags(p):
     p.add_argument("--batch", dest="batch_size", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--loss-ratio", dest="loss_ratio", type=float)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker pool size for per-subject folds")
+    p.add_argument("--jobs", type=int,
+                   help="worker pool size for per-subject folds "
+                        "(default: the number of cores)")
 
 
 def build_parser() -> _Parser:
@@ -284,7 +274,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval-si", help="leave-one-subject-out evaluation")
     _add_common_run_flags(p)
-    p.add_argument("--phase", choices=["offline", "online"], default="offline")
+    p.add_argument("--phase", choices=sorted(data.PHASE_CODES),
+                   help="test phase (default: offline)")
     p.set_defaults(func=cmd_eval_si)
 
     p = sub.add_parser("ablate", help="run component-removal variants")

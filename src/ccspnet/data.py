@@ -77,7 +77,6 @@ class DatasetManifest:
     n_timepoints: int
     channel_names: list[str]
     subjects: dict[int, tuple[str, int, int]]   # id -> (file, n_trials, n_bytes)
-    openbmi: bool = False
     non_separable: bool = False
     extras: dict[str, str] = field(default_factory=dict)
 
@@ -148,7 +147,6 @@ def write_manifest(path, manifest: DatasetManifest):
         f"n_channels: {manifest.n_channels}",
         f"n_timepoints: {manifest.n_timepoints}",
         f"channel_names: {','.join(manifest.channel_names)}",
-        f"openbmi: {str(manifest.openbmi).lower()}",
         f"non_separable: {str(manifest.non_separable).lower()}",
     ]
     for key, value in manifest.extras.items():
@@ -166,6 +164,7 @@ def load_manifest(path) -> DatasetManifest:
     fields = {}
     subjects = {}
     extras = {}
+    # "openbmi" is a flag older manifests carry; it is accepted and ignored
     known = {"format", "version", "sample_rate_hz", "n_channels",
              "n_timepoints", "channel_names", "openbmi", "non_separable"}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
@@ -198,7 +197,6 @@ def load_manifest(path) -> DatasetManifest:
             n_timepoints=int(fields["n_timepoints"]),
             channel_names=fields["channel_names"].split(","),
             subjects=subjects,
-            openbmi=fields.get("openbmi", "false") == "true",
             non_separable=fields.get("non_separable", "false") == "true",
             extras=extras,
         )
@@ -209,8 +207,7 @@ def load_manifest(path) -> DatasetManifest:
     return manifest
 
 
-def save_dataset(out_dir, trialset: TrialSet, non_separable=False,
-                 openbmi=False) -> Path:
+def save_dataset(out_dir, trialset: TrialSet, non_separable=False) -> Path:
     """Write one trial file per subject plus the manifest; returns manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -226,7 +223,6 @@ def save_dataset(out_dir, trialset: TrialSet, non_separable=False,
         n_timepoints=trialset.n_timepoints,
         channel_names=[f"ch{i + 1:02d}" for i in range(trialset.n_channels)],
         subjects=subjects,
-        openbmi=openbmi,
         non_separable=non_separable,
     )
     manifest_path = out_dir / "manifest.txt"

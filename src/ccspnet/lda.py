@@ -64,15 +64,7 @@ def fit(features: np.ndarray, labels: np.ndarray) -> LdaModel:
 
 def fisher_criterion(projected: np.ndarray, labels: np.ndarray) -> float:
     """J = (var0 + var1) / (mean0 - mean1)^2 with population variances."""
-    g = np.asarray(projected, dtype=np.float64)
-    labels = np.asarray(labels)
-    g0, g1 = g[labels == 0], g[labels == 1]
-    if len(g0) == 0 or len(g1) == 0:
-        raise NumericalError("Fisher criterion needs both classes")
-    gap = g0.mean() - g1.mean()
-    if gap == 0:
-        raise NumericalError("identical projected class means")
-    return float((g0.var() + g1.var()) / gap ** 2)
+    return float(fisher_criterion_node(ad.constant(projected), labels).value)
 
 
 def fisher_criterion_node(projected: ad.Node, labels: np.ndarray) -> ad.Node:

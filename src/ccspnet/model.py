@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,6 +67,51 @@ class ModelConfig:
         if tuple(self.dense_dims)[-1] != 4:
             raise ConfigError("dense network must end in 4 outputs")
 
+    def to_text(self) -> str:
+        """One `name=value` line per field, sorted by name: the config header
+        of a .ccsp file."""
+        lines = []
+        for f in sorted(fields(self), key=lambda f: f.name):
+            v = getattr(self, f.name)
+            if isinstance(v, tuple):
+                v = ",".join(str(x) for x in v)
+            elif isinstance(v, float):
+                v = repr(v)
+            lines.append(f"{f.name}={v}")
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_text(cls, text: str, partial: bool = False) -> "ModelConfig":
+        """Parse `name=value` lines as `to_text` writes them.
+
+        Every field must appear unless `partial`, when an absent field keeps
+        its default. Raises ValueError on a malformed line, an unknown name or
+        a value that does not parse as the field's type.
+        """
+        types = {f.name: f.type for f in fields(cls)}
+        values = {}
+        for line in text.splitlines():
+            if not line.strip():
+                continue
+            name, sep, raw = line.partition("=")
+            if not sep:
+                raise ValueError(f"malformed config line {line!r}")
+            if name not in types:
+                raise ValueError(f"unknown key {name!r}")
+            try:
+                values[name] = _FIELD_PARSERS.get(types[name], str)(raw)
+            except ValueError as exc:
+                raise ValueError(f"bad value for {name!r}: {exc}") from None
+        missing = [name for name in types if name not in values]
+        if missing and not partial:
+            raise ValueError(f"config missing key {missing[0]!r}")
+        return cls(**values)
+
+
+# text -> value for each ModelConfig field type; other fields are strings
+_FIELD_PARSERS = {"int": int, "float": float,
+                  "tuple": lambda raw: tuple(int(x) for x in raw.split(","))}
+
 
 class _BnLayer:
     """Learnable affine + running statistics for one batch-norm layer."""
@@ -74,6 +120,17 @@ class _BnLayer:
         self.gamma = ad.Parameter(np.ones(n_features), name=f"{name}.gamma")
         self.beta = ad.Parameter(np.zeros(n_features), name=f"{name}.beta")
         self.state = ad.BatchNormState(n_features)
+
+
+class _Stage(NamedTuple):
+    """One spectral stage: a depthwise temporal convolution of every map, then
+    batch norm over the maps. `kernels` must not hold the model, so that a
+    dropped model is freed at once rather than by the cycle collector."""
+
+    name: str                        # key of its maps in forward_spectral's `stages`
+    kernels: Callable[[], ad.Node]   # builds the K x len kernel node
+    bias: ad.Parameter | None
+    bn: _BnLayer
 
 
 class CCSPNet:
@@ -86,15 +143,17 @@ class CCSPNet:
         self.history = []
         self._rng = np.random.default_rng(config.seed)
         self._params = {}
+        self._adam_params = {"wavelet": [], "weight": [], "bias": []}
         self._bn_layers = {}
         self._build()
         self.optimizer = self._build_optimizer()
 
     # construction ---------------------------------------------------------
 
-    def _register(self, name, value):
+    def _register(self, name, value, adam_group):
         p = ad.Parameter(np.asarray(value, dtype=np.float64), name=name)
         self._params[name] = p
+        self._adam_params[adam_group].append(p)
         return p
 
     def _register_bn(self, name, n_features):
@@ -105,95 +164,76 @@ class CCSPNet:
         return layer
 
     def _build(self):
+        """Lay out the model: the spectral stages, then the head's dense
+        layers and classifier. An ablation leaves its component out here and
+        nowhere else."""
         cfg = self.config
         k = cfg.n_wavelet_kernels
         self.wavelet = []
+        self.spectral_stages = []
         if cfg.ablate != "wkcnn":
             freqs = np.linspace(dsp.WAVELET_FREQ_MIN, dsp.WAVELET_FREQ_MAX, k)
             for i in range(k):
                 self.wavelet.append((
-                    self._register(f"wavelet.f.{i}", freqs[i]),
-                    self._register(f"wavelet.h.{i}", 0.25),
-                    self._register(f"wavelet.c.{i}", 4.0 * np.log(2.0)),
+                    self._register(f"wavelet.f.{i}", freqs[i], "wavelet"),
+                    self._register(f"wavelet.h.{i}", 0.25, "wavelet"),
+                    self._register(f"wavelet.c.{i}", 4.0 * np.log(2.0), "wavelet"),
                 ))
-            self.bn_wk = self._register_bn("bn_wk", k)
-        else:
-            self.bn_wk = None
+            wavelet = self.wavelet
+            self.spectral_stages.append(_Stage(
+                "wkcnn", lambda: _wavelet_kernels(wavelet, cfg), None,
+                self._register_bn("bn_wk", k)))
 
+        self.temporal_kernels = None
         if cfg.ablate != "tcnn":
             bound = 1.0 / np.sqrt(cfg.temporal_len)
-            self.temporal_kernels = self._register(
+            kernels = self._register(
                 "temporal.kernels",
-                self._rng.uniform(-bound, bound, size=(k, cfg.temporal_len)))
-            self.temporal_bias = self._register("temporal.bias", np.zeros(k))
-            self.bn_tc = self._register_bn("bn_tc", k)
-        else:
-            self.temporal_kernels = None
-            self.temporal_bias = None
-            self.bn_tc = None
+                self._rng.uniform(-bound, bound, size=(k, cfg.temporal_len)),
+                "weight")
+            bias = self._register("temporal.bias", np.zeros(k), "bias")
+            self.spectral_stages.append(_Stage(
+                "tcnn", lambda: kernels, bias, self._register_bn("bn_tc", k)))
+            self.temporal_kernels = kernels
 
-        self.dense_w, self.dense_b, self.bn_d = [], [], []
+        # (weight, bias, batch norm or None) per dense layer
+        self.dense = []
         if cfg.ablate != "frn":
             d_in = 4 * k
             for li, d_out in enumerate(cfg.dense_dims):
                 bound = 1.0 / np.sqrt(d_in)
-                self.dense_w.append(self._register(
-                    f"dense.{li}.w",
-                    self._rng.uniform(-bound, bound, size=(d_in, d_out))))
-                self.dense_b.append(self._register(f"dense.{li}.b", np.zeros(d_out)))
-                if li < len(cfg.dense_dims) - 1:
-                    self.bn_d.append(self._register_bn(f"bn_d.{li}", d_out))
+                w = self._register(f"dense.{li}.w",
+                                   self._rng.uniform(-bound, bound, size=(d_in, d_out)),
+                                   "weight")
+                b = self._register(f"dense.{li}.b", np.zeros(d_out), "bias")
+                bn = (self._register_bn(f"bn_d.{li}", d_out)
+                      if li < len(cfg.dense_dims) - 1 else None)
+                self.dense.append((w, b, bn))
                 d_in = d_out
+        self.classifier = "softmax" if cfg.ablate == "lda" else "lda"
+
+    @property
+    def dense_w(self):
+        return [w for w, _, _ in self.dense]
 
     def _build_optimizer(self):
         cfg = self.config
-        wavelet_params = [p for triple in self.wavelet for p in triple]
-        regularized, plain = [], []
-        if self.temporal_kernels is not None:
-            regularized.append(self.temporal_kernels)
-            plain.append(self.temporal_bias)
-        regularized.extend(self.dense_w)
-        plain.extend(self.dense_b)
-        for layer in self._bn_layers.values():
-            plain.extend([layer.gamma, layer.beta])
-        groups = []
-        if wavelet_params:
-            groups.append({"params": wavelet_params, "lr": cfg.lr_wavelet})
-        if regularized:
-            groups.append({"params": regularized, "lr": cfg.lr_main,
-                           "l1": cfg.l1, "l2": cfg.l2})
-        if plain:
-            groups.append({"params": plain, "lr": cfg.lr_main})
-        return ad.Adam(groups)
+        bn = [p for layer in self._bn_layers.values() for p in (layer.gamma, layer.beta)]
+        groups = [{"params": self._adam_params["wavelet"], "lr": cfg.lr_wavelet},
+                  {"params": self._adam_params["weight"], "lr": cfg.lr_main,
+                   "l1": cfg.l1, "l2": cfg.l2},
+                  {"params": self._adam_params["bias"] + bn, "lr": cfg.lr_main}]
+        return ad.Adam([g for g in groups if g["params"]])
 
     # forward passes -------------------------------------------------------
 
-    def _wavelet_kernel_nodes(self) -> ad.Node:
-        cfg = self.config
-        rows = []
-        for f, h, c in self.wavelet:
-            mp = dsp.MorletParams(float(f.value), float(h.value), float(c.value),
-                                  cfg.wavelet_len, cfg.sample_rate_hz)
-            w = dsp.build_morlet(mp)
-
-            def backward(g, f=f, h=h, c=c, mp=mp):
-                df, dh, dc = dsp.morlet_gradients(mp, g)
-                if f.requires_grad:
-                    f._accumulate(np.asarray(df))
-                if h.requires_grad:
-                    h._accumulate(np.asarray(dh))
-                if c.requires_grad:
-                    c._accumulate(np.asarray(dc))
-
-            rows.append(ad.Node(w, (f, h, c), backward))
-        return ad.stack_rows(rows)
-
     def forward_spectral(self, batch: np.ndarray, training: bool,
                          stages: dict | None = None) -> ad.Node:
-        """WKCNN + TCNN stack: N x C x T in, node with N x K x C x T out.
+        """The spectral stages: N x C x T in, node with N x K x C x T out.
 
-        When `stages` is a dict, each stage's output value is stored in it:
-        'raw' (N x C x T) and 'wkcnn' and 'tcnn' (N x K x C x T) when present.
+        When `stages` is a dict, each stage's output value is stored in it in
+        pipeline order: 'raw' (N x C x T), then 'wkcnn' and 'tcnn'
+        (N x K x C x T) when present.
         """
         cfg = self.config
         batch = np.asarray(batch, dtype=np.float64)
@@ -205,28 +245,20 @@ class CCSPNet:
         if stages is not None:
             stages["raw"] = batch
         x = ad.expand_maps(ad.constant(batch[:, None]), cfg.n_wavelet_kernels)
-        if cfg.ablate != "wkcnn":
-            x = ad.conv_same_temporal(x, self._wavelet_kernel_nodes())
-            x = ad.batch_norm(x, self.bn_wk.gamma, self.bn_wk.beta,
-                              self.bn_wk.state, training)
+        for stage in self.spectral_stages:
+            x = ad.conv_same_temporal(x, stage.kernels(), stage.bias)
+            x = ad.batch_norm(x, stage.bn.gamma, stage.bn.beta, stage.bn.state,
+                              training)
             if stages is not None:
-                stages["wkcnn"] = x.value
-        if cfg.ablate != "tcnn":
-            x = ad.conv_same_temporal(x, self.temporal_kernels, self.temporal_bias)
-            x = ad.batch_norm(x, self.bn_tc.gamma, self.bn_tc.beta,
-                              self.bn_tc.state, training)
-            if stages is not None:
-                stages["tcnn"] = x.value
+                stages[stage.name] = x.value
         return x
 
     def _dense_forward(self, x: ad.Node, training: bool) -> ad.Node:
-        h = x
-        for li in range(len(self.dense_w)):
-            h = ad.dense(h, self.dense_w[li], self.dense_b[li])
-            if li < len(self.bn_d):
-                layer = self.bn_d[li]
-                h = ad.batch_norm(h, layer.gamma, layer.beta, layer.state, training)
-        return h
+        for w, b, bn in self.dense:
+            x = ad.dense(x, w, b)
+            if bn is not None:
+                x = ad.batch_norm(x, bn.gamma, bn.beta, bn.state, training)
+        return x
 
     def csp_feedback_loss(self, batch, labels, training=True, frozen_wr=None):
         """Spectral forward + per-branch CSP refit + cross-entropy loss.
@@ -254,11 +286,12 @@ class CCSPNet:
     def _discriminant_backward(self, concat: np.ndarray, labels) -> float:
         """Fit the discriminant on detached features and backprop (1-r) * J."""
         cfg = self.config
-        if cfg.ablate == "frn":
+        if not self.dense:
+            # nothing to train: J of the LDA on the CSP features is logged only
             model = lda.fit(concat, labels)
             return lda.fisher_criterion(concat @ model.w, labels)
         out = self._dense_forward(ad.constant(concat), training=True)
-        if cfg.ablate == "lda":
+        if self.classifier == "softmax":
             ce = ad.scale(ad.binary_cross_entropy(ad.softmax(out),
                                                   csp.target_vectors(labels)),
                           1.0 / len(labels))
@@ -315,13 +348,10 @@ class CCSPNet:
         self.frozen_branches = [
             csp.fit_branch(spectral.value[:, i], labels, i + 1)
             for i in range(self.config.n_wavelet_kernels)]
-        concat = self._frozen_features(spectral.value)
-        if self.config.ablate == "frn":
-            self.frozen_lda = lda.fit(concat, labels)
-        elif self.config.ablate == "lda":
-            self.frozen_lda = None
-        else:
-            out = self._dense_forward(ad.constant(concat), training=False)
+        self.frozen_lda = None
+        if self.classifier == "lda":
+            out = self._dense_forward(
+                ad.constant(self._frozen_features(spectral.value)), training=False)
             self.frozen_lda = lda.fit(out.value, labels)
         self.finalized = True
         return self
@@ -339,12 +369,10 @@ class CCSPNet:
         if not self.finalized:
             raise ModelStateError("model is not finalized; call finalize first")
         spectral = self.forward_spectral(batch, training=False)
-        concat = self._frozen_features(spectral.value)
-        if self.config.ablate == "frn":
-            return lda.predict(self.frozen_lda, concat)
-        out = self._dense_forward(ad.constant(concat), training=False)
-        if self.config.ablate == "lda":
-            probs = ad.softmax(ad.constant(out.value)).value
+        out = self._dense_forward(
+            ad.constant(self._frozen_features(spectral.value)), training=False)
+        if self.classifier == "softmax":
+            probs = ad.softmax(out).value
             return (probs[:, :2].sum(axis=1) > probs[:, 2:].sum(axis=1)).astype(np.uint8)
         return lda.predict(self.frozen_lda, out.value)
 
@@ -352,23 +380,15 @@ class CCSPNet:
 
     def count_parameters(self) -> dict:
         cfg = self.config
-        counts = {
-            "wavelet": sum(p.value.size for triple in self.wavelet for p in triple),
-            "temporal": (self.temporal_kernels.value.size
-                         + self.temporal_bias.value.size)
-                        if self.temporal_kernels is not None else 0,
-            "batch_norm": sum(layer.gamma.value.size + layer.beta.value.size
-                              for layer in self._bn_layers.values()),
-            "dense": sum(w.value.size + b.value.size
-                         for w, b in zip(self.dense_w, self.dense_b)),
-            "csp_frozen": cfg.n_wavelet_kernels * cfg.n_channels * 4,
-        }
-        if cfg.ablate == "lda":
-            counts["lda"] = 0
-        elif cfg.ablate == "frn":
-            counts["lda"] = 4 * cfg.n_wavelet_kernels + 2
-        else:
-            counts["lda"] = cfg.dense_dims[-1] + 2
+        counts = dict.fromkeys(("wavelet", "temporal", "batch_norm", "dense"), 0)
+        for name, p in self._params.items():
+            layer = name.split(".")[0]
+            counts["batch_norm" if layer.startswith("bn_") else layer] += p.value.size
+        counts["csp_frozen"] = cfg.n_wavelet_kernels * cfg.n_channels * 4
+        # the LDA direction over the head's output, and the two class means
+        width = self.dense[-1][0].value.shape[1] if self.dense \
+            else 4 * cfg.n_wavelet_kernels
+        counts["lda"] = width + 2 if self.classifier == "lda" else 0
         counts["total"] = sum(counts.values())
         return counts
 
@@ -400,7 +420,7 @@ class CCSPNet:
         return items
 
     def save(self, path):
-        config_text = _config_to_text(self.config).encode("utf-8")
+        config_text = self.config.to_text().encode("utf-8")
         arrays = self._state_arrays()
         blob = bytearray()
         blob += MODEL_MAGIC
@@ -430,8 +450,12 @@ class CCSPNet:
         version, finalized = struct.unpack("<HB", reader.take(3))
         if version != MODEL_VERSION:
             raise DataError(f"{path}: unsupported container version {version}")
-        config_text = reader.take(reader.u32()).decode("utf-8")
-        config = _config_from_text(config_text, path)
+        config_text = reader.take(reader.u32())
+        try:
+            config = ModelConfig.from_text(config_text.decode("utf-8"))
+            config.validate()
+        except (ValueError, ConfigError) as exc:
+            raise DataError(f"{path}: bad config text: {exc}") from None
         arrays = {}
         for _ in range(reader.u32()):
             name = reader.take(reader.u16()).decode("utf-8")
@@ -478,12 +502,33 @@ class CCSPNet:
                     eigenvalues=fetch(f"csp.{i}.eigenvalues"),
                     w_reduced=fetch(f"csp.{i}.w_reduced"),
                     branch_index=i + 1))
-            if self.config.ablate != "lda":
+            if self.classifier == "lda":
                 mu = fetch("lda.mu")
                 self.frozen_lda = lda.LdaModel(w=fetch("lda.w"),
                                                mu0=float(mu[0]),
                                                mu1=float(mu[1]), fitted=True)
             self.finalized = True
+
+
+def _wavelet_kernels(wavelet, cfg: ModelConfig) -> ad.Node:
+    """The K x wavelet_len Morlet kernel node of the (f, h, c) triples."""
+    rows = []
+    for f, h, c in wavelet:
+        mp = dsp.MorletParams(float(f.value), float(h.value), float(c.value),
+                              cfg.wavelet_len, cfg.sample_rate_hz)
+        w = dsp.build_morlet(mp)
+
+        def backward(g, f=f, h=h, c=c, mp=mp):
+            df, dh, dc = dsp.morlet_gradients(mp, g)
+            if f.requires_grad:
+                f._accumulate(np.asarray(df))
+            if h.requires_grad:
+                h._accumulate(np.asarray(dh))
+            if c.requires_grad:
+                c._accumulate(np.asarray(dc))
+
+        rows.append(ad.Node(w, (f, h, c), backward))
+    return ad.stack_rows(rows)
 
 
 def _trainable(batch_labels) -> bool:
@@ -530,45 +575,6 @@ class _Reader:
 
     def u32(self):
         return struct.unpack("<I", self.take(4))[0]
-
-
-def _config_to_text(config: ModelConfig) -> str:
-    lines = []
-    for f in sorted(fields(ModelConfig), key=lambda f: f.name):
-        v = getattr(config, f.name)
-        if isinstance(v, tuple):
-            v = ",".join(str(x) for x in v)
-        elif isinstance(v, float):
-            v = repr(v)
-        lines.append(f"{f.name}={v}")
-    return "\n".join(lines) + "\n"
-
-
-def _config_from_text(text: str, path) -> ModelConfig:
-    values = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise DataError(f"{path}: malformed config line {line!r}")
-        key, raw = line.split("=", 1)
-        values[key] = raw
-    kwargs = {}
-    for f in fields(ModelConfig):
-        if f.name not in values:
-            raise DataError(f"{path}: config missing key {f.name!r}")
-        raw = values.pop(f.name)
-        if f.name == "dense_dims":
-            kwargs[f.name] = tuple(int(x) for x in raw.split(","))
-        elif f.type in ("int",):
-            kwargs[f.name] = int(raw)
-        elif f.type in ("float",):
-            kwargs[f.name] = float(raw)
-        else:
-            kwargs[f.name] = raw
-    if values:
-        raise DataError(f"{path}: unknown config keys {sorted(values)}")
-    return ModelConfig(**kwargs)
 
 
 def parameter_report(model: CCSPNet) -> str:

@@ -74,12 +74,9 @@ def stft_stage_grids(net: CCSPNet, trial: np.ndarray, channel: int,
     fs = net.config.sample_rate_hz
     stages = {}
     net.forward_spectral(trial[None], training=False, stages=stages)
-    grids = {"raw": [dsp.stft(trial[channel], window_len, hop, fs)]}
-    for name in ("wkcnn", "tcnn"):
-        if name in stages:
-            maps = stages[name][0]  # K x C x T
-            grids[name] = [dsp.stft(maps[k, channel], window_len, hop, fs)
-                           for k in range(maps.shape[0])]
+    grids = {"raw": [dsp.stft(stages.pop("raw")[0, channel], window_len, hop, fs)]}
+    for name, maps in stages.items():   # maps: 1 x K x C x T
+        grids[name] = [dsp.stft(m[channel], window_len, hop, fs) for m in maps[0]]
     return grids
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -6,6 +7,9 @@ import pytest
 
 from ccspnet import cli, data, harness
 from ccspnet.errors import ConfigError
+from ccspnet.model import ModelConfig
+
+from test_model import edit_config_text, every_field_changed
 
 
 def run(*argv):
@@ -88,6 +92,45 @@ class TestConfigFile:
         assert run("eval-sd", "--config", str(cfg), "--jobs", "1") == 0
         rows = harness.read_results_csv(tmp_path / "out" / "sd.csv")
         assert {r["seed"] for r in rows} == {3}
+
+    def test_every_model_field_round_trips(self, tmp_path):
+        cfg = every_field_changed()
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(line.replace("=", ": ", 1) + "\n"
+                                for line in cfg.to_text().splitlines()))
+        assert ModelConfig(**cli.parse_config_file(path)) == cfg
+
+    @pytest.mark.parametrize("file_text, flags, expected", [
+        ("jobs: 7\nphase: online\n", [], ("online", 7)),
+        ("jobs: 7\nphase: online\n", ["--jobs", "2", "--phase", "offline"],
+         ("offline", 2)),
+        ("epochs: 1\n", [], ("offline", os.cpu_count() or 1)),
+    ])
+    def test_jobs_and_phase_precedence(self, dataset_dir, tmp_path, monkeypatch,
+                                       file_text, flags, expected):
+        class Stop(Exception):
+            pass
+
+        calls = []
+
+        def run_loso(proc, cfg, phase, jobs):
+            calls.append((phase, jobs))
+            raise Stop
+
+        monkeypatch.setattr(harness, "run_loso", run_loso)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(file_text)
+        with pytest.raises(Stop):
+            run("eval-si", "--config", str(cfg), "--manifest",
+                str(dataset_dir / "manifest.txt"), *flags)
+        assert calls == [expected]
+
+    @pytest.mark.parametrize("line", ["jobs: two", "phase: sideways"])
+    def test_bad_jobs_or_phase_reports_line_number(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"epochs: 1\n{line}\n")
+        assert run("eval-si", "--config", str(cfg)) == 1
+        assert "run.cfg:2" in capsys.readouterr().err
 
     def test_env_seed_override(self, dataset_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("CCSP_SEED", "77")
@@ -200,3 +243,15 @@ class TestPlotCommand:
     def test_no_mode_is_config_error(self, dataset_dir, trained_model):
         assert run("plot", "--model", str(trained_model),
                    "--manifest", str(dataset_dir / "manifest.txt")) == 1
+
+    @pytest.mark.parametrize("old, new", [("epochs=1\n", "epochs=x\n"),
+                                          ("ablate=\n", "ablate=q\n")])
+    def test_bad_model_config_text_is_data_error(self, dataset_dir, trained_model,
+                                                 tmp_path, capsys, old, new):
+        path = tmp_path / "bad.ccsp"
+        path.write_bytes(trained_model.read_bytes())
+        edit_config_text(path, old, new)
+        assert run("plot", "--stft", "--model", str(path),
+                   "--manifest", str(dataset_dir / "manifest.txt"),
+                   "--out-dir", str(tmp_path)) == 2
+        assert "bad.ccsp" in capsys.readouterr().err

@@ -101,6 +101,18 @@ class TestTrialFileRoundTrip:
         with pytest.raises(DataError):
             data.load_trials(manifest_path, subjects=[99])
 
+    def test_old_openbmi_flag_still_loads(self, tmp_path):
+        ts = small_trialset(np.random.default_rng(8))
+        manifest_path = data.save_dataset(tmp_path, ts)
+        text = manifest_path.read_text()
+        assert "openbmi" not in text
+        manifest_path.write_text(text.replace("non_separable:",
+                                              "openbmi: true\nnon_separable:"))
+        manifest = data.load_manifest(manifest_path)
+        assert "openbmi" not in manifest.extras
+        np.testing.assert_array_equal(data.load_trials(manifest_path).trials,
+                                      ts.trials)
+
 
 class TestPreprocess:
     def test_paper_dimensions(self):

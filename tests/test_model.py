@@ -1,4 +1,8 @@
 import copy
+import gc
+import struct
+import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +19,28 @@ def desk_config(**overrides):
                 epochs=3, batch_size=16, seed=0)
     base.update(overrides)
     return model.ModelConfig(**base)
+
+
+def every_field_changed():
+    """A config with a non-default value in every field."""
+    cfg = model.ModelConfig(
+        n_channels=16, n_timepoints=100, n_wavelet_kernels=3, wavelet_len=16,
+        n_temporal_kernels=3, temporal_len=24, dense_dims=(12, 6, 4),
+        loss_ratio=0.25, lr_wavelet=0.002, lr_main=0.1 + 0.2, l1=1e-3, l2=0.2,
+        epochs=7, batch_size=50, seed=123, sample_rate_hz=128.0, ablate="tcnn")
+    default = model.ModelConfig()
+    assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
+    return cfg
+
+
+def edit_config_text(path, old, new):
+    """Replace `old` by `new` in the config text of the .ccsp file at `path`."""
+    blob = path.read_bytes()
+    (n,) = struct.unpack_from("<I", blob, 7)
+    text = blob[11:11 + n].decode("utf-8")
+    assert old in text
+    text = text.replace(old, new).encode("utf-8")
+    path.write_bytes(blob[:7] + struct.pack("<I", len(text)) + text + blob[11 + n:])
 
 
 def desk_batch(rng, n=16, c=6, t=40):
@@ -445,3 +471,110 @@ class TestSerialization:
         path.write_bytes(blob[:len(blob) - 33])
         with pytest.raises(DataError, match="truncated"):
             model.CCSPNet.load(path)
+
+    @pytest.mark.parametrize("old, new", [("epochs=2\n", "epochs=x\n"),
+                                          ("ablate=\n", "ablate=q\n")])
+    def test_bad_config_text_is_a_data_error(self, tmp_path, old, new):
+        net, _ = self.trained(tmp_path)
+        path = net.save(tmp_path / "m.ccsp")
+        edit_config_text(path, old, new)
+        with pytest.raises(DataError, match="m.ccsp"):
+            model.CCSPNet.load(path)
+
+
+class TestConfigText:
+    def test_default_text(self):
+        assert model.ModelConfig().to_text() == (
+            "ablate=\nbatch_size=300\ndense_dims=16,8,4\nepochs=20\nl1=0.01\n"
+            "l2=0.1\nloss_ratio=0.3\nlr_main=0.01\nlr_wavelet=0.001\n"
+            "n_channels=62\nn_temporal_kernels=4\nn_timepoints=250\n"
+            "n_wavelet_kernels=4\nsample_rate_hz=100.0\nseed=0\n"
+            "temporal_len=64\nwavelet_len=32\n")
+
+    def test_round_trip_of_every_field(self):
+        cfg = every_field_changed()
+        assert model.ModelConfig.from_text(cfg.to_text()) == cfg
+
+    @pytest.mark.parametrize("text, error", [
+        ("epochs=20\n", "missing key"),
+        ("epochs\n", "malformed"),
+        ("bogus=1\n", "unknown key 'bogus'"),
+        ("dense_dims=16,8,x\n", "bad value for 'dense_dims'"),
+    ])
+    def test_bad_text_rejected(self, text, error):
+        with pytest.raises(ValueError, match=error):
+            model.ModelConfig.from_text(text)
+
+    def test_partial_text_keeps_defaults(self):
+        cfg = model.ModelConfig.from_text("epochs=3\n", partial=True)
+        assert cfg == model.ModelConfig(epochs=3)
+
+
+# .ccsp layout of the desk config trained for two epochs on 20 trials and
+# finalized: the full model's parameters in registration order, then its Adam
+# parameters in group order (wavelet; kernel and dense weights; biases, then
+# the batch-norm affines). An ablation drops its component's entries.
+FULL_PARAMS = [(f"wavelet.{p}.{i}", ()) for i in range(4) for p in "fhc"] + [
+    ("bn_wk.gamma", (4,)), ("bn_wk.beta", (4,)),
+    ("temporal.kernels", (4, 16)), ("temporal.bias", (4,)),
+    ("bn_tc.gamma", (4,)), ("bn_tc.beta", (4,)),
+    ("dense.0.w", (16, 16)), ("dense.0.b", (16,)),
+    ("bn_d.0.gamma", (16,)), ("bn_d.0.beta", (16,)),
+    ("dense.1.w", (16, 8)), ("dense.1.b", (8,)),
+    ("bn_d.1.gamma", (8,)), ("bn_d.1.beta", (8,)),
+    ("dense.2.w", (8, 4)), ("dense.2.b", (4,))]
+FULL_ADAM_ORDER = [f"wavelet.{p}.{i}" for i in range(4) for p in "fhc"] + [
+    "temporal.kernels", "dense.0.w", "dense.1.w", "dense.2.w",
+    "temporal.bias", "dense.0.b", "dense.1.b", "dense.2.b",
+    "bn_wk.gamma", "bn_wk.beta", "bn_tc.gamma", "bn_tc.beta",
+    "bn_d.0.gamma", "bn_d.0.beta", "bn_d.1.gamma", "bn_d.1.beta"]
+ABLATED_PREFIXES = {"": (), "wkcnn": ("wavelet.", "bn_wk."),
+                    "tcnn": ("temporal.", "bn_tc."), "frn": ("dense.", "bn_d."),
+                    "lda": ()}
+LDA_ARRAYS = {"": [("lda.w", (4,)), ("lda.mu", (2,))],
+              "frn": [("lda.w", (16,)), ("lda.mu", (2,))], "lda": []}
+
+
+def expected_layout(ablate):
+    params = [(name, shape) for name, shape in FULL_PARAMS
+              if not name.startswith(ABLATED_PREFIXES[ablate])]
+    shapes = dict(params)
+    items = list(params)
+    for name, shape in params:
+        if name.endswith(".gamma"):
+            layer = name[:-len(".gamma")]
+            items += [(f"{layer}.running_mean", shape), (f"{layer}.running_var", shape)]
+    items.append(("adam.step", ()))
+    for name in FULL_ADAM_ORDER:
+        if name in shapes:
+            items += [(f"adam.m.{name}", shapes[name]), (f"adam.v.{name}", shapes[name])]
+    items.append(("history", (4, 5)))
+    for i in range(4):
+        items += [(f"csp.{i}.sigma0", (6, 6)), (f"csp.{i}.sigma1", (6, 6)),
+                  (f"csp.{i}.w_full", (6, 6)), (f"csp.{i}.eigenvalues", (6,)),
+                  (f"csp.{i}.w_reduced", (6, 4))]
+    return items + LDA_ARRAYS.get(ablate, LDA_ARRAYS[""])
+
+
+@pytest.mark.parametrize("ablate", ("",) + model.ABLATIONS)
+def test_container_layout(tmp_path, ablate):
+    net, _ = TestSerialization().trained(tmp_path, ablate)
+    layout = [(name, np.shape(arr)) for name, arr in net._state_arrays()]
+    assert layout == expected_layout(ablate)
+
+
+@pytest.mark.parametrize("ablate", ("",) + model.ABLATIONS)
+def test_dropped_model_is_freed_without_the_cycle_collector(ablate):
+    # a model that is part of a reference cycle lingers until the collector
+    # runs; a loop that reloads models then piles them up
+    net = model.CCSPNet(desk_config(epochs=1, ablate=ablate))
+    trials, labels = desk_batch(np.random.default_rng(13))
+    net.train(trials, labels).finalize(trials, labels)
+    net.predict(trials)
+    ref = weakref.ref(net)
+    gc.disable()
+    try:
+        del net
+        assert ref() is None
+    finally:
+        gc.enable()
