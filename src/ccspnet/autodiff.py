@@ -20,7 +20,6 @@ __all__ = [
     "scale",
     "conv_same_temporal",
     "expand_maps",
-    "slice_map",
     "project_channels",
     "batch_norm",
     "BatchNormState",
@@ -133,17 +132,6 @@ def scale(a: Node, s: float) -> Node:
     return Node(a.value * s, (a,), backward)
 
 
-def stack_rows(nodes) -> Node:
-    """Stack equal-length 1-d nodes into a matrix, one per row."""
-    nodes = list(nodes)
-
-    def backward(g):
-        for i, n in enumerate(nodes):
-            _maybe_backward(n, g[i])
-
-    return Node(np.stack([n.value for n in nodes]), tuple(nodes), backward)
-
-
 def expand_maps(x: Node, k: int) -> Node:
     """Repeat a single feature map N x 1 x C x T into N x k x C x T."""
     if x.shape[1] != 1:
@@ -153,17 +141,6 @@ def expand_maps(x: Node, k: int) -> Node:
         _maybe_backward(x, g.sum(axis=1, keepdims=True))
 
     return Node(np.repeat(x.value, k, axis=1), (x,), backward)
-
-
-def slice_map(x: Node, index: int) -> Node:
-    """Select feature map `index`: N x K x C x T -> N x C x T."""
-
-    def backward(g):
-        full = np.zeros_like(x.value)
-        full[:, index] = g
-        _maybe_backward(x, full)
-
-    return Node(x.value[:, index], (x,), backward)
 
 
 def _toeplitz_bands(kernels: np.ndarray, t_len: int) -> np.ndarray:

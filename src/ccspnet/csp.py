@@ -100,24 +100,13 @@ def fit_branch(batch: np.ndarray, labels: np.ndarray, branch_index: int) -> CspB
     return CspBranch(sigma0, sigma1, w, eigvals, reduce_projection(w), branch_index)
 
 
-def spatial_filter_features(batch: np.ndarray, w_reduced: np.ndarray) -> np.ndarray:
-    """log(var(W_r^T X)) per trial; plain numpy path for frozen inference.
+def spatial_filter_features(maps: ad.Node, w_reduced: np.ndarray) -> ad.Node:
+    """log(var(W_r^T X)) per trial, W_r held constant.
 
     A C x 4 `w_reduced` turns N x C x T into N x 4 features; a stacked
     K x C x 4 one turns N x K x C x T maps into N x K x 4, branch by branch.
     """
-    projected = np.matmul(np.swapaxes(np.asarray(w_reduced), -1, -2),
-                          np.asarray(batch, dtype=np.float64))
-    variances = projected.var(axis=-1)
-    if np.any(variances <= 0):
-        idx = np.argwhere(variances <= 0)[0]
-        raise NumericalError(f"zero-variance projected row at {tuple(idx)}")
-    return np.log(variances)
-
-
-def spatial_filter_features_node(batch: ad.Node, w_reduced: np.ndarray) -> ad.Node:
-    """Differentiable twin of spatial_filter_features (W_r held constant)."""
-    return ad.log_variance(ad.project_channels(batch, w_reduced))
+    return ad.log_variance(ad.project_channels(maps, w_reduced))
 
 
 def target_vectors(labels: np.ndarray) -> np.ndarray:
@@ -131,16 +120,16 @@ def target_vectors(labels: np.ndarray) -> np.ndarray:
     return y
 
 
-def csp_loss(branch_features, labels: np.ndarray) -> ad.Node:
+def csp_loss(features: ad.Node, labels: np.ndarray) -> ad.Node:
     """Cross-entropy between softmaxed branch features and the class targets.
 
-    branch_features: sequence of 4 nodes, each N x 4. Per-branch BCE losses
-    are summed over branches and averaged over the batch.
+    features: N x K x 4, the K branches' log-variance features. The BCE is
+    summed over branches and averaged over the batch.
     """
     targets = target_vectors(labels)
     n = targets.shape[0]
-    total = None
-    for feats in branch_features:
-        branch = ad.binary_cross_entropy(ad.softmax(feats), targets)
-        total = branch if total is None else ad.add(total, branch)
-    return ad.scale(total, 1.0 / n)
+    if features.value.ndim != 3 or features.shape[0] != n or features.shape[2] != 4:
+        raise NumericalError(f"CSP features of shape {features.shape} do not "
+                             f"match (N={n}, K, 4)")
+    loss = ad.binary_cross_entropy(ad.softmax(features), targets[:, None])
+    return ad.scale(loss, 1.0 / n)

@@ -9,7 +9,6 @@ the per-subject files.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -20,7 +19,10 @@ from .errors import DataError
 
 TRIAL_MAGIC = b"EEGT"
 TRIAL_FORMAT_VERSION = 1
-_HEADER = struct.Struct("<IIBHBB")
+_PREAMBLE = len(TRIAL_MAGIC) + 1         # magic, then the version byte
+_TAG_FIELDS = (("n_channels", "<u4"), ("n_timepoints", "<u4"), ("label", "u1"),
+               ("subject", "<u2"), ("session", "u1"), ("phase", "u1"))
+_TAG_BYTES = np.dtype(list(_TAG_FIELDS)).itemsize
 
 PHASE_OFFLINE = 0
 PHASE_ONLINE = 1
@@ -81,23 +83,27 @@ class DatasetManifest:
     extras: dict[str, str] = field(default_factory=dict)
 
 
-def _trial_record_bytes(n_channels, n_timepoints):
-    return _HEADER.size + 4 * n_channels * n_timepoints
+def _record_dtype(n_channels, n_timepoints) -> np.dtype:
+    """One EEGT record: the header fields, then the samples channel-major."""
+    return np.dtype([*_TAG_FIELDS, ("samples", "<f4", (n_channels, n_timepoints))])
 
 
 def write_trial_file(path, trialset: TrialSet):
     """Write one EEGT binary file holding all trials in `trialset`."""
+    n, c, t = trialset.trials.shape
+    records = np.zeros(n, _record_dtype(c, t))
+    tags = {"n_channels": c, "n_timepoints": t, "label": trialset.labels,
+            "subject": trialset.subject_ids, "session": trialset.sessions,
+            "phase": trialset.phases}
+    for name, values in tags.items():
+        records[name] = values
+        if np.any(records[name] != values):
+            raise DataError(f"{Path(path).name}: {name} values do not fit the "
+                            f"record field {records.dtype[name]}")
+    records["samples"] = trialset.trials
     with open(path, "wb") as fh:
-        fh.write(TRIAL_MAGIC)
-        fh.write(struct.pack("<B", TRIAL_FORMAT_VERSION))
-        for i in range(len(trialset)):
-            trial = np.ascontiguousarray(trialset.trials[i], dtype=np.float32)
-            fh.write(_HEADER.pack(trial.shape[0], trial.shape[1],
-                                  int(trialset.labels[i]),
-                                  int(trialset.subject_ids[i]),
-                                  int(trialset.sessions[i]),
-                                  int(trialset.phases[i])))
-            fh.write(trial.tobytes())
+        fh.write(TRIAL_MAGIC + bytes([TRIAL_FORMAT_VERSION]))
+        records.tofile(fh)
 
 
 def read_trial_file(path):
@@ -106,37 +112,39 @@ def read_trial_file(path):
     raw = path.read_bytes()
     if raw[:4] != TRIAL_MAGIC:
         raise DataError(f"{path.name}: bad magic, not an EEGT trial file")
-    if raw[4] != TRIAL_FORMAT_VERSION:
-        raise DataError(f"{path.name}: unsupported trial format version {raw[4]}")
-    offset = 5
-    trials, labels, subjects, sessions, phases = [], [], [], [], []
-    while offset < len(raw):
-        if offset + _HEADER.size > len(raw):
-            raise DataError(f"{path.name}: truncated record header at byte {offset}")
-        c, t, label, subject, session, phase = _HEADER.unpack_from(raw, offset)
-        offset += _HEADER.size
-        if label not in (0, 1):
-            raise DataError(f"{path.name}: label {label} not in {{0, 1}}")
-        if phase not in PHASE_NAMES:
-            raise DataError(f"{path.name}: unknown phase tag {phase}")
-        nbytes = 4 * c * t
-        if offset + nbytes > len(raw):
-            raise DataError(f"{path.name}: truncated samples at byte {offset}")
-        samples = np.frombuffer(raw, dtype="<f4", count=c * t, offset=offset)
-        offset += nbytes
-        trials.append(samples.reshape(c, t))
-        labels.append(label)
-        subjects.append(subject)
-        sessions.append(session)
-        phases.append(phase)
-    if not trials:
+    version = raw[4] if len(raw) > 4 else "missing"
+    if version != TRIAL_FORMAT_VERSION:
+        raise DataError(f"{path.name}: unsupported trial format version {version}")
+    size = len(raw) - _PREAMBLE
+    if size == 0:
         raise DataError(f"{path.name}: no trial records")
-    shapes = {t.shape for t in trials}
+    if size < _TAG_BYTES:
+        raise DataError(f"{path.name}: truncated record header at byte {_PREAMBLE}")
+    c, t = (int(v) for v in np.frombuffer(raw, "<u4", count=2, offset=_PREAMBLE))
+    if _TAG_BYTES + 4 * c * t > size:
+        raise DataError(f"{path.name}: truncated samples at byte "
+                        f"{_PREAMBLE + _TAG_BYTES}")
+    dtype = _record_dtype(c, t)
+    count, rest = divmod(size, dtype.itemsize)
+    records = np.frombuffer(raw, dtype, count=count, offset=_PREAMBLE)
+    shapes = set(zip(records["n_channels"].tolist(), records["n_timepoints"].tolist()))
+    end = _PREAMBLE + count * dtype.itemsize
+    if rest >= 8:
+        # the record after the last whole one starts with its own shape
+        shapes.add(tuple(np.frombuffer(raw, "<u4", count=2, offset=end).tolist()))
     if len(shapes) != 1:
         raise DataError(f"{path.name}: inconsistent trial shapes {shapes}")
-    return (np.stack(trials), np.asarray(labels, dtype=np.uint8),
-            np.asarray(subjects), np.asarray(sessions, dtype=np.uint8),
-            np.asarray(phases, dtype=np.uint8))
+    if rest:
+        raise DataError(f"{path.name}: truncated record at byte {end}")
+    bad_labels = np.setdiff1d(records["label"], (0, 1))
+    if bad_labels.size:
+        raise DataError(f"{path.name}: label {bad_labels[0]} not in {{0, 1}}")
+    bad_phases = np.setdiff1d(records["phase"], list(PHASE_NAMES))
+    if bad_phases.size:
+        raise DataError(f"{path.name}: unknown phase tag {bad_phases[0]}")
+    return (records["samples"].copy(), records["label"].copy(),
+            records["subject"].astype(np.int_), records["session"].copy(),
+            records["phase"].copy())
 
 
 def write_manifest(path, manifest: DatasetManifest):

@@ -11,6 +11,7 @@ constant during backprop.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
@@ -263,22 +264,18 @@ class CCSPNet:
     def csp_feedback_loss(self, batch, labels, training=True, frozen_wr=None):
         """Spectral forward + per-branch CSP refit + cross-entropy loss.
 
-        Returns (loss node, per-branch feature nodes, reduced projections).
+        Returns (loss node, N x K x 4 feature node, reduced projections).
         When frozen_wr is given the refit is skipped, which keeps the loss a
         pure function of the CNN parameters for gradient checking.
         """
         labels = np.asarray(labels)
         spectral = self.forward_spectral(batch, training)
-        n_maps = self.config.n_wavelet_kernels
         if frozen_wr is None:
             wrs = [csp.fit_branch(spectral.value[:, i], labels, i + 1).w_reduced
-                   for i in range(n_maps)]
+                   for i in range(self.config.n_wavelet_kernels)]
         else:
             wrs = list(frozen_wr)
-        # all branches in one projection: N x K x 4 features, and one
-        # N x K x C x T gradient for the maps
-        stacked = csp.spatial_filter_features_node(spectral, np.stack(wrs))
-        feats = [ad.slice_map(stacked, i) for i in range(n_maps)]
+        feats = csp.spatial_filter_features(spectral, np.stack(wrs))
         return csp.csp_loss(feats, labels), feats, wrs
 
     # training -------------------------------------------------------------
@@ -316,7 +313,7 @@ class CCSPNet:
         loss_node, feats, _ = self.csp_feedback_loss(batch, labels, training=True)
         loss_node.backward()
         loss_l = float(loss_node.value)
-        concat = np.concatenate([f.value for f in feats], axis=1)
+        concat = feats.value.reshape(len(labels), -1)
         loss_j = self._discriminant_backward(concat, labels)
         self.optimizer.step()
         self._clamp_wavelets()
@@ -350,9 +347,7 @@ class CCSPNet:
             for i in range(self.config.n_wavelet_kernels)]
         self.frozen_lda = None
         if self.classifier == "lda":
-            out = self._dense_forward(
-                ad.constant(self._frozen_features(spectral.value)), training=False)
-            self.frozen_lda = lda.fit(out.value, labels)
+            self.frozen_lda = lda.fit(self._frozen_head(spectral).value, labels)
         self.finalized = True
         return self
 
@@ -360,17 +355,22 @@ class CCSPNet:
         """The frozen branches' reduced CSP projections stacked, K x C x 4."""
         return np.stack([br.w_reduced for br in self.frozen_branches])
 
-    def _frozen_features(self, spectral_value: np.ndarray) -> np.ndarray:
-        """N x 4K features, the K branches' four features side by side."""
-        feats = csp.spatial_filter_features(spectral_value, self.frozen_projection())
-        return feats.reshape(len(feats), -1)
+    def frozen_features(self, spectral: ad.Node) -> ad.Node:
+        """N x K x 4 CSP features of the spectral maps under the frozen
+        projections."""
+        return csp.spatial_filter_features(spectral, self.frozen_projection())
+
+    def _frozen_head(self, spectral: ad.Node) -> ad.Node:
+        """Eval-mode dense head over the frozen features, the K branches' four
+        features side by side."""
+        feats = self.frozen_features(spectral).value
+        return self._dense_forward(ad.constant(feats.reshape(len(feats), -1)),
+                                   training=False)
 
     def predict(self, batch) -> np.ndarray:
         if not self.finalized:
             raise ModelStateError("model is not finalized; call finalize first")
-        spectral = self.forward_spectral(batch, training=False)
-        out = self._dense_forward(
-            ad.constant(self._frozen_features(spectral.value)), training=False)
+        out = self._frozen_head(self.forward_spectral(batch, training=False))
         if self.classifier == "softmax":
             probs = ad.softmax(out).value
             return (probs[:, :2].sum(axis=1) > probs[:, 2:].sum(axis=1)).astype(np.uint8)
@@ -458,13 +458,19 @@ class CCSPNet:
             raise DataError(f"{path}: bad config text: {exc}") from None
         arrays = {}
         for _ in range(reader.u32()):
-            name = reader.take(reader.u16()).decode("utf-8")
+            try:
+                name = reader.take(reader.u16()).decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"{path}: array name is not UTF-8") from None
             ndim = struct.unpack("<B", reader.take(1))[0]
             shape = tuple(reader.u32() for _ in range(ndim))
-            count = int(np.prod(shape)) if shape else 1
-            arrays[name] = np.frombuffer(
-                reader.take(8 * count, what=f"array {name!r}"),
-                dtype="<f8").reshape(shape).copy()
+            values = np.frombuffer(
+                reader.take(8 * math.prod(shape), what=f"array {name!r}"), dtype="<f8")
+            try:
+                arrays[name] = values.reshape(shape).copy()
+            except ValueError:   # an empty array whose other axes are too long
+                raise DataError(f"{path}: impossible shape {shape} "
+                                f"for array {name!r}") from None
         model = cls(config)
         model._restore(arrays, bool(finalized), path)
         return model
@@ -512,23 +518,18 @@ class CCSPNet:
 
 def _wavelet_kernels(wavelet, cfg: ModelConfig) -> ad.Node:
     """The K x wavelet_len Morlet kernel node of the (f, h, c) triples."""
-    rows = []
-    for f, h, c in wavelet:
-        mp = dsp.MorletParams(float(f.value), float(h.value), float(c.value),
-                              cfg.wavelet_len, cfg.sample_rate_hz)
-        w = dsp.build_morlet(mp)
+    params = [dsp.MorletParams(float(f.value), float(h.value), float(c.value),
+                               cfg.wavelet_len, cfg.sample_rate_hz)
+              for f, h, c in wavelet]
 
-        def backward(g, f=f, h=h, c=c, mp=mp):
-            df, dh, dc = dsp.morlet_gradients(mp, g)
-            if f.requires_grad:
-                f._accumulate(np.asarray(df))
-            if h.requires_grad:
-                h._accumulate(np.asarray(dh))
-            if c.requires_grad:
-                c._accumulate(np.asarray(dc))
+    def backward(g):
+        for triple, mp, row in zip(wavelet, params, g):
+            for p, d in zip(triple, dsp.morlet_gradients(mp, row)):
+                if p.requires_grad:
+                    p._accumulate(np.asarray(d))
 
-        rows.append(ad.Node(w, (f, h, c), backward))
-    return ad.stack_rows(rows)
+    return ad.Node(np.stack([dsp.build_morlet(mp) for mp in params]),
+                   tuple(p for triple in wavelet for p in triple), backward)
 
 
 def _trainable(batch_labels) -> bool:

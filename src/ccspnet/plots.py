@@ -11,7 +11,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from . import csp, dsp
+from . import dsp
 from .errors import DataError, ModelStateError
 from .model import CCSPNet
 
@@ -125,8 +125,7 @@ def csp_scatter_points(net: CCSPNet, trials, labels) -> list[dict]:
     if not net.finalized:
         raise ModelStateError("CSP scatter needs a finalized model")
     labels = np.asarray(labels)
-    spectral = net.forward_spectral(trials, training=False)
-    feats = csp.spatial_filter_features(spectral.value, net.frozen_projection())
+    feats = net.frozen_features(net.forward_spectral(trials, training=False)).value
     return [{"branch": i + 1, "trial": n,
              "x": float(feats[n, i, 0]), "y": float(feats[n, i, -1]),
              "label": int(labels[n])}

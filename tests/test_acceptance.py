@@ -58,10 +58,11 @@ def baseline_csp_lda_accuracy(train, test):
     x_train = np.asarray(train.trials, dtype=np.float64)
     x_test = np.asarray(test.trials, dtype=np.float64)
     branch = csp.fit_branch(x_train, train.labels, 1)
-    model = lda.fit(csp.spatial_filter_features(x_train, branch.w_reduced),
-                    train.labels)
-    pred = lda.predict(model,
-                       csp.spatial_filter_features(x_test, branch.w_reduced))
+    model = lda.fit(
+        csp.spatial_filter_features(ad.constant(x_train), branch.w_reduced).value,
+        train.labels)
+    pred = lda.predict(
+        model, csp.spatial_filter_features(ad.constant(x_test), branch.w_reduced).value)
     return float((pred == test.labels).mean())
 
 
@@ -216,10 +217,8 @@ def test_criterion_3_gradient_and_filter_properties():
             lambda p: lda.fisher_criterion_node(p, labels),
             rng.normal(size=2 * n))))
 
-        others = [ad.constant(rng.normal(size=(2 * n, 4))) for _ in range(3)]
         errors.append(("csp loss", node_gradient_error(
-            lambda p: csp.csp_loss([p] + others, labels),
-            rng.normal(size=(2 * n, 4)))))
+            lambda p: csp.csp_loss(p, labels), rng.normal(size=(2 * n, 4, 4)))))
 
     worst = max(errors, key=lambda e: e[1])
     assert len(errors) >= 20

@@ -9,7 +9,7 @@ from ccspnet import cli, data, harness
 from ccspnet.errors import ConfigError
 from ccspnet.model import ModelConfig
 
-from test_model import edit_config_text, every_field_changed
+from test_model import corrupt_first_array_name, edit_config_text, every_field_changed
 
 
 def run(*argv):
@@ -251,6 +251,16 @@ class TestPlotCommand:
         path = tmp_path / "bad.ccsp"
         path.write_bytes(trained_model.read_bytes())
         edit_config_text(path, old, new)
+        assert run("plot", "--stft", "--model", str(path),
+                   "--manifest", str(dataset_dir / "manifest.txt"),
+                   "--out-dir", str(tmp_path)) == 2
+        assert "bad.ccsp" in capsys.readouterr().err
+
+    def test_undecodable_array_name_is_data_error(self, dataset_dir, trained_model,
+                                                  tmp_path, capsys):
+        path = tmp_path / "bad.ccsp"
+        path.write_bytes(trained_model.read_bytes())
+        corrupt_first_array_name(path)
         assert run("plot", "--stft", "--model", str(path),
                    "--manifest", str(dataset_dir / "manifest.txt"),
                    "--out-dir", str(tmp_path)) == 2

@@ -155,7 +155,7 @@ class TestSpatialFilterFeatures:
             sources[i] = np.sqrt(v) * np.sqrt(2) * np.sin(
                 2 * np.pi * (i + 1) * np.arange(t_len) / t_len)
         x = np.linalg.pinv(wr.T) @ sources
-        feats = csp.spatial_filter_features(x[None], wr)
+        feats = csp.spatial_filter_features(ad.constant(x[None]), wr).value
         # oracle: direct variance computation on the planted sources
         assert np.allclose(feats[0], np.log(sources.var(axis=1)), atol=1e-8)
 
@@ -163,23 +163,15 @@ class TestSpatialFilterFeatures:
         rng = np.random.default_rng(11)
         x = rng.normal(size=(3, 6, 100))
         wr = rng.normal(size=(6, 4))
-        base = csp.spatial_filter_features(x, wr)
-        doubled = csp.spatial_filter_features(2 * x, wr)
+        base = csp.spatial_filter_features(ad.constant(x), wr).value
+        doubled = csp.spatial_filter_features(ad.constant(2 * x), wr).value
         assert np.allclose(doubled - base, 2 * np.log(2))
 
     def test_identity_projection_unit_variance(self):
         t = np.tile([1.0, -1.0], 50)
         x = np.stack([t, t, t, t])[None]
-        feats = csp.spatial_filter_features(x, np.eye(4))
+        feats = csp.spatial_filter_features(ad.constant(x), np.eye(4)).value
         assert np.allclose(feats, 0.0)
-
-    def test_node_twin_matches_numpy(self):
-        rng = np.random.default_rng(12)
-        x = rng.normal(size=(5, 6, 40))
-        wr = rng.normal(size=(6, 4))
-        node = csp.spatial_filter_features_node(ad.constant(x), wr)
-        assert np.allclose(node.value, csp.spatial_filter_features(x, wr))
-
 
     @pytest.mark.parametrize("n", [1, 300])
     def test_matches_einsum_oracle(self, n):
@@ -187,14 +179,14 @@ class TestSpatialFilterFeatures:
         batch = rng.normal(size=(n, 4, 10, 60))[:, 1]
         wr = rng.normal(size=(10, 4))
         projected, _ = project_channels_einsum(wr, batch, np.zeros((n, 4, 60)))
-        np.testing.assert_allclose(csp.spatial_filter_features(batch, wr),
+        np.testing.assert_allclose(csp.spatial_filter_features(ad.constant(batch), wr).value,
                                    np.log(projected.var(axis=-1)), rtol=1e-10, atol=1e-10)
 
 
 class TestCspLoss:
     def test_uniform_features_closed_form(self):
         n = 3
-        feats = [ad.constant(np.zeros((n, 4))) for _ in range(4)]
+        feats = ad.constant(np.zeros((n, 4, 4)))
         labels = np.array([0, 1, 0])
         loss = csp.csp_loss(feats, labels)
         expected_per_branch = -(2 * np.log(0.25) + 2 * np.log(0.75))
@@ -203,27 +195,28 @@ class TestCspLoss:
 
     def test_perfect_prediction_near_zero(self):
         big = 60.0
-        feats = np.array([[big, big, -big, -big]])
-        loss = csp.csp_loss([ad.constant(feats)] * 4, np.array([1]))
+        feats = np.tile([big, big, -big, -big], (1, 4, 1))
+        loss = csp.csp_loss(ad.constant(feats), np.array([1]))
         # softmax of [big, big, -big, -big] is [.5, .5, 0, 0]; BCE floor is 4*2*ln 2
         assert loss.value == pytest.approx(8 * np.log(2), abs=1e-6)
 
     def test_label_flip_symmetry(self):
         rng = np.random.default_rng(13)
         v = rng.normal(size=(6, 4))
-        loss_a = csp.csp_loss([ad.constant(v)] * 4, np.ones(6, dtype=int))
-        loss_b = csp.csp_loss([ad.constant(v[:, ::-1].copy())] * 4, np.zeros(6, dtype=int))
+        branches = np.repeat(v[:, None], 4, axis=1)
+        loss_a = csp.csp_loss(ad.constant(branches), np.ones(6, dtype=int))
+        loss_b = csp.csp_loss(ad.constant(branches[..., ::-1].copy()),
+                              np.zeros(6, dtype=int))
         assert loss_a.value == pytest.approx(loss_b.value, rel=1e-12)
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(14)
         labels = np.array([0, 1, 1, 0, 1])
-        others = [ad.constant(rng.normal(size=(5, 4))) for _ in range(3)]
 
         def loss(p):
-            return csp.csp_loss([p] + others, labels)
+            return csp.csp_loss(p, labels)
 
-        p = ad.Parameter(rng.normal(size=(5, 4)))
+        p = ad.Parameter(rng.normal(size=(5, 4, 4)))
         out = loss(p)
         out.backward()
         fd = central_difference(lambda x: float(loss(ad.Parameter(x)).value),
@@ -237,16 +230,21 @@ class TestCspLoss:
         labels = np.array([0, 1, 0, 1])
 
         def loss_value(x):
-            feats = csp.spatial_filter_features_node(
-                x if isinstance(x, ad.Node) else ad.Parameter(x), wr)
-            return csp.csp_loss([feats], labels)
+            feats = csp.spatial_filter_features(
+                x if isinstance(x, ad.Node) else ad.Parameter(x), wr[None])
+            return csp.csp_loss(feats, labels)
 
-        x0 = rng.normal(size=(4, 6, 30))
+        # one branch: N x 1 x C x T maps
+        x0 = rng.normal(size=(4, 6, 30))[:, None]
         p = ad.Parameter(x0.copy())
         loss = loss_value(p)
         loss.backward()
         fd = central_difference(lambda x: float(loss_value(x).value), x0.copy())
         assert rel_err(p.grad, fd) < 1e-4
+
+    def test_features_without_branch_axis_rejected(self):
+        with pytest.raises(NumericalError):
+            csp.csp_loss(ad.constant(np.zeros((3, 4))), np.array([0, 1, 0]))
 
     def test_nonbinary_labels_rejected(self):
         with pytest.raises(NumericalError):
@@ -265,6 +263,6 @@ class TestDiscriminabilityMonotonicity:
             batch = np.einsum("cd,ndt->nct", mixing, sources)
             labels = np.array([0] * n + [1] * n)
             branch = csp.fit_branch(batch, labels, 1)
-            feats = csp.spatial_filter_features(batch, branch.w_reduced)
+            feats = csp.spatial_filter_features(ad.constant(batch), branch.w_reduced).value
             gaps.append(feats[:n, 0].mean() - feats[n:, 0].mean())
         assert gaps[0] < gaps[1] < gaps[2] < gaps[3]

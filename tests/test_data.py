@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
+from ccspnet import autodiff as ad
 from ccspnet import csp, data, dsp, lda
 from ccspnet.errors import DataError
 
@@ -28,10 +31,28 @@ def baseline_csp_lda_accuracy(train, test):
     x_train = np.asarray(train.trials, dtype=np.float64)
     x_test = np.asarray(test.trials, dtype=np.float64)
     branch = csp.fit_branch(x_train, train.labels, 1)
-    model = lda.fit(csp.spatial_filter_features(x_train, branch.w_reduced),
-                    train.labels)
-    pred = lda.predict(model, csp.spatial_filter_features(x_test, branch.w_reduced))
+    model = lda.fit(
+        csp.spatial_filter_features(ad.constant(x_train), branch.w_reduced).value,
+        train.labels)
+    pred = lda.predict(
+        model, csp.spatial_filter_features(ad.constant(x_test), branch.w_reduced).value)
     return float((pred == test.labels).mean())
+
+
+# expected error message -> corruption of a well-formed trial file; a record
+# header is 13 bytes after the 5-byte magic and version: channels, time
+# points, label (byte 8), subject, session, phase (byte 12)
+CORRUPTIONS = {
+    "bad magic": lambda b: b"XXXX" + b[4:],
+    "version missing": lambda b: b[:4],
+    "version 2": lambda b: b[:4] + b"\x02" + b[5:],
+    "no trial records": lambda b: b[:5],
+    "truncated record header": lambda b: b[:5 + 12],
+    "truncated samples": lambda b: b[:5 + 13 + 20],
+    "truncated record at": lambda b: b[:-7],
+    "label 7 not in": lambda b: b[:5 + 8] + b"\x07" + b[5 + 9:],
+    "unknown phase tag 5": lambda b: b[:5 + 12] + b"\x05" + b[5 + 13:],
+}
 
 
 class TestTrialFileRoundTrip:
@@ -94,6 +115,43 @@ class TestTrialFileRoundTrip:
         # manifest byte count still matches, so the record parser must catch it
         with pytest.raises(DataError, match="label"):
             data.load_trials(manifest_path)
+
+    def test_bytes_match_struct_layout(self, tmp_path):
+        ts = small_trialset(np.random.default_rng(9), n_subjects=2, c=3, t=5)
+        path = tmp_path / "t.eegt"
+        data.write_trial_file(path, ts)
+        want = b"EEGT" + struct.pack("<B", 1)
+        for i in range(len(ts)):
+            want += struct.pack("<IIBHBB", 3, 5, int(ts.labels[i]),
+                                int(ts.subject_ids[i]), int(ts.sessions[i]),
+                                int(ts.phases[i]))
+            want += ts.trials[i].astype("<f4").tobytes()
+        assert path.read_bytes() == want
+
+    def test_tag_too_large_for_its_field_rejected(self, tmp_path):
+        ts = small_trialset(np.random.default_rng(12), n_subjects=1)
+        ts.subject_ids[:] = 70000  # the subject field is a u16
+        with pytest.raises(DataError, match="t.eegt: subject"):
+            data.write_trial_file(tmp_path / "t.eegt", ts)
+
+    def test_mixed_shapes_rejected(self, tmp_path):
+        rng = np.random.default_rng(10)
+        first, second = tmp_path / "a.eegt", tmp_path / "b.eegt"
+        data.write_trial_file(first, small_trialset(rng, n_subjects=1, c=4, t=100))
+        data.write_trial_file(second, small_trialset(rng, n_subjects=1, c=4, t=90))
+        mixed = tmp_path / "mixed.eegt"
+        mixed.write_bytes(first.read_bytes() + second.read_bytes()[5:])
+        with pytest.raises(DataError, match="mixed.eegt: inconsistent trial shapes"):
+            data.read_trial_file(mixed)
+
+    @pytest.mark.parametrize("message", list(CORRUPTIONS))
+    def test_malformed_file_names_itself(self, tmp_path, message):
+        path = tmp_path / "bad.eegt"
+        data.write_trial_file(path, small_trialset(np.random.default_rng(11),
+                                                   n_subjects=1))
+        path.write_bytes(CORRUPTIONS[message](path.read_bytes()))
+        with pytest.raises(DataError, match=f"bad.eegt: .*{message}"):
+            data.read_trial_file(path)
 
     def test_unknown_subject_filter_rejected(self, tmp_path):
         ts = small_trialset(np.random.default_rng(7))

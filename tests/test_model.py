@@ -43,6 +43,29 @@ def edit_config_text(path, old, new):
     path.write_bytes(blob[:7] + struct.pack("<I", len(text)) + text + blob[11 + n:])
 
 
+def corrupt_first_array_name(path):
+    """Set the first byte of the first array name in the .ccsp file at `path`
+    to 0xff, which no UTF-8 text starts with."""
+    blob = bytearray(path.read_bytes())
+    (n,) = struct.unpack_from("<I", blob, 7)
+    # config text, array count, name length
+    blob[11 + n + 4 + 2] = 0xFF
+    path.write_bytes(bytes(blob))
+
+
+def set_first_array_shape(path, shape):
+    """Give the first array in the .ccsp file at `path` (a scalar) the header
+    of an array of `shape`, leaving the bytes after it as they are."""
+    blob = path.read_bytes()
+    (n,) = struct.unpack_from("<I", blob, 7)
+    at = 11 + n + 4
+    (name_len,) = struct.unpack_from("<H", blob, at)
+    at += 2 + name_len
+    assert blob[at] == 0
+    header = struct.pack("<B", len(shape)) + struct.pack(f"<{len(shape)}I", *shape)
+    path.write_bytes(blob[:at] + header + blob[at + 1:])
+
+
 def desk_batch(rng, n=16, c=6, t=40):
     labels = np.arange(n) % 2
     trials = rng.normal(size=(n, c, t))
@@ -295,10 +318,16 @@ class TestStackedBranches:
 
         net.optimizer.zero_grad()
         spectral = net.forward_spectral(trials, training=True)
-        per_branch = csp.csp_loss(
-            [csp.spatial_filter_features_node(ad.slice_map(spectral, i), wr)
-             for i, wr in enumerate(wrs)], labels)
+        # each branch on its own copy of its map, N x 1 x C x T
+        pieces = [ad.Parameter(spectral.value[:, i:i + 1]) for i in range(len(wrs))]
+        per_branch = None
+        for piece, wr in zip(pieces, wrs):
+            branch = csp.csp_loss(csp.spatial_filter_features(piece, wr[None]), labels)
+            per_branch = branch if per_branch is None else ad.add(per_branch, branch)
         per_branch.backward()
+        # hand the branches' map gradients on to the spectral stack
+        maps_grad = np.concatenate([p.grad for p in pieces], axis=1)
+        ad.Node(0.0, (spectral,), lambda g: spectral._accumulate(maps_grad)).backward()
 
         assert float(loss.value) == pytest.approx(float(per_branch.value),
                                                   rel=1e-12, abs=1e-12)
@@ -313,11 +342,12 @@ class TestStackedBranches:
         net = model.CCSPNet(desk_config(epochs=1))
         trials, labels = desk_batch(np.random.default_rng(6))
         net.train(trials, labels).finalize(trials, labels)
-        spectral = net.forward_spectral(trials, training=False).value
-        want = np.concatenate(
-            [csp.spatial_filter_features(spectral[:, i], br.w_reduced)
+        spectral = net.forward_spectral(trials, training=False)
+        want = np.stack(
+            [csp.spatial_filter_features(ad.constant(spectral.value[:, i]),
+                                         br.w_reduced).value
              for i, br in enumerate(net.frozen_branches)], axis=1)
-        np.testing.assert_allclose(net._frozen_features(spectral), want,
+        np.testing.assert_allclose(net.frozen_features(spectral).value, want,
                                    rtol=1e-12, atol=1e-12)
 
 
@@ -478,6 +508,22 @@ class TestSerialization:
         net, _ = self.trained(tmp_path)
         path = net.save(tmp_path / "m.ccsp")
         edit_config_text(path, old, new)
+        with pytest.raises(DataError, match="m.ccsp"):
+            model.CCSPNet.load(path)
+
+    # an empty array with too long axes; 2**64 entries, which wraps to 0 in int64
+    @pytest.mark.parametrize("shape", [(0, 2**32 - 1, 2**32 - 1), (2**16,) * 4])
+    def test_impossible_array_shape_is_a_data_error(self, tmp_path, shape):
+        net, _ = self.trained(tmp_path)
+        path = net.save(tmp_path / "m.ccsp")
+        set_first_array_shape(path, shape)
+        with pytest.raises(DataError, match="m.ccsp"):
+            model.CCSPNet.load(path)
+
+    def test_undecodable_array_name_is_a_data_error(self, tmp_path):
+        net, _ = self.trained(tmp_path)
+        path = net.save(tmp_path / "m.ccsp")
+        corrupt_first_array_name(path)
         with pytest.raises(DataError, match="m.ccsp"):
             model.CCSPNet.load(path)
 
