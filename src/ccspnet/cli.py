@@ -190,6 +190,8 @@ def cmd_stats(args) -> int:
         return 0
     if not args.csv:
         raise ConfigError("cmd_stats needs --fixtures or at least one --csv")
+    if len(args.csv) > 2:
+        raise ConfigError("cmd_stats compares at most two result CSVs")
     tables = [harness.read_results_csv(p) for p in args.csv]
     for path, rows in zip(args.csv, tables):
         mean, sd, median, (width, lo, hi) = stats.summarize(
@@ -204,8 +206,6 @@ def cmd_stats(args) -> int:
             raise DataError("paired test needs at least 2 shared subjects")
         t, p = stats.paired_t([a[s] for s in shared], [b[s] for s in shared])
         print(f"paired t-test over {len(shared)} subjects: t={t:.4f} p={p:.4f}")
-    elif len(tables) > 2:
-        raise ConfigError("cmd_stats compares at most two result CSVs")
     return 0
 
 

@@ -30,6 +30,14 @@ PHASE_NAMES = {PHASE_OFFLINE: "offline", PHASE_ONLINE: "online"}
 PHASE_CODES = {v: k for k, v in PHASE_NAMES.items()}
 
 
+def phase_code(phase) -> int:
+    """The code of a phase given by name ("offline"/"online") or by code."""
+    code = PHASE_CODES.get(phase, phase)
+    if code not in PHASE_NAMES:
+        raise DataError(f"unknown phase {phase!r}; choose one of {sorted(PHASE_CODES)}")
+    return int(code)
+
+
 @dataclass
 class TrialSet:
     """A batch of EEG trials with labels and per-trial provenance tags."""
@@ -248,7 +256,7 @@ def load_trials(manifest_path, subjects=None, sessions=None,
     manifest = load_manifest(manifest_path)
     base = manifest_path.parent
     if phases is not None:
-        phases = [PHASE_CODES[p] if isinstance(p, str) else int(p) for p in phases]
+        phases = [phase_code(p) for p in phases]
     wanted = set(manifest.subjects) if subjects is None else set(subjects)
     unknown = wanted - set(manifest.subjects)
     if unknown:
@@ -405,37 +413,48 @@ def synthesize(config: SynthConfig) -> TrialSet:
                     float(config.sample_rate_hz))
 
 
-def split_sd(subject_set: TrialSet) -> tuple[TrialSet, TrialSet]:
-    """Subject-dependent split: train on S1 (both phases) + S2 offline,
-    test on S2 online."""
-    if len(np.unique(subject_set.subject_ids)) != 1:
-        raise DataError("split_sd expects trials of a single subject")
-    blocks = {(1, PHASE_OFFLINE), (1, PHASE_ONLINE),
-              (2, PHASE_OFFLINE), (2, PHASE_ONLINE)}
-    present = set(zip(subject_set.sessions.tolist(), subject_set.phases.tolist()))
-    missing = blocks - present
+def _canonical(trials: TrialSet, mask) -> np.ndarray:
+    """Indices of the masked trials sorted by (subject, session, phase), in
+    file order within a block, so the order of blocks cannot change a fold."""
+    idx = np.flatnonzero(mask)
+    return idx[np.lexsort((trials.phases[idx], trials.sessions[idx],
+                           trials.subject_ids[idx]))]
+
+
+def _s2_online(trials: TrialSet) -> np.ndarray:
+    return (trials.sessions == 2) & (trials.phases == PHASE_ONLINE)
+
+
+def sd_fold(trials: TrialSet, subject: int) -> tuple[np.ndarray, np.ndarray]:
+    """Subject-dependent fold as (train, test) indices into `trials`: train
+    on the subject's S1 (both phases) + S2 offline, test on its S2 online."""
+    own = trials.subject_ids == subject
+    present = set(zip(trials.sessions[own].tolist(), trials.phases[own].tolist()))
+    missing = {(s, p) for s in (1, 2) for p in PHASE_NAMES} - present
     if missing:
         names = sorted(f"S{s}-{PHASE_NAMES[p]}" for s, p in missing)
-        raise DataError(f"subject missing blocks: {names}")
-    test_mask = (subject_set.sessions == 2) & (subject_set.phases == PHASE_ONLINE)
-    return subject_set.select(~test_mask), subject_set.select(test_mask)
+        raise DataError(f"subject {subject} missing blocks: {names}")
+    test = own & _s2_online(trials)
+    return _canonical(trials, own & ~test), np.flatnonzero(test)
 
 
-def split_loso(all_trials: TrialSet, test_subject: int,
-               train_phase) -> tuple[TrialSet, TrialSet]:
-    """Leave-one-subject-out: train on the chosen phase (both sessions) of
-    every other subject; test on the held-out subject's S2 online block."""
-    if isinstance(train_phase, str):
-        if train_phase not in PHASE_CODES:
-            raise DataError(f"unknown phase {train_phase!r}")
-        train_phase = PHASE_CODES[train_phase]
-    subjects = all_trials.subjects()
-    if test_subject not in subjects:
-        raise DataError(f"unknown subject {test_subject}")
-    if len(subjects) < 2:
+def split_sd(subject_set: TrialSet) -> tuple[TrialSet, TrialSet]:
+    """`sd_fold` of a set holding one subject, as (train, test) sets."""
+    if len(np.unique(subject_set.subject_ids)) != 1:
+        raise DataError("split_sd expects trials of a single subject")
+    train, test = sd_fold(subject_set, subject_set.subject_ids[0])
+    return subject_set.select(train), subject_set.select(test)
+
+
+def loso_fold(trials: TrialSet, subject: int,
+              train_phase) -> tuple[np.ndarray, np.ndarray]:
+    """Leave-one-subject-out fold as (train, test) indices into `trials`: train
+    on `train_phase` of all other subjects, test on `subject`'s S2 online block."""
+    code = phase_code(train_phase)
+    own = trials.subject_ids == subject
+    test = np.flatnonzero(own & _s2_online(trials))
+    if not test.size:
+        raise DataError(f"subject {subject} has no S2-online trials to test on")
+    if len(trials.subjects()) < 2:
         raise DataError("LOSO needs at least two subjects")
-    train_mask = (all_trials.subject_ids != test_subject) & \
-        (all_trials.phases == train_phase)
-    test_mask = (all_trials.subject_ids == test_subject) & \
-        (all_trials.sessions == 2) & (all_trials.phases == PHASE_ONLINE)
-    return all_trials.select(train_mask), all_trials.select(test_mask)
+    return _canonical(trials, ~own & (trials.phases == code)), test

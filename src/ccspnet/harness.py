@@ -1,8 +1,10 @@
 """Experiment harness: per-subject SD runs, LOSO cross-validation, ablations.
 
 Each fold trains a fresh model under a fold-specific seed derived from the
-global seed and the test subject id, so results do not depend on fold order
-or on how many workers execute them. Results merge keyed by subject id.
+global seed and the test subject id, so results do not depend on fold order.
+The model bytes depend on the number of fold threads, whose BLAS thread count
+changes the summation order; accuracies and predictions have matched across
+thread counts. Results merge keyed by subject id.
 """
 
 from __future__ import annotations
@@ -51,19 +53,12 @@ def fold_seed(global_seed: int, subject_id: int) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
-def _canonical_order(trials: data.TrialSet) -> data.TrialSet:
-    """Sort trials by (subject, session, phase) so block order is irrelevant."""
-    order = np.lexsort((trials.phases, trials.sessions, trials.subject_ids))
-    return trials.select(order)
-
-
 def _run_fold(train: data.TrialSet, test: data.TrialSet, config: ModelConfig,
               seed: int, ablation: str):
     cfg = replace(config, seed=seed, ablate=ablation,
                   n_channels=int(train.trials.shape[1]),
                   n_timepoints=int(train.trials.shape[2]),
                   sample_rate_hz=float(train.sample_rate_hz))
-    train = _canonical_order(train)
     net = CCSPNet(cfg)
     net.train(train.trials, train.labels)
     net.finalize(train.trials, train.labels)
@@ -114,14 +109,15 @@ def _blas_threads(n):
         set_(old)
 
 
-def _run_folds(folds, config, approach, ablation, jobs):
-    """folds: list of (subject_id, train set, test set)."""
+def _run_folds(dataset, folds, config, approach, ablation, jobs):
+    """folds: list of (subject_id, train indices, test indices) into
+    `dataset`; a fold's sets are made only when the fold runs."""
     start = time.monotonic()
     jobs = max(1, int(jobs))
 
     def work(fold):
         sid, train, test = fold
-        return sid, _run_fold(train, test, config,
+        return sid, _run_fold(dataset.select(train), dataset.select(test), config,
                               fold_seed(config.seed, sid), ablation)
 
     if jobs == 1:
@@ -147,23 +143,17 @@ def _run_folds(folds, config, approach, ablation, jobs):
 def run_sd(dataset: data.TrialSet, config: ModelConfig,
            ablation: str = "", jobs: int = 1) -> RunResult:
     """Per-subject training on S1 plus S2-offline, testing on S2-online."""
-    folds = []
-    for sid in dataset.subjects():
-        train, test = data.split_sd(dataset.for_subject(sid))
-        folds.append((int(sid), train, test))
-    return _run_folds(folds, config, "SD", ablation, jobs)
+    folds = [(sid, *data.sd_fold(dataset, sid)) for sid in dataset.subjects()]
+    return _run_folds(dataset, folds, config, "SD", ablation, jobs)
 
 
 def run_loso(dataset: data.TrialSet, config: ModelConfig, phase,
              ablation: str = "", jobs: int = 1) -> RunResult:
     """Leave-one-subject-out: train on the chosen phase of all other subjects."""
-    phase_code = data.PHASE_CODES[phase] if isinstance(phase, str) else int(phase)
-    approach = f"SI-{data.PHASE_NAMES[phase_code]}"
-    folds = []
-    for sid in dataset.subjects():
-        train, test = data.split_loso(dataset, int(sid), phase_code)
-        folds.append((int(sid), train, test))
-    return _run_folds(folds, config, approach, ablation, jobs)
+    code = data.phase_code(phase)
+    folds = [(sid, *data.loso_fold(dataset, sid, code)) for sid in dataset.subjects()]
+    return _run_folds(dataset, folds, config, f"SI-{data.PHASE_NAMES[code]}",
+                      ablation, jobs)
 
 
 def run_ablation(dataset: data.TrialSet, config: ModelConfig,
@@ -178,19 +168,18 @@ def run_subject_sweep(config: ModelConfig, synth_config: data.SynthConfig,
                       subject_counts) -> list[tuple[int, float]]:
     """Accuracy of one held-out synthetic subject vs training-pool size."""
     subject_counts = sorted(set(int(n) for n in subject_counts))
-    if subject_counts[0] < 1:
-        raise ConfigError("subject counts must be >= 1")
+    if not subject_counts or subject_counts[0] < 1:
+        raise ConfigError("subject counts must be given and >= 1")
     total = subject_counts[-1] + 1
     synth = replace(synth_config, n_subjects=total)
     full = data.preprocess(data.synthesize(synth))
     held_out = int(full.subjects()[-1])
-    _, test = data.split_loso(full, held_out, data.PHASE_OFFLINE)
+    train, test = data.loso_fold(full, held_out, data.PHASE_OFFLINE)
+    test = full.select(test)
     points = []
     for n in subject_counts:
-        pool_ids = full.subjects()[:n]
-        train = full.select(np.isin(full.subject_ids, pool_ids)
-                            & (full.phases == data.PHASE_OFFLINE))
-        acc, _ = _run_fold(train, test, config,
+        pool = train[np.isin(full.subject_ids[train], full.subjects()[:n])]
+        acc, _ = _run_fold(full.select(pool), test, config,
                            fold_seed(config.seed, held_out * 1000 + n), "")
         points.append((n, acc))
     return points

@@ -207,6 +207,16 @@ class TestStatsCommand:
         assert run("stats", "--csv", str(a), "--csv", str(b)) == 0
         assert "p=1.0000" in capsys.readouterr().out
 
+    def test_three_csvs_rejected_before_reading(self, tmp_path, capsys):
+        result = harness.RunResult("SD", "", [1, 2], [70.0, 80.0], 0, None, 0.0)
+        paths = [tmp_path / f"{name}.csv" for name in "abc"]
+        for path in paths:
+            harness.write_results_csv(path, result)
+        assert run("stats", *(arg for p in paths for arg in ("--csv", str(p)))) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at most two" in captured.err
+
     def test_malformed_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("subject_id,approach,ablation,accuracy,seed\n1,SD,none,oops,0\n")

@@ -294,23 +294,60 @@ class TestSplits:
         rng = np.random.default_rng(12)
         n_subj, per_block = 6, 10
         ts = small_trialset(rng, n_subjects=n_subj, trials_per_block=per_block)
-        train, test = data.split_loso(ts, 3, "offline")
+        train, test = (ts.select(i) for i in data.loso_fold(ts, 3, "offline"))
         assert len(train) == (n_subj - 1) * 2 * per_block
         assert len(test) == per_block
 
     def test_loso_excludes_test_subject(self):
         ts = small_trialset(np.random.default_rng(13), n_subjects=3, trials_per_block=5)
-        train, test = data.split_loso(ts, 2, "online")
+        train, test = (ts.select(i) for i in data.loso_fold(ts, 2, "online"))
         assert 2 not in np.unique(train.subject_ids)
         assert set(np.unique(test.subject_ids)) == {2}
 
     def test_loso_small_arithmetic(self):
         # 3 subjects x 20 trials per phase -> train is 2 x 40 for one phase... per spec
         ts = small_trialset(np.random.default_rng(14), n_subjects=3, trials_per_block=10)
-        train, _ = data.split_loso(ts, 1, "offline")
+        train, _ = data.loso_fold(ts, 1, "offline")
         assert len(train) == 2 * 2 * 10
 
     def test_loso_unknown_subject(self):
         ts = small_trialset(np.random.default_rng(15))
         with pytest.raises(DataError):
-            data.split_loso(ts, 42, "offline")
+            data.loso_fold(ts, 42, "offline")
+
+    def test_loso_subject_without_test_block_rejected(self):
+        ts = small_trialset(np.random.default_rng(16), n_subjects=3)
+        kept = ts.select(~((ts.subject_ids == 2) & (ts.sessions == 2)
+                           & (ts.phases == data.PHASE_ONLINE)))
+        with pytest.raises(DataError, match="subject 2 has no S2-online"):
+            data.loso_fold(kept, 2, "offline")
+
+    @pytest.mark.parametrize("fold", [
+        lambda ts: data.sd_fold(ts, 2),
+        lambda ts: data.loso_fold(ts, 2, "offline"),
+        lambda ts: data.loso_fold(ts, 3, "online"),
+    ], ids=["sd", "loso-offline", "loso-online"])
+    def test_fold_indices_in_canonical_order(self, fold):
+        ts = small_trialset(np.random.default_rng(17), n_subjects=3, trials_per_block=4)
+        shuffled = ts.select(np.random.default_rng(18).permutation(len(ts)))
+        for idx in fold(shuffled):
+            keys = list(zip(shuffled.subject_ids[idx].tolist(),
+                            shuffled.sessions[idx].tolist(),
+                            shuffled.phases[idx].tolist()))
+            assert keys == sorted(keys)
+            # file order within a block: indices rise while the key holds
+            for a, b, ka, kb in zip(idx, idx[1:], keys, keys[1:]):
+                assert ka != kb or a < b
+
+
+class TestPhaseCode:
+    @pytest.mark.parametrize("phase, code", [
+        ("offline", data.PHASE_OFFLINE), ("online", data.PHASE_ONLINE),
+        (0, data.PHASE_OFFLINE), (np.uint8(1), data.PHASE_ONLINE)])
+    def test_names_and_codes(self, phase, code):
+        assert data.phase_code(phase) == code
+
+    def test_load_trials_unknown_phase_rejected(self, tmp_path):
+        manifest = data.save_dataset(tmp_path, small_trialset(np.random.default_rng(19)))
+        with pytest.raises(DataError, match="unknown phase 'bogus'"):
+            data.load_trials(manifest, phases=["bogus"])

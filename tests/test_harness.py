@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from ccspnet import data, harness
 from ccspnet.errors import ConfigError, DataError
 from ccspnet.model import ModelConfig
+
+from test_data import small_trialset
 
 
 def fast_config(**overrides):
@@ -19,6 +22,20 @@ def small_dataset():
     cfg = data.SynthConfig(n_subjects=3, trials_per_class=10, n_channels=8,
                            seed=5)
     return data.preprocess(data.synthesize(cfg))
+
+
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """Stand in for the fold work; records the bytes each fold's sets hold."""
+    calls = []
+
+    def fold(train, test, config, seed, ablation):
+        calls.append(sum(a.nbytes for s in (train, test) for a in (
+            s.trials, s.labels, s.subject_ids, s.sessions, s.phases)))
+        return 50.0, None
+
+    monkeypatch.setattr(harness, "_run_fold", fold)
+    return calls
 
 
 class TestRunSd:
@@ -65,10 +82,69 @@ class TestRunLoso:
         assert base.subject_ids == again.subject_ids
         assert base.accuracies == again.accuracies
 
+    def test_block_order_does_not_change_folds(self, small_dataset):
+        base = harness.run_loso(small_dataset, fast_config(), "offline")
+        # the same trials with the four blocks of every subject interleaved
+        # and the subjects in reverse order
+        rng = np.random.default_rng(1)
+        blocks = [np.flatnonzero((small_dataset.sessions == s) & (small_dataset.phases == p)
+                                 & (small_dataset.subject_ids == sid))
+                  for sid in reversed(small_dataset.subjects())
+                  for s, p in rng.permutation([(1, 0), (1, 1), (2, 0), (2, 1)])]
+        again = harness.run_loso(small_dataset.select(np.concatenate(blocks)),
+                                 fast_config(), "offline")
+        assert base.accuracies == again.accuracies
+        for sid in base.subject_ids:
+            test = small_dataset.select(data.loso_fold(small_dataset, sid, "offline")[1])
+            np.testing.assert_array_equal(base.models[sid].predict(test.trials),
+                                          again.models[sid].predict(test.trials))
+
+    @pytest.mark.parametrize("phase", ["bogus", 5])
+    def test_unknown_phase_rejected(self, small_dataset, fold_calls, phase):
+        with pytest.raises(DataError, match="unknown phase"):
+            harness.run_loso(small_dataset, fast_config(), phase)
+        assert fold_calls == []
+
+    def test_subject_without_test_block_rejected_before_training(self, fold_calls):
+        ds = small_trialset(np.random.default_rng(3), n_subjects=3)
+        ds = ds.select(~((ds.subject_ids == 2) & (ds.sessions == 2)
+                         & (ds.phases == data.PHASE_ONLINE)))
+        with pytest.raises(DataError, match="subject 2"):
+            harness.run_loso(ds, fast_config(), "offline")
+        assert fold_calls == []
+
     def test_fold_seeds_are_order_independent(self):
         assert harness.fold_seed(7, 3) == harness.fold_seed(7, 3)
         assert harness.fold_seed(7, 3) != harness.fold_seed(7, 4)
         assert harness.fold_seed(7, 3) != harness.fold_seed(8, 3)
+
+
+class TestFoldPlan:
+    @pytest.mark.parametrize("n_subjects", [4, 8, 16])
+    @pytest.mark.parametrize("run", [
+        lambda ds: harness.run_loso(ds, fast_config(), "offline"),
+        lambda ds: harness.run_sd(ds, fast_config())], ids=["loso", "sd"])
+    def test_peak_memory_is_one_fold(self, fold_calls, n_subjects, run):
+        ds = small_trialset(np.random.default_rng(n_subjects), n_subjects,
+                            trials_per_block=5, c=16, t=250)
+        tracemalloc.start()
+        try:
+            run(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(fold_calls) == n_subjects
+        # one fold's sets, plus a little for the index arrays of every fold
+        assert peak < 1.1 * max(fold_calls)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_missing_sd_block_rejected_before_training(self, fold_calls, jobs):
+        ds = small_trialset(np.random.default_rng(3), n_subjects=3)
+        ds = ds.select(~((ds.subject_ids == 3) & (ds.sessions == 1)
+                         & (ds.phases == data.PHASE_ONLINE)))
+        with pytest.raises(DataError, match="subject 3 missing blocks.*S1-online"):
+            harness.run_sd(ds, fast_config(), jobs=jobs)
+        assert fold_calls == []
 
 
 class TestFoldThreads:
@@ -130,6 +206,10 @@ class TestSubjectSweep:
         points = harness.run_subject_sweep(fast_config(), synth, [1, 2])
         assert [n for n, _ in points] == [1, 2]
         assert all(0.0 <= acc <= 100.0 for _, acc in points)
+
+    def test_no_subject_counts_rejected(self):
+        with pytest.raises(ConfigError):
+            harness.run_subject_sweep(fast_config(), data.SynthConfig(), [])
 
 
 class TestCsvAndSummary:
