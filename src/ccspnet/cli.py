@@ -138,16 +138,10 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg = build_model_config(args)
     proc = _load_preprocessed(args.manifest)
-    cfg = replace(cfg, n_channels=int(proc.trials.shape[1]),
-                  n_timepoints=int(proc.trials.shape[2]),
-                  sample_rate_hz=float(proc.sample_rate_hz))
-    net = CCSPNet(cfg)
-    net.train(proc.trials, proc.labels)
-    net.finalize(proc.trials, proc.labels)
+    accuracy, net = harness._run_fold(proc, proc, cfg)
     out = _out_dir(args)
     net.save(out / "model.ccsp")
     _write_history_csv(out / "history.csv", [("pooled", net)])
-    accuracy = 100.0 * float((net.predict(proc.trials) == proc.labels).mean())
     print(f"trained on {len(proc)} trials; training accuracy {accuracy:.1f}%")
     print(f"model: {out / 'model.ccsp'}")
     return 0
@@ -176,7 +170,7 @@ def cmd_ablate(args) -> int:
     out = _out_dir(args)
     results = []
     for component in components:
-        result = harness.run_ablation(proc, cfg, component, jobs=args.jobs)
+        result = harness.run_sd(proc, replace(cfg, ablate=component), jobs=args.jobs)
         results.append(result)
         print(f"ablation {component}: mean accuracy {result.mean():.1f}%")
     harness.write_results_csv(out / "ablation.csv", results)

@@ -9,7 +9,7 @@ the per-subject files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +88,6 @@ class DatasetManifest:
     channel_names: list[str]
     subjects: dict[int, tuple[str, int, int]]   # id -> (file, n_trials, n_bytes)
     non_separable: bool = False
-    extras: dict[str, str] = field(default_factory=dict)
 
 
 def _record_dtype(n_channels, n_timepoints) -> np.dtype:
@@ -165,8 +164,6 @@ def write_manifest(path, manifest: DatasetManifest):
         f"channel_names: {','.join(manifest.channel_names)}",
         f"non_separable: {str(manifest.non_separable).lower()}",
     ]
-    for key, value in manifest.extras.items():
-        lines.append(f"{key}: {value}")
     for sid in sorted(manifest.subjects):
         fname, n_trials, n_bytes = manifest.subjects[sid]
         lines.append(f"subject {sid}: file={fname} trials={n_trials} bytes={n_bytes}")
@@ -177,12 +174,10 @@ def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     if not path.exists():
         raise DataError(f"manifest not found: {path}")
+    # keys this reader does not use, such as the "openbmi" flag older
+    # manifests carry, are read and ignored
     fields = {}
     subjects = {}
-    extras = {}
-    # "openbmi" is a flag older manifests carry; it is accepted and ignored
-    known = {"format", "version", "sample_rate_hz", "n_channels",
-             "n_timepoints", "channel_names", "openbmi", "non_separable"}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -198,10 +193,8 @@ def load_manifest(path) -> DatasetManifest:
                 subjects[sid] = (kv["file"], int(kv["trials"]), int(kv["bytes"]))
             except (ValueError, KeyError, IndexError) as exc:
                 raise DataError(f"{path.name}:{lineno}: bad subject entry ({exc})")
-        elif key in known:
-            fields[key] = value
         else:
-            extras[key] = value
+            fields[key] = value
     if fields.get("format") != "eegt-manifest":
         raise DataError(f"{path.name}: missing or wrong 'format' header")
     if not subjects:
@@ -214,7 +207,6 @@ def load_manifest(path) -> DatasetManifest:
             channel_names=fields["channel_names"].split(","),
             subjects=subjects,
             non_separable=fields.get("non_separable", "false") == "true",
-            extras=extras,
         )
     except (KeyError, ValueError) as exc:
         raise DataError(f"{path.name}: invalid manifest field ({exc})")
@@ -457,4 +449,8 @@ def loso_fold(trials: TrialSet, subject: int,
         raise DataError(f"subject {subject} has no S2-online trials to test on")
     if len(trials.subjects()) < 2:
         raise DataError("LOSO needs at least two subjects")
-    return _canonical(trials, ~own & (trials.phases == code)), test
+    train = _canonical(trials, ~own & (trials.phases == code))
+    if not train.size:
+        raise DataError(f"subject {subject}'s fold has no {PHASE_NAMES[code]} "
+                        "trials of other subjects to train on")
+    return train, test

@@ -1,7 +1,9 @@
-"""Experiment harness: per-subject SD runs, LOSO cross-validation, ablations.
+"""Experiment harness: per-subject SD runs and LOSO cross-validation.
 
-Each fold trains a fresh model under a fold-specific seed derived from the
-global seed and the test subject id, so results do not depend on fold order.
+The config is the one source of a run's settings: an ablation is a run whose
+config has `ablate` set. Each fold trains a fresh model under a fold-specific
+seed derived from the config's seed and the test subject id, so results do
+not depend on fold order.
 The model bytes depend on the number of fold threads, whose BLAS thread count
 changes the summation order; accuracies and predictions have matched across
 thread counts. Results merge keyed by subject id.
@@ -22,16 +24,14 @@ import numpy as np
 
 from . import data, stats
 from .errors import ConfigError, DataError
-from .model import ABLATIONS, CCSPNet, ModelConfig
+from .model import CCSPNet, ModelConfig
 
 
 @dataclass
 class RunResult:
     approach: str                 # SD | SI-offline | SI-online
-    ablation: str                 # "" for the full model
     subject_ids: list
     accuracies: list              # percent, aligned with subject_ids
-    seed: int
     config: ModelConfig
     wall_time_s: float
     models: dict = field(default_factory=dict, repr=False)
@@ -43,6 +43,15 @@ class RunResult:
             if not 0.0 <= a <= 100.0:
                 raise DataError(f"accuracy {a} outside [0, 100]")
 
+    @property
+    def ablation(self) -> str:
+        """The removed component, "" for the full model."""
+        return self.config.ablate
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed
+
     def mean(self) -> float:
         return float(np.mean(self.accuracies))
 
@@ -53,13 +62,12 @@ def fold_seed(global_seed: int, subject_id: int) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
-def _run_fold(train: data.TrialSet, test: data.TrialSet, config: ModelConfig,
-              seed: int, ablation: str):
-    cfg = replace(config, seed=seed, ablate=ablation,
-                  n_channels=int(train.trials.shape[1]),
-                  n_timepoints=int(train.trials.shape[2]),
-                  sample_rate_hz=float(train.sample_rate_hz))
-    net = CCSPNet(cfg)
+def _run_fold(train: data.TrialSet, test: data.TrialSet, config: ModelConfig):
+    """Train and finalize a model on `train` under `config`, whose shape
+    fields are set from the data; returns (test accuracy in percent, model)."""
+    net = CCSPNet(replace(config, n_channels=int(train.trials.shape[1]),
+                          n_timepoints=int(train.trials.shape[2]),
+                          sample_rate_hz=float(train.sample_rate_hz)))
     net.train(train.trials, train.labels)
     net.finalize(train.trials, train.labels)
     accuracy = 100.0 * float((net.predict(test.trials) == test.labels).mean())
@@ -109,59 +117,51 @@ def _blas_threads(n):
         set_(old)
 
 
-def _run_folds(dataset, folds, config, approach, ablation, jobs):
+def _run_folds(dataset, folds, config, approach, jobs):
     """folds: list of (subject_id, train indices, test indices) into
     `dataset`; a fold's sets are made only when the fold runs."""
     start = time.monotonic()
-    jobs = max(1, int(jobs))
+    config.validate()
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    threads = min(jobs, len(folds))
 
     def work(fold):
         sid, train, test = fold
-        return sid, _run_fold(dataset.select(train), dataset.select(test), config,
-                              fold_seed(config.seed, sid), ablation)
+        return sid, _run_fold(dataset.select(train), dataset.select(test),
+                              replace(config, seed=fold_seed(config.seed, sid)))
 
-    if jobs == 1:
+    if threads <= 1:
         outcomes = [work(f) for f in folds]
     else:
         # every fold thread calls BLAS, which would otherwise start one
         # thread per core in each of them
-        with _blas_threads(max(1, (os.cpu_count() or 1) // jobs)), \
-                ThreadPoolExecutor(max_workers=jobs) as pool:
+        with _blas_threads(max(1, (os.cpu_count() or 1) // threads)), \
+                ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(work, folds))
     outcomes.sort(key=lambda o: o[0])
     return RunResult(
         approach=approach,
-        ablation=ablation,
         subject_ids=[sid for sid, _ in outcomes],
         accuracies=[acc for _, (acc, _) in outcomes],
-        seed=config.seed,
         config=config,
         wall_time_s=time.monotonic() - start,
         models={sid: net for sid, (_, net) in outcomes})
 
 
 def run_sd(dataset: data.TrialSet, config: ModelConfig,
-           ablation: str = "", jobs: int = 1) -> RunResult:
+           jobs: int = 1) -> RunResult:
     """Per-subject training on S1 plus S2-offline, testing on S2-online."""
     folds = [(sid, *data.sd_fold(dataset, sid)) for sid in dataset.subjects()]
-    return _run_folds(dataset, folds, config, "SD", ablation, jobs)
+    return _run_folds(dataset, folds, config, "SD", jobs)
 
 
 def run_loso(dataset: data.TrialSet, config: ModelConfig, phase,
-             ablation: str = "", jobs: int = 1) -> RunResult:
+             jobs: int = 1) -> RunResult:
     """Leave-one-subject-out: train on the chosen phase of all other subjects."""
     code = data.phase_code(phase)
     folds = [(sid, *data.loso_fold(dataset, sid, code)) for sid in dataset.subjects()]
-    return _run_folds(dataset, folds, config, f"SI-{data.PHASE_NAMES[code]}",
-                      ablation, jobs)
-
-
-def run_ablation(dataset: data.TrialSet, config: ModelConfig,
-                 component: str, jobs: int = 1) -> RunResult:
-    if component not in ABLATIONS:
-        raise ConfigError(f"unknown ablation component {component!r}; "
-                          f"choose one of {ABLATIONS}")
-    return run_sd(dataset, config, ablation=component, jobs=jobs)
+    return _run_folds(dataset, folds, config, f"SI-{data.PHASE_NAMES[code]}", jobs)
 
 
 def run_subject_sweep(config: ModelConfig, synth_config: data.SynthConfig,
@@ -179,8 +179,8 @@ def run_subject_sweep(config: ModelConfig, synth_config: data.SynthConfig,
     points = []
     for n in subject_counts:
         pool = train[np.isin(full.subject_ids[train], full.subjects()[:n])]
-        acc, _ = _run_fold(full.select(pool), test, config,
-                           fold_seed(config.seed, held_out * 1000 + n), "")
+        acc, _ = _run_fold(full.select(pool), test, replace(
+            config, seed=fold_seed(config.seed, held_out * 1000 + n)))
         points.append((n, acc))
     return points
 

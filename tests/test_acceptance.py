@@ -329,8 +329,8 @@ def test_criterion_6_ablation_smoke(synthetic_dataset):
         if not ablated_params < full_params:
             failures.append(f"{component}: {ablated_params} parameters, "
                             f"not fewer than the full {full_params}")
-        result = harness.run_sd(synthetic_dataset, config,
-                                ablation=component, jobs=1)
+        result = harness.run_sd(synthetic_dataset,
+                                replace(config, ablate=component), jobs=1)
         means[component] = result.mean()
         if result.mean() < 60.0:
             failures.append(f"{component}: mean accuracy "

@@ -7,7 +7,7 @@ import pytest
 
 from ccspnet import cli, data, harness
 from ccspnet.errors import ConfigError
-from ccspnet.model import ModelConfig
+from ccspnet.model import CCSPNet, ModelConfig
 
 from test_model import corrupt_first_array_name, edit_config_text, every_field_changed
 
@@ -132,6 +132,36 @@ class TestConfigFile:
         assert run("eval-si", "--config", str(cfg)) == 1
         assert "run.cfg:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, stem", [
+        (["eval-sd"], "sd"), (["eval-si", "--phase", "online"], "si_online")],
+        ids=["sd", "si-online"])
+    def test_config_file_ablation_reaches_every_fold(self, dataset_dir, tmp_path,
+                                                     command, stem):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs: 1\nablate: tcnn\n")
+        out = tmp_path / "out"
+        assert run(*command, "--config", str(cfg), "--manifest",
+                   str(dataset_dir / "manifest.txt"), "--jobs", "2",
+                   "--out-dir", str(out)) == 0
+        assert {r["ablation"] for r in harness.read_results_csv(out / f"{stem}.csv")} \
+            == {"tcnn"}
+        assert "ablation: tcnn" in (out / f"{stem}_summary.txt").read_text()
+        for sid in (1, 2):
+            net = CCSPNet.load(out / f"{stem}_subject_{sid:03d}.ccsp")
+            assert net.config.ablate == "tcnn"
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_jobs_below_one_is_config_error(self, dataset_dir, tmp_path, capsys,
+                                            source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("jobs: 0\n" if source == "file" else "epochs: 1\n")
+        flags = ["--jobs", "0"] if source == "flag" else []
+        assert run("eval-sd", "--config", str(cfg), "--manifest",
+                   str(dataset_dir / "manifest.txt"), *flags,
+                   "--out-dir", str(tmp_path / "out")) == 1
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sd.csv").exists()
+
     def test_env_seed_override(self, dataset_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("CCSP_SEED", "77")
         out = tmp_path / "out"
@@ -199,8 +229,8 @@ class TestStatsCommand:
         assert "F(5,318)=2.9700" in report
 
     def test_identical_csvs_paired_p_one(self, tmp_path, capsys):
-        result = harness.RunResult("SD", "", [1, 2, 3], [70.0, 80.0, 90.0],
-                                   0, None, 0.0)
+        result = harness.RunResult("SD", [1, 2, 3], [70.0, 80.0, 90.0],
+                                   ModelConfig(), 0.0)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         harness.write_results_csv(a, result)
         harness.write_results_csv(b, result)
@@ -208,7 +238,7 @@ class TestStatsCommand:
         assert "p=1.0000" in capsys.readouterr().out
 
     def test_three_csvs_rejected_before_reading(self, tmp_path, capsys):
-        result = harness.RunResult("SD", "", [1, 2], [70.0, 80.0], 0, None, 0.0)
+        result = harness.RunResult("SD", [1, 2], [70.0, 80.0], ModelConfig(), 0.0)
         paths = [tmp_path / f"{name}.csv" for name in "abc"]
         for path in paths:
             harness.write_results_csv(path, result)

@@ -166,8 +166,7 @@ class TestTrialFileRoundTrip:
         assert "openbmi" not in text
         manifest_path.write_text(text.replace("non_separable:",
                                               "openbmi: true\nnon_separable:"))
-        manifest = data.load_manifest(manifest_path)
-        assert "openbmi" not in manifest.extras
+        data.load_manifest(manifest_path)
         np.testing.assert_array_equal(data.load_trials(manifest_path).trials,
                                       ts.trials)
 
@@ -321,6 +320,16 @@ class TestSplits:
                            & (ts.phases == data.PHASE_ONLINE)))
         with pytest.raises(DataError, match="subject 2 has no S2-online"):
             data.loso_fold(kept, 2, "offline")
+
+    @pytest.mark.parametrize("phase", ["offline", "online"])
+    def test_loso_without_train_phase_trials_rejected(self, phase):
+        ts = small_trialset(np.random.default_rng(16), n_subjects=2)
+        # subject 2 keeps one block of the other phase only: subject 1's
+        # fold has nothing to train on
+        other = data.PHASE_ONLINE if phase == "offline" else data.PHASE_OFFLINE
+        kept = ts.select((ts.subject_ids == 1) | ((ts.sessions == 2) & (ts.phases == other)))
+        with pytest.raises(DataError, match=f"subject 1's fold has no {phase} trials"):
+            data.loso_fold(kept, 1, phase)
 
     @pytest.mark.parametrize("fold", [
         lambda ts: data.sd_fold(ts, 2),

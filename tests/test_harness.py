@@ -1,4 +1,5 @@
 import contextlib
+import threading
 import tracemalloc
 
 import numpy as np
@@ -29,7 +30,7 @@ def fold_calls(monkeypatch):
     """Stand in for the fold work; records the bytes each fold's sets hold."""
     calls = []
 
-    def fold(train, test, config, seed, ablation):
+    def fold(train, test, config):
         calls.append(sum(a.nbytes for s in (train, test) for a in (
             s.trials, s.labels, s.subject_ids, s.sessions, s.phases)))
         return 50.0, None
@@ -113,6 +114,16 @@ class TestRunLoso:
             harness.run_loso(ds, fast_config(), "offline")
         assert fold_calls == []
 
+    def test_subject_without_train_phase_rejected_before_training(self, fold_calls):
+        ds = small_trialset(np.random.default_rng(3), n_subjects=2)
+        # subject 2 keeps only its S2-online block: subject 1's fold has no
+        # offline trials of another subject to train on
+        ds = ds.select((ds.subject_ids == 1) | ((ds.sessions == 2)
+                                                & (ds.phases == data.PHASE_ONLINE)))
+        with pytest.raises(DataError, match="subject 1.*offline"):
+            harness.run_loso(ds, fast_config(), "offline")
+        assert fold_calls == []
+
     def test_fold_seeds_are_order_independent(self):
         assert harness.fold_seed(7, 3) == harness.fold_seed(7, 3)
         assert harness.fold_seed(7, 3) != harness.fold_seed(7, 4)
@@ -157,29 +168,49 @@ class TestFoldThreads:
             np.testing.assert_array_equal(serial.models[sid].predict(test.trials),
                                           pooled.models[sid].predict(test.trials))
 
+    @pytest.mark.parametrize("cores, jobs, per_fold", [(4, 2, 2), (6, 6, 2)])
     @pytest.mark.parametrize("fail", [False, True])
-    def test_blas_threads_split_and_restored(self, small_dataset, monkeypatch, fail):
+    def test_blas_threads_split_and_restored(self, small_dataset, monkeypatch, fail,
+                                             cores, jobs, per_fold):
         get, set_ = harness._openblas_thread_functions()
         seen = []
 
-        def fold(train, test, config, seed, ablation):
+        def fold(train, test, config):
             seen.append(get())
             if fail:
                 raise RuntimeError("fold failed")
             return 50.0, None
 
         monkeypatch.setattr(harness, "_run_fold", fold)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
         before = get()
         set_(1)
         try:
             with pytest.raises(RuntimeError) if fail else contextlib.nullcontext():
-                harness.run_sd(small_dataset, fast_config(), jobs=2)
-            # 4 cores over 2 fold threads, then back to the count before
-            assert seen and set(seen) == {2}
+                harness.run_sd(small_dataset, fast_config(), jobs=jobs)
+            # the cores split over the fold threads that get a fold (3
+            # subjects: at most 3), then back to the count before
+            assert seen and set(seen) == {per_fold}
             assert get() == 1
         finally:
             set_(before)
+
+    def test_one_fold_runs_serially(self, small_dataset, monkeypatch):
+        threads = []
+
+        def fold(train, test, config):
+            threads.append(threading.current_thread())
+            return 50.0, None
+
+        monkeypatch.setattr(harness, "_run_fold", fold)
+        harness.run_sd(small_dataset.for_subject(1), fast_config(), jobs=4)
+        assert threads == [threading.current_thread()]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, small_dataset, fold_calls, jobs):
+        with pytest.raises(ConfigError, match="jobs"):
+            harness.run_sd(small_dataset, fast_config(), jobs=jobs)
+        assert fold_calls == []
 
     def test_pool_runs_without_openblas(self, small_dataset, monkeypatch):
         monkeypatch.setattr(harness, "_openblas_thread_functions", lambda: None)
@@ -191,13 +222,23 @@ class TestFoldThreads:
 class TestRunAblation:
     @pytest.mark.parametrize("component", ["wkcnn", "lda"])
     def test_ablated_runs_complete(self, small_dataset, component):
-        result = harness.run_ablation(small_dataset, fast_config(), component)
+        result = harness.run_sd(small_dataset, fast_config(ablate=component))
         assert result.ablation == component
         assert len(result.accuracies) == 3
+        assert {net.config.ablate for net in result.models.values()} == {component}
 
-    def test_unknown_component_rejected(self, small_dataset):
+    def test_loso_folds_follow_the_config(self, small_dataset):
+        cfg = fast_config(epochs=1, ablate="tcnn", seed=9)
+        result = harness.run_loso(small_dataset, cfg, "online")
+        assert result.ablation == "tcnn" and result.seed == 9
+        assert {net.config.ablate for net in result.models.values()} == {"tcnn"}
+        assert {net.config.seed for net in result.models.values()} == {
+            harness.fold_seed(9, sid) for sid in result.subject_ids}
+
+    def test_unknown_component_rejected(self, small_dataset, fold_calls):
         with pytest.raises(ConfigError):
-            harness.run_ablation(small_dataset, fast_config(), "dropout")
+            harness.run_sd(small_dataset, fast_config(ablate="dropout"))
+        assert fold_calls == []
 
 
 class TestSubjectSweep:
