@@ -21,14 +21,13 @@ RIDGE_SCALE = 1e-6
 
 @dataclass
 class CspBranch:
-    """Frozen per-branch CSP state."""
+    """Frozen per-branch CSP state: its .ccsp arrays, in file order."""
 
     sigma0: np.ndarray
     sigma1: np.ndarray
     w_full: np.ndarray        # C x C generalized eigenvectors, descending eigenvalue
     eigenvalues: np.ndarray
     w_reduced: np.ndarray     # C x 4: first two and last two columns
-    branch_index: int
 
 
 def class_covariances(batch: np.ndarray,
@@ -93,11 +92,11 @@ def reduce_projection(w: np.ndarray) -> np.ndarray:
     return np.concatenate([w[:, :2], w[:, -2:]], axis=1)
 
 
-def fit_branch(batch: np.ndarray, labels: np.ndarray, branch_index: int) -> CspBranch:
+def fit_branch(batch: np.ndarray, labels: np.ndarray) -> CspBranch:
     """Full per-branch fit: covariances -> eigenvectors -> reduced projection."""
     sigma0, sigma1 = class_covariances(batch, labels)
     w, eigvals = solve_csp(sigma0, sigma1)
-    return CspBranch(sigma0, sigma1, w, eigvals, reduce_projection(w), branch_index)
+    return CspBranch(sigma0, sigma1, w, eigvals, reduce_projection(w))
 
 
 def spatial_filter_features(maps: ad.Node, w_reduced: np.ndarray) -> ad.Node:

@@ -266,6 +266,13 @@ def load_trials(manifest_path, subjects=None, sessions=None,
         trials, labels, sids, sess, phs = read_trial_file(fpath)
         if len(trials) != n_trials:
             raise DataError(f"{fname}: {len(trials)} trials != declared {n_trials}")
+        declared = (manifest.n_channels, manifest.n_timepoints)
+        if trials.shape[1:] != declared:
+            raise DataError(f"{fname}: trials of shape {trials.shape[1:]} != "
+                            f"declared {declared}")
+        if np.any(sids != sid):
+            raise DataError(f"{fname}: subject tag {sids[sids != sid][0]} != "
+                            f"declared subject {sid}")
         parts.append((trials, labels, sids, sess, phs))
 
     trialset = TrialSet(
@@ -362,10 +369,15 @@ def synthesize(config: SynthConfig) -> TrialSet:
     Trials per subject are spread evenly over the four (session, phase)
     blocks so the SD/LOSO split protocols apply unchanged.
     """
-    if config.snr <= 0:
+    if not config.snr > 0:
         raise DataError(f"SNR must be positive, got {config.snr}")
+    if not config.erd >= 0:
+        raise DataError(f"ERD ratio must be >= 0, got {config.erd}")
     if config.n_channels < 4:
         raise DataError("generator needs at least 4 channels")
+    if config.n_subjects < 1 or config.trials_per_class < 1:
+        raise DataError("generator needs at least one subject and one trial "
+                        "per class")
     rng = np.random.default_rng(config.seed)
     base_mixing = rng.normal(size=(config.n_channels, config.n_channels))
 

@@ -7,22 +7,21 @@ combined loss that weights the CSP loss against the Fisher criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ModelStateError, NumericalError
+from .errors import NumericalError
 
 RIDGE_SCALE = 1e-6
 
 
 @dataclass
 class LdaModel:
-    w: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    mu0: float = 0.0
-    mu1: float = 0.0
-    fitted: bool = False
+    w: np.ndarray
+    mu0: float
+    mu1: float
 
 
 def fit(features: np.ndarray, labels: np.ndarray) -> LdaModel:
@@ -59,7 +58,7 @@ def fit(features: np.ndarray, labels: np.ndarray) -> LdaModel:
     mu1 = float(m1 @ w)
     if mu1 < mu0:
         w, mu0, mu1 = -w, -mu0, -mu1
-    return LdaModel(w=w, mu0=mu0, mu1=mu1, fitted=True)
+    return LdaModel(w=w, mu0=mu0, mu1=mu1)
 
 
 def fisher_criterion(projected: np.ndarray, labels: np.ndarray) -> float:
@@ -106,7 +105,5 @@ def combined_loss(csp_loss_value: float, fisher_j: float, r: float) -> float:
 
 def predict(model: LdaModel, features: np.ndarray) -> np.ndarray:
     """Nearest projected class mean; ties resolve to class 0."""
-    if not model.fitted:
-        raise ModelStateError("LDA model is not fitted")
     projected = np.asarray(features, dtype=np.float64) @ model.w
     return (np.abs(projected - model.mu1) < np.abs(projected - model.mu0)).astype(np.uint8)

@@ -53,6 +53,11 @@ class ModelConfig:
     ablate: str = ""
 
     def validate(self):
+        for name in ("n_wavelet_kernels", "wavelet_len", "temporal_len"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if min(self.dense_dims, default=0) < 1:
+            raise ConfigError(f"dense_dims entries must be at least 1, got {self.dense_dims}")
         if self.n_wavelet_kernels != self.n_temporal_kernels:
             raise ConfigError("wavelet and temporal kernel counts must match "
                               "(depthwise pairing)")
@@ -114,13 +119,12 @@ _FIELD_PARSERS = {"int": int, "float": float,
                   "tuple": lambda raw: tuple(int(x) for x in raw.split(","))}
 
 
-class _BnLayer:
+class _BnLayer(NamedTuple):
     """Learnable affine + running statistics for one batch-norm layer."""
 
-    def __init__(self, n_features, name):
-        self.gamma = ad.Parameter(np.ones(n_features), name=f"{name}.gamma")
-        self.beta = ad.Parameter(np.zeros(n_features), name=f"{name}.beta")
-        self.state = ad.BatchNormState(n_features)
+    gamma: ad.Parameter
+    beta: ad.Parameter
+    state: ad.BatchNormState
 
 
 class _Stage(NamedTuple):
@@ -138,13 +142,12 @@ class CCSPNet:
     def __init__(self, config: ModelConfig):
         config.validate()
         self.config = config
-        self.finalized = False
         self.frozen_branches = None
         self.frozen_lda = None
         self.history = []
         self._rng = np.random.default_rng(config.seed)
         self._params = {}
-        self._adam_params = {"wavelet": [], "weight": [], "bias": []}
+        self._adam_params = {"wavelet": [], "weight": [], "bias": [], "bn": []}
         self._bn_layers = {}
         self._build()
         self.optimizer = self._build_optimizer()
@@ -158,9 +161,9 @@ class CCSPNet:
         return p
 
     def _register_bn(self, name, n_features):
-        layer = _BnLayer(n_features, name)
-        self._params[f"{name}.gamma"] = layer.gamma
-        self._params[f"{name}.beta"] = layer.beta
+        layer = _BnLayer(self._register(f"{name}.gamma", np.ones(n_features), "bn"),
+                         self._register(f"{name}.beta", np.zeros(n_features), "bn"),
+                         ad.BatchNormState(n_features))
         self._bn_layers[name] = layer
         return layer
 
@@ -219,11 +222,11 @@ class CCSPNet:
 
     def _build_optimizer(self):
         cfg = self.config
-        bn = [p for layer in self._bn_layers.values() for p in (layer.gamma, layer.beta)]
         groups = [{"params": self._adam_params["wavelet"], "lr": cfg.lr_wavelet},
                   {"params": self._adam_params["weight"], "lr": cfg.lr_main,
                    "l1": cfg.l1, "l2": cfg.l2},
-                  {"params": self._adam_params["bias"] + bn, "lr": cfg.lr_main}]
+                  {"params": self._adam_params["bias"] + self._adam_params["bn"],
+                   "lr": cfg.lr_main}]
         return ad.Adam([g for g in groups if g["params"]])
 
     # forward passes -------------------------------------------------------
@@ -271,7 +274,7 @@ class CCSPNet:
         labels = np.asarray(labels)
         spectral = self.forward_spectral(batch, training)
         if frozen_wr is None:
-            wrs = [csp.fit_branch(spectral.value[:, i], labels, i + 1).w_reduced
+            wrs = [csp.fit_branch(spectral.value[:, i], labels).w_reduced
                    for i in range(self.config.n_wavelet_kernels)]
         else:
             wrs = list(frozen_wr)
@@ -342,14 +345,16 @@ class CCSPNet:
         """Eval-mode pass over the full training set; refit and freeze CSP + LDA."""
         labels = np.asarray(labels)
         spectral = self.forward_spectral(trials, training=False)
-        self.frozen_branches = [
-            csp.fit_branch(spectral.value[:, i], labels, i + 1)
-            for i in range(self.config.n_wavelet_kernels)]
+        self.frozen_branches = [csp.fit_branch(spectral.value[:, i], labels)
+                                for i in range(self.config.n_wavelet_kernels)]
         self.frozen_lda = None
         if self.classifier == "lda":
             self.frozen_lda = lda.fit(self._frozen_head(spectral).value, labels)
-        self.finalized = True
         return self
+
+    @property
+    def finalized(self) -> bool:
+        return self.frozen_branches is not None
 
     def frozen_projection(self) -> np.ndarray:
         """The frozen branches' reduced CSP projections stacked, K x C x 4."""
@@ -386,15 +391,21 @@ class CCSPNet:
             counts["batch_norm" if layer.startswith("bn_") else layer] += p.value.size
         counts["csp_frozen"] = cfg.n_wavelet_kernels * cfg.n_channels * 4
         # the LDA direction over the head's output, and the two class means
-        width = self.dense[-1][0].value.shape[1] if self.dense \
-            else 4 * cfg.n_wavelet_kernels
-        counts["lda"] = width + 2 if self.classifier == "lda" else 0
+        counts["lda"] = self._head_width() + 2 if self.classifier == "lda" else 0
         counts["total"] = sum(counts.values())
         return counts
+
+    def _head_width(self) -> int:
+        """Width of the head's output: the last dense layer's, or the K
+        branches' four CSP features side by side when there is none."""
+        return self.dense[-1][0].value.shape[1] if self.dense \
+            else 4 * self.config.n_wavelet_kernels
 
     # serialization ----------------------------------------------------------
 
     def _state_arrays(self):
+        """The .ccsp file's arrays in file order, as (name, array) pairs. Each
+        is the model's live array except adam.step, history and lda.mu."""
         items = [(name, p.value) for name, p in self._params.items()]
         for bn_name, layer in self._bn_layers.items():
             items.append((f"{bn_name}.running_mean", layer.state.running_mean))
@@ -408,11 +419,7 @@ class CCSPNet:
                       np.asarray(self.history, dtype=np.float64).reshape(-1, 5)))
         if self.finalized:
             for i, br in enumerate(self.frozen_branches):
-                items.append((f"csp.{i}.sigma0", br.sigma0))
-                items.append((f"csp.{i}.sigma1", br.sigma1))
-                items.append((f"csp.{i}.w_full", br.w_full))
-                items.append((f"csp.{i}.eigenvalues", br.eigenvalues))
-                items.append((f"csp.{i}.w_reduced", br.w_reduced))
+                items += [(f"csp.{i}.{f.name}", getattr(br, f.name)) for f in fields(br)]
             if self.frozen_lda is not None:
                 items.append(("lda.w", self.frozen_lda.w))
                 items.append(("lda.mu",
@@ -467,7 +474,7 @@ class CCSPNet:
             values = np.frombuffer(
                 reader.take(8 * math.prod(shape), what=f"array {name!r}"), dtype="<f8")
             try:
-                arrays[name] = values.reshape(shape).copy()
+                arrays[name] = values.reshape(shape)
             except ValueError:   # an empty array whose other axes are too long
                 raise DataError(f"{path}: impossible shape {shape} "
                                 f"for array {name!r}") from None
@@ -476,44 +483,39 @@ class CCSPNet:
         return model
 
     def _restore(self, arrays, finalized, path):
-        def fetch(name, like=None):
+        """Copy a file's arrays into this fresh model, walking `_state_arrays`;
+        a finalized file first gets zero frozen state of the config's shapes."""
+        if finalized:
+            c = self.config.n_channels
+            self.frozen_branches = [
+                csp.CspBranch(np.zeros((c, c)), np.zeros((c, c)), np.zeros((c, c)),
+                              np.zeros(c), np.zeros((c, 4)))
+                for _ in range(self.config.n_wavelet_kernels)]
+            if self.classifier == "lda":
+                self.frozen_lda = lda.LdaModel(np.zeros(self._head_width()), 0.0, 0.0)
+
+        def fetch(name, shape):
             if name not in arrays:
                 raise DataError(f"{path}: missing array {name!r}")
             arr = arrays[name]
-            if like is not None and arr.shape != np.shape(like):
+            if arr.shape != shape:
                 raise DataError(f"{path}: shape mismatch for {name!r}: "
-                                f"{arr.shape} vs {np.shape(like)}")
+                                f"{arr.shape} vs {shape}")
             return arr
 
-        for name, p in self._params.items():
-            p.value = fetch(name, p.value)
-        for bn_name, layer in self._bn_layers.items():
-            layer.state.running_mean = fetch(f"{bn_name}.running_mean",
-                                             layer.state.running_mean)
-            layer.state.running_var = fetch(f"{bn_name}.running_var",
-                                            layer.state.running_var)
-        self.optimizer.step_count = int(fetch("adam.step").reshape(()))
-        for group in self.optimizer.groups:
-            for i, p in enumerate(group["params"]):
-                group["m"][i] = fetch(f"adam.m.{p.name}", group["m"][i])
-                group["v"][i] = fetch(f"adam.v.{p.name}", group["v"][i])
-        self.history = [tuple(row) for row in fetch("history")]
-        if finalized:
-            self.frozen_branches = []
-            for i in range(self.config.n_wavelet_kernels):
-                self.frozen_branches.append(csp.CspBranch(
-                    sigma0=fetch(f"csp.{i}.sigma0"),
-                    sigma1=fetch(f"csp.{i}.sigma1"),
-                    w_full=fetch(f"csp.{i}.w_full"),
-                    eigenvalues=fetch(f"csp.{i}.eigenvalues"),
-                    w_reduced=fetch(f"csp.{i}.w_reduced"),
-                    branch_index=i + 1))
-            if self.classifier == "lda":
-                mu = fetch("lda.mu")
-                self.frozen_lda = lda.LdaModel(w=fetch("lda.w"),
-                                               mu0=float(mu[0]),
-                                               mu1=float(mu[1]), fitted=True)
-            self.finalized = True
+        for name, live in self._state_arrays():
+            if name == "adam.step":
+                step = float(fetch(name, ()))
+                if not (step.is_integer() and step >= 0):
+                    raise DataError(f"{path}: adam.step {step} is not a step count")
+                self.optimizer.step_count = int(step)
+            elif name == "history":   # any number of rows of 5 columns
+                rows = np.shape(arrays.get(name))[:1]
+                self.history = [tuple(row) for row in fetch(name, rows + (5,))]
+            elif name == "lda.mu":
+                self.frozen_lda.mu0, self.frozen_lda.mu1 = map(float, fetch(name, (2,)))
+            else:
+                live[...] = fetch(name, live.shape)
 
 
 def _wavelet_kernels(wavelet, cfg: ModelConfig) -> ad.Node:

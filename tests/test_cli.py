@@ -9,7 +9,8 @@ from ccspnet import cli, data, harness
 from ccspnet.errors import ConfigError
 from ccspnet.model import CCSPNet, ModelConfig
 
-from test_model import corrupt_first_array_name, edit_config_text, every_field_changed
+from test_model import (corrupt_first_array_name, edit_config_text, every_field_changed,
+                        rewrite_arrays)
 
 
 def run(*argv):
@@ -45,6 +46,15 @@ class TestSynth:
         assert cli.main(synth_args(a)) == 0
         assert cli.main(synth_args(b)) == 0
         assert file_hashes(a) == file_hashes(b)
+
+    @pytest.mark.parametrize("flag, value", [("--erd", "-1"), ("--subjects", "0"),
+                                             ("--trials", "0")])
+    def test_invalid_argument_is_data_error(self, tmp_path, capsys, flag, value):
+        argv = synth_args(tmp_path / "out")
+        argv[argv.index(flag) + 1] = value
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.startswith("data error:")
+        assert not (tmp_path / "out").exists()
 
     def test_erd_one_marks_non_separable(self, tmp_path):
         out = tmp_path / "flat"
@@ -161,6 +171,18 @@ class TestConfigFile:
                    "--out-dir", str(tmp_path / "out")) == 1
         assert "jobs must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out" / "sd.csv").exists()
+
+    @pytest.mark.parametrize("line", ["temporal_len: 0", "wavelet_len: -3",
+                                      "dense_dims: -2,4"])
+    def test_size_below_one_is_config_error(self, dataset_dir, tmp_path, capsys,
+                                            line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert run("train", "--config", str(cfg), "--epochs", "1",
+                   "--manifest", str(dataset_dir / "manifest.txt"),
+                   "--out-dir", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_env_seed_override(self, dataset_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("CCSP_SEED", "77")
@@ -295,6 +317,17 @@ class TestPlotCommand:
                    "--manifest", str(dataset_dir / "manifest.txt"),
                    "--out-dir", str(tmp_path)) == 2
         assert "bad.ccsp" in capsys.readouterr().err
+
+    def test_wrongly_shaped_array_is_data_error(self, dataset_dir, trained_model,
+                                                tmp_path, capsys):
+        path = tmp_path / "bad.ccsp"
+        path.write_bytes(trained_model.read_bytes())
+        rewrite_arrays(path, lambda items: [(n, a[:-1] if n == "lda.w" else a)
+                                            for n, a in items])
+        assert run("plot", "--csp-scatter", "--model", str(path),
+                   "--manifest", str(dataset_dir / "manifest.txt"),
+                   "--out-dir", str(tmp_path)) == 2
+        assert "bad.ccsp: shape mismatch for 'lda.w'" in capsys.readouterr().err
 
     def test_undecodable_array_name_is_data_error(self, dataset_dir, trained_model,
                                                   tmp_path, capsys):

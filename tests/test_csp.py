@@ -262,7 +262,7 @@ class TestDiscriminabilityMonotonicity:
             sources[:n, 0] *= np.sqrt(ratio)  # class 0 boosts source 0
             batch = np.einsum("cd,ndt->nct", mixing, sources)
             labels = np.array([0] * n + [1] * n)
-            branch = csp.fit_branch(batch, labels, 1)
+            branch = csp.fit_branch(batch, labels)
             feats = csp.spatial_filter_features(ad.constant(batch), branch.w_reduced).value
             gaps.append(feats[:n, 0].mean() - feats[n:, 0].mean())
         assert gaps[0] < gaps[1] < gaps[2] < gaps[3]

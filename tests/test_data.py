@@ -30,13 +30,22 @@ def baseline_csp_lda_accuracy(train, test):
     """Plain CSP + LDA reference pipeline (no CNN stack)."""
     x_train = np.asarray(train.trials, dtype=np.float64)
     x_test = np.asarray(test.trials, dtype=np.float64)
-    branch = csp.fit_branch(x_train, train.labels, 1)
+    branch = csp.fit_branch(x_train, train.labels)
     model = lda.fit(
         csp.spatial_filter_features(ad.constant(x_train), branch.w_reduced).value,
         train.labels)
     pred = lda.predict(
         model, csp.spatial_filter_features(ad.constant(x_test), branch.w_reduced).value)
     return float((pred == test.labels).mean())
+
+
+def redeclare_size(manifest_path, sid):
+    """Set the manifest's byte count for subject `sid` to its file's size."""
+    manifest = data.load_manifest(manifest_path)
+    fname, n_trials, _ = manifest.subjects[sid]
+    size = (manifest_path.parent / fname).stat().st_size
+    manifest.subjects[sid] = (fname, n_trials, size)
+    data.write_manifest(manifest_path, manifest)
 
 
 # expected error message -> corruption of a well-formed trial file; a record
@@ -159,6 +168,22 @@ class TestTrialFileRoundTrip:
         with pytest.raises(DataError):
             data.load_trials(manifest_path, subjects=[99])
 
+    def test_file_shape_must_match_manifest(self, tmp_path):
+        rng = np.random.default_rng(13)
+        manifest_path = data.save_dataset(tmp_path, small_trialset(rng, c=4))
+        victim = tmp_path / "subject_002.eegt"
+        data.write_trial_file(victim, small_trialset(rng, c=3).for_subject(2))
+        redeclare_size(manifest_path, 2)
+        with pytest.raises(DataError, match="subject_002.eegt: trials of shape"):
+            data.load_trials(manifest_path)
+
+    def test_subject_tags_must_match_manifest(self, tmp_path):
+        ts = small_trialset(np.random.default_rng(14))
+        manifest_path = data.save_dataset(tmp_path, ts)
+        data.write_trial_file(tmp_path / "subject_002.eegt", ts.for_subject(1))
+        with pytest.raises(DataError, match="subject_002.eegt: subject tag 1"):
+            data.load_trials(manifest_path)
+
     def test_old_openbmi_flag_still_loads(self, tmp_path):
         ts = small_trialset(np.random.default_rng(8))
         manifest_path = data.save_dataset(tmp_path, ts)
@@ -263,6 +288,13 @@ class TestSynthesize:
     def test_invalid_snr_rejected(self):
         with pytest.raises(DataError):
             data.synthesize(data.SynthConfig(snr=0.0))
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(erd=-1.0), "ERD"), (dict(erd=np.nan), "ERD"), (dict(snr=np.nan), "SNR"),
+        (dict(n_subjects=0), "subject"), (dict(trials_per_class=0), "trial")])
+    def test_invalid_settings_rejected(self, overrides, message):
+        with pytest.raises(DataError, match=message):
+            data.synthesize(data.SynthConfig(**overrides))
 
 
 class TestSplits:

@@ -3,7 +3,7 @@ import pytest
 
 from ccspnet import autodiff as ad
 from ccspnet import lda
-from ccspnet.errors import ModelStateError, NumericalError
+from ccspnet.errors import NumericalError
 
 from oracles import central_difference, rel_err
 
@@ -128,7 +128,7 @@ class TestCombinedLoss:
 
 class TestPredict:
     def fitted(self):
-        return lda.LdaModel(w=np.array([1.0, 0, 0, 0]), mu0=-1.0, mu1=1.0, fitted=True)
+        return lda.LdaModel(w=np.array([1.0, 0, 0, 0]), mu0=-1.0, mu1=1.0)
 
     def test_projection_on_class_mean(self):
         model = self.fitted()
@@ -155,12 +155,8 @@ class TestPredict:
         feats = rng.normal(size=(30, 4))
         model = self.fitted()
         scaled = lda.LdaModel(w=3.0 * model.w, mu0=3.0 * model.mu0,
-                              mu1=3.0 * model.mu1, fitted=True)
+                              mu1=3.0 * model.mu1)
         assert np.array_equal(lda.predict(model, feats), lda.predict(scaled, feats))
-
-    def test_unfitted_rejected(self):
-        with pytest.raises(ModelStateError):
-            lda.predict(lda.LdaModel(), np.zeros((1, 4)))
 
     def test_zero_within_class_variance_perfect_fit(self):
         feats = embed_1d([0.0, 0.0, 1.0, 1.0])

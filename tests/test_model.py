@@ -66,6 +66,31 @@ def set_first_array_shape(path, shape):
     path.write_bytes(blob[:at] + header + blob[at + 1:])
 
 
+def rewrite_arrays(path, edit):
+    """Rewrite the arrays of the .ccsp file at `path` as `edit` returns them
+    from its list of (name, array) pairs, keeping the header as it is."""
+    blob = path.read_bytes()
+    (n,) = struct.unpack_from("<I", blob, 7)
+    at = 11 + n + 4
+    items = []
+    for _ in range(struct.unpack_from("<I", blob, 11 + n)[0]):
+        (name_len,) = struct.unpack_from("<H", blob, at)
+        name = blob[at + 2:at + 2 + name_len].decode("utf-8")
+        at += 2 + name_len
+        shape = struct.unpack_from(f"<{blob[at]}I", blob, at + 1)
+        at += 1 + 4 * len(shape)
+        size = 8 * int(np.prod(shape))
+        items.append((name, np.frombuffer(blob[at:at + size], "<f8").reshape(shape)))
+        at += size
+    items = edit(items)
+    out = blob[:11 + n] + struct.pack("<I", len(items))
+    for name, arr in items:
+        encoded = name.encode("utf-8")
+        out += struct.pack("<H", len(encoded)) + encoded + struct.pack("<B", arr.ndim)
+        out += struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.astype("<f8").tobytes()
+    path.write_bytes(out)
+
+
 def desk_batch(rng, n=16, c=6, t=40):
     labels = np.arange(n) % 2
     trials = rng.normal(size=(n, c, t))
@@ -149,6 +174,18 @@ class TestConfigValidation:
     def test_loss_ratio_range(self):
         with pytest.raises(ConfigError):
             model.ModelConfig(loss_ratio=1.5).validate()
+
+    @pytest.mark.parametrize("overrides, name", [
+        (dict(n_wavelet_kernels=0, n_temporal_kernels=0), "n_wavelet_kernels"),
+        (dict(wavelet_len=0), "wavelet_len"),
+        (dict(wavelet_len=-3), "wavelet_len"),
+        (dict(temporal_len=0), "temporal_len"),
+        (dict(dense_dims=(0, 4)), "dense_dims"),
+        (dict(dense_dims=(-2, 4)), "dense_dims"),
+    ])
+    def test_sizes_below_one_rejected(self, overrides, name):
+        with pytest.raises(ConfigError, match=name):
+            model.ModelConfig(**overrides).validate()
 
 
 class TestTrainStep:
@@ -439,16 +476,31 @@ class TestParameterAccounting:
         assert "total" in report
 
 
+# one array of each kind in a finalized full-model file
+ARRAY_KINDS = ["temporal.kernels", "bn_wk.running_mean", "adam.m.dense.0.w",
+               "adam.step", "history", "csp.0.sigma0", "csp.0.w_reduced",
+               "lda.w", "lda.mu"]
+
+
+def widened(arr):
+    """`arr` with one more entry on its last axis; a scalar becomes a 1-vector."""
+    return np.zeros(arr.shape[:-1] + (arr.shape[-1] + 1,) if arr.ndim else (1,))
+
+
 class TestSerialization:
-    def trained(self, tmp_path, ablate=""):
+    def trained(self, tmp_path, ablate="", finalized=True):
         rng = np.random.default_rng(12)
         trials, labels = desk_batch(rng, n=20)
         net = model.CCSPNet(desk_config(epochs=2, ablate=ablate))
-        net.train(trials, labels).finalize(trials, labels)
+        net.train(trials, labels)
+        if finalized:
+            net.finalize(trials, labels)
         return net, trials
 
-    def test_save_load_save_is_byte_identical(self, tmp_path):
-        net, _ = self.trained(tmp_path)
+    @pytest.mark.parametrize("finalized", (False, True))
+    @pytest.mark.parametrize("ablate", ("",) + model.ABLATIONS)
+    def test_save_load_save_is_byte_identical(self, tmp_path, ablate, finalized):
+        net, _ = self.trained(tmp_path, ablate, finalized)
         p1 = tmp_path / "a.ccsp"
         p2 = tmp_path / "b.ccsp"
         net.save(p1)
@@ -503,12 +555,13 @@ class TestSerialization:
             model.CCSPNet.load(path)
 
     @pytest.mark.parametrize("old, new", [("epochs=2\n", "epochs=x\n"),
-                                          ("ablate=\n", "ablate=q\n")])
+                                          ("ablate=\n", "ablate=q\n"),
+                                          ("temporal_len=16\n", "temporal_len=0\n")])
     def test_bad_config_text_is_a_data_error(self, tmp_path, old, new):
         net, _ = self.trained(tmp_path)
         path = net.save(tmp_path / "m.ccsp")
         edit_config_text(path, old, new)
-        with pytest.raises(DataError, match="m.ccsp"):
+        with pytest.raises(DataError, match="m.ccsp: bad config text"):
             model.CCSPNet.load(path)
 
     # an empty array with too long axes; 2**64 entries, which wraps to 0 in int64
@@ -525,6 +578,39 @@ class TestSerialization:
         path = net.save(tmp_path / "m.ccsp")
         corrupt_first_array_name(path)
         with pytest.raises(DataError, match="m.ccsp"):
+            model.CCSPNet.load(path)
+
+    def test_array_rewrite_keeps_the_file(self, tmp_path):
+        net, _ = self.trained(tmp_path)
+        path = net.save(tmp_path / "m.ccsp")
+        blob = path.read_bytes()
+        rewrite_arrays(path, lambda items: items)
+        assert path.read_bytes() == blob
+
+    @pytest.mark.parametrize("step", [2.5, -1.0, np.nan])
+    def test_adam_step_must_be_a_count(self, tmp_path, step):
+        net, _ = self.trained(tmp_path)
+        path = net.save(tmp_path / "m.ccsp")
+        rewrite_arrays(path, lambda items: [
+            (n, np.asarray(step) if n == "adam.step" else a) for n, a in items])
+        with pytest.raises(DataError, match="m.ccsp: adam.step"):
+            model.CCSPNet.load(path)
+
+    @pytest.mark.parametrize("name", ARRAY_KINDS)
+    def test_missing_array_is_a_data_error(self, tmp_path, name):
+        net, _ = self.trained(tmp_path)
+        path = net.save(tmp_path / "m.ccsp")
+        rewrite_arrays(path, lambda items: [(n, a) for n, a in items if n != name])
+        with pytest.raises(DataError, match=f"m.ccsp: missing array '{name}'"):
+            model.CCSPNet.load(path)
+
+    @pytest.mark.parametrize("name", ARRAY_KINDS)
+    def test_wrongly_shaped_array_is_a_data_error(self, tmp_path, name):
+        net, _ = self.trained(tmp_path)
+        path = net.save(tmp_path / "m.ccsp")
+        rewrite_arrays(path, lambda items: [(n, widened(a) if n == name else a)
+                                            for n, a in items])
+        with pytest.raises(DataError, match=f"m.ccsp: shape mismatch for '{name}'"):
             model.CCSPNet.load(path)
 
 
