@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .errors import DataError
+from .errors import DataError, NumericalError
 
 TRIAL_MAGIC = b"EEGT"
 TRIAL_FORMAT_VERSION = 1
@@ -210,6 +210,10 @@ def load_manifest(path) -> DatasetManifest:
         )
     except (KeyError, ValueError) as exc:
         raise DataError(f"{path.name}: invalid manifest field ({exc})")
+    rate = manifest.sample_rate_hz
+    if not (rate > 0 and rate.is_integer()):
+        raise DataError(f"{path.name}: sample_rate_hz must be a positive whole "
+                        f"number of Hz, got {rate:g}")
     if len(manifest.channel_names) != manifest.n_channels:
         raise DataError(f"{path.name}: channel name count != n_channels")
     return manifest
@@ -293,15 +297,30 @@ def load_trials(manifest_path, subjects=None, sessions=None,
 
 def preprocess(raw: TrialSet, window_ms=(1000, 3500), target_hz=100,
                band=(8.0, 30.0), order=5) -> TrialSet:
-    """Trim, anti-aliased down-sample, then causal Butterworth band-pass."""
-    fs_in = int(raw.sample_rate_hz)
-    cascade = dsp.design_bandpass(band[0], band[1], order, target_hz)
-    out = []
-    for trial in raw.trials:
-        low = dsp.trim_and_downsample(np.asarray(trial, dtype=np.float64),
-                                      window_ms, target_hz, fs=fs_in)
-        out.append(dsp.filter_forward(cascade, low))
-    return replace(raw, trials=np.stack(out), sample_rate_hz=float(target_hz))
+    """Trim, anti-alias low-pass, decimate, then causal Butterworth band-pass.
+
+    The four stages are one cached matrix per setting
+    (`dsp.preprocess_operator`), applied to each trial's used samples.
+    """
+    rate = float(raw.sample_rate_hz)
+    if not rate.is_integer():
+        raise DataError(f"sample rate {rate:g} Hz is not a whole number of Hz")
+    start, stop, op = dsp.preprocess_operator(int(rate), raw.n_timepoints,
+                                              tuple(window_ms), target_hz,
+                                              tuple(band), order)
+    if raw.n_channels == 0:
+        raise NumericalError("empty input signal")
+    window = np.empty((raw.n_channels, stop - start))
+    out = np.empty((len(raw), raw.n_channels, op.shape[1]))
+    for i, trial in enumerate(raw.trials):
+        window[...] = trial[:, start:stop]
+        finite = np.isfinite(window)
+        if not finite.all():
+            channel, sample = np.argwhere(~finite)[0]
+            raise NumericalError(f"trial {i}: non-finite sample at channel {channel}, "
+                                 f"sample {start + sample}")
+        np.matmul(window, op, out=out[i])
+    return replace(raw, trials=out, sample_rate_hz=float(target_hz))
 
 
 @dataclass
@@ -378,6 +397,8 @@ def synthesize(config: SynthConfig) -> TrialSet:
     if config.n_subjects < 1 or config.trials_per_class < 1:
         raise DataError("generator needs at least one subject and one trial "
                         "per class")
+    if config.seed < 0:
+        raise DataError(f"seed must be >= 0, got {config.seed}")
     rng = np.random.default_rng(config.seed)
     base_mixing = rng.normal(size=(config.n_channels, config.n_channels))
 

@@ -1,12 +1,15 @@
 """Deterministic signal-processing primitives.
 
 Butterworth band-pass design and causal filtering, anti-aliased decimation,
-real Morlet wavelet construction with analytic parameter gradients, and a
-Hann-windowed STFT for diagnostics.
+the cached linear operator that composes window, anti-alias low-pass,
+decimation and band-pass for `data.preprocess`, real Morlet wavelet
+construction with analytic parameter gradients, and a Hann-windowed STFT for
+diagnostics.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +104,59 @@ def trim_and_downsample(trial: np.ndarray, window_ms: tuple[int, int],
     sos = design_antialias(target_hz, fs)
     smoothed = sps.sosfilt(sos, window, axis=-1)
     return smoothed[..., ::factor]
+
+
+def _impulse_response(sos: np.ndarray, n: int) -> np.ndarray:
+    """First n samples of a causal SOS cascade's impulse response."""
+    impulse = np.zeros(n)
+    impulse[0] = 1.0
+    return sps.sosfilt(sos, impulse)
+
+
+def _upper_toeplitz(g: np.ndarray) -> np.ndarray:
+    """Read-only n x n view U with U[q, i] = g[i - q] for i >= q, else 0."""
+    n = len(g)
+    padded = np.concatenate([np.zeros(n - 1), g])
+    # row q of the reversed windows is padded[n - 1 - q:], so U[q, i] = padded[n - 1 - q + i]
+    return np.lib.stride_tricks.sliding_window_view(padded, n)[::-1]
+
+
+@functools.lru_cache(maxsize=8)
+def preprocess_operator(fs: int, n_timepoints: int, window_ms: tuple, target_hz: int,
+                        band: tuple, order: int) -> tuple[int, int, np.ndarray]:
+    """`trim_and_downsample` then `filter_forward` with the band-pass, as one matrix.
+
+    Every stage (the time window, the anti-alias low-pass, decimation by
+    f = fs / target_hz and the order-`order` Butterworth band-pass) is linear
+    and causal with zero initial state, so a channel row x of a trial with
+    `n_timepoints` samples at `fs` maps to x[start:stop] @ P. The rows of P
+    are the samples that reach an output, [start, start + (T_out - 1) f + 1).
+
+    P is built from one impulse response per filter in polyphase form:
+    P[q f - r, i] = g_r[i - q] with g_r = h_aa[r::f] * h_bp (convolution).
+    Calls with the same key share one read-only P. Raises what the two
+    functions raise for the same settings, designs first.
+    """
+    cascade = design_bandpass(band[0], band[1], order, target_hz)
+    start, end = (int(round(ms * fs / 1000)) for ms in window_ms)
+    if not (0 <= start < end <= n_timepoints):
+        raise NumericalError(
+            f"window {window_ms} ms exceeds trial length {n_timepoints} samples")
+    if fs % target_hz != 0:
+        raise NumericalError(f"{fs} Hz not divisible by target {target_hz} Hz")
+    factor = fs // target_hz
+    n_out = -(-(end - start) // factor)
+    # factor 1 has no anti-alias stage: its impulse response is a unit impulse
+    h_aa = (_impulse_response(design_antialias(target_hz, fs), n_out * factor)
+            if factor > 1 else np.eye(1, n_out)[0])
+    h_bp = _impulse_response(cascade.sections, n_out)
+    op = np.zeros(((n_out - 1) * factor + 1, n_out))
+    for r in range(factor):
+        toeplitz = _upper_toeplitz(np.convolve(h_aa[r::factor], h_bp)[:n_out])
+        # rows q f - r for q >= 1, and q = 0 too when r = 0
+        op[(factor - r) % factor::factor] = toeplitz[1 if r else 0:]
+    op.setflags(write=False)
+    return start, start + len(op), op
 
 
 @dataclass

@@ -72,6 +72,16 @@ class ModelConfig:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
         if tuple(self.dense_dims)[-1] != 4:
             raise ConfigError("dense network must end in 4 outputs")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ConfigError(f"sample_rate_hz must be finite and > 0, "
+                              f"got {self.sample_rate_hz}")
+        # a zero learning rate freezes its parameter group
+        for name in ("lr_main", "lr_wavelet", "l1", "l2"):
+            v = getattr(self, name)
+            if not 0 <= v < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_text(self) -> str:
         """One `name=value` line per field, sorted by name: the config header

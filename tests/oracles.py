@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 
+from ccspnet import dsp
+
 
 def central_difference(fn, x, eps=1e-6):
     """Gradient of scalar fn at array x by central differences."""
@@ -187,3 +189,18 @@ def batch_norm_reference(x, gamma, beta, running_mean, running_var, g,
         dx = ghat * istd_b
     return (out, running_mean, running_var, dx,
             (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes))
+
+
+def preprocess_sosfilt(raw, window_ms=(1000, 3500), target_hz=100,
+                       band=(8.0, 30.0), order=5):
+    """`data.preprocess` stage by stage: per trial, trim and anti-aliased
+    decimation (`dsp.trim_and_downsample`), then the band-pass by `sosfilt`
+    (`dsp.filter_forward`). Returns the N x C x T_out array."""
+    fs_in = int(raw.sample_rate_hz)
+    cascade = dsp.design_bandpass(band[0], band[1], order, target_hz)
+    out = []
+    for trial in raw.trials:
+        low = dsp.trim_and_downsample(np.asarray(trial, dtype=np.float64),
+                                      window_ms, target_hz, fs=fs_in)
+        out.append(dsp.filter_forward(cascade, low))
+    return np.stack(out)

@@ -48,7 +48,7 @@ class TestSynth:
         assert file_hashes(a) == file_hashes(b)
 
     @pytest.mark.parametrize("flag, value", [("--erd", "-1"), ("--subjects", "0"),
-                                             ("--trials", "0")])
+                                             ("--trials", "0"), ("--seed", "-1")])
     def test_invalid_argument_is_data_error(self, tmp_path, capsys, flag, value):
         argv = synth_args(tmp_path / "out")
         argv[argv.index(flag) + 1] = value
@@ -183,6 +183,13 @@ class TestConfigFile:
                    "--out-dir", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_negative_seed_is_config_error(self, dataset_dir, tmp_path, capsys):
+        assert run("train", "--manifest", str(dataset_dir / "manifest.txt"),
+                   "--epochs", "1", "--seed", "-1",
+                   "--out-dir", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be >= 0") and "Traceback" not in err
 
     def test_env_seed_override(self, dataset_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("CCSP_SEED", "77")

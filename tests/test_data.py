@@ -5,9 +5,9 @@ import pytest
 
 from ccspnet import autodiff as ad
 from ccspnet import csp, data, dsp, lda
-from ccspnet.errors import DataError
+from ccspnet.errors import DataError, FilterDesignError, NumericalError
 
-from oracles import sos_magnitude
+from oracles import preprocess_sosfilt, sos_magnitude
 
 
 def small_trialset(rng, n_subjects=2, trials_per_block=2, c=4, t=100, fs=1000.0):
@@ -184,6 +184,15 @@ class TestTrialFileRoundTrip:
         with pytest.raises(DataError, match="subject_002.eegt: subject tag 1"):
             data.load_trials(manifest_path)
 
+    @pytest.mark.parametrize("rate", ["1000.5", "nan", "inf", "0", "-1000"])
+    def test_bad_manifest_rate_names_manifest(self, tmp_path, rate):
+        ts = small_trialset(np.random.default_rng(0))
+        path = data.save_dataset(tmp_path, ts)
+        path.write_text(path.read_text().replace("sample_rate_hz: 1000",
+                                                 f"sample_rate_hz: {rate}"))
+        with pytest.raises(DataError, match="manifest.txt: sample_rate_hz"):
+            data.load_manifest(path)
+
     def test_old_openbmi_flag_still_loads(self, tmp_path):
         ts = small_trialset(np.random.default_rng(8))
         manifest_path = data.save_dataset(tmp_path, ts)
@@ -234,6 +243,98 @@ class TestPreprocess:
         rms_again = np.sqrt(np.mean(again[..., 100:] ** 2))
         assert abs(rms_again - rms_once) / rms_once < 0.01
         assert abs(sos_magnitude(cascade.sections, 15, 100)[0] - 1.0) < 0.01
+
+
+def raw_trials(rng, n=3, c=5, t=4000, fs=1000.0, offset=0.0, dtype=np.float32):
+    x = (offset + rng.normal(size=(n, c, t))).astype(dtype)
+    ones = np.ones(n, dtype=np.uint8)
+    return data.TrialSet(x, np.arange(n, dtype=np.uint8) % 2, np.ones(n, dtype=int),
+                         ones, 0 * ones, fs)
+
+
+class TestPreprocessOperator:
+    """`preprocess` as one cached matrix against the stage-by-stage sosfilt path."""
+
+    @pytest.mark.parametrize("fs, t, offset, dtype", [
+        (1000.0, 4000, 0.0, np.float32),    # 1 kHz -> 100 Hz
+        (200.0, 700, 0.0, np.float32),      # factor 2, as paper-train
+        (100.0, 400, 0.0, np.float32),      # factor 1: no anti-alias stage
+        (1000.0, 4000, 1e3, np.float64),    # large offset against the spread
+        (200.0, 700, 0.0, np.float64),
+    ])
+    def test_matches_sosfilt_path(self, fs, t, offset, dtype):
+        raw = raw_trials(np.random.default_rng(1), t=t, fs=fs, offset=offset, dtype=dtype)
+        out = data.preprocess(raw)
+        expected = preprocess_sosfilt(raw)
+        assert out.trials.shape == expected.shape == (3, 5, 250)
+        scale = np.abs(raw.trials).max()
+        assert np.abs(out.trials - expected).max() <= 1e-10 * scale
+
+    def test_batch_rows_bit_identical_to_single_trials(self):
+        raw = raw_trials(np.random.default_rng(2), n=4)
+        batch = data.preprocess(raw).trials
+        for i in range(len(raw)):
+            one = data.preprocess(raw.select(np.array([i]))).trials[0]
+            assert np.array_equal(one, batch[i])
+
+    def test_nan_in_used_sample_names_trial_and_sample(self):
+        raw = raw_trials(np.random.default_rng(3))
+        raw.trials[1, 2, 1500] = np.nan
+        with pytest.raises(NumericalError, match="trial 1: .*channel 2, sample 1500"):
+            data.preprocess(raw)
+
+    @pytest.mark.parametrize("sample", [3495, 3999, 10])
+    def test_nan_in_unused_sample_matches_oracle(self, sample):
+        # 3495 is inside the window but after the last sample that reaches an
+        # output; 3999 and 10 are outside the window
+        raw = raw_trials(np.random.default_rng(4))
+        raw.trials[0, 1, sample] = np.nan
+        out = data.preprocess(raw).trials
+        assert np.isfinite(out).all()
+        assert np.abs(out - preprocess_sosfilt(raw)).max() <= 1e-10 * np.nanmax(
+            np.abs(raw.trials))
+
+    @pytest.mark.parametrize("kwargs", [dict(band=(8.0, 60.0)), dict(band=(30.0, 8.0)),
+                                        dict(order=0)])
+    def test_bad_band_is_filter_design_error(self, kwargs):
+        with pytest.raises(FilterDesignError):
+            data.preprocess(raw_trials(np.random.default_rng(5)), **kwargs)
+
+    @pytest.mark.parametrize("fs, t, kwargs, message", [
+        (1000.0, 3000, {}, "exceeds trial length"),
+        (1000.0, 4000, dict(window_ms=(3000, 1000)), "exceeds trial length"),
+        (250.0, 1000, {}, "not divisible"),
+    ])
+    def test_bad_window_or_rate_is_numerical_error(self, fs, t, kwargs, message):
+        raw = raw_trials(np.random.default_rng(6), t=t, fs=fs)
+        with pytest.raises(NumericalError, match=message):
+            data.preprocess(raw, **kwargs)
+
+    def test_no_channels_is_numerical_error(self):
+        with pytest.raises(NumericalError, match="empty input"):
+            data.preprocess(raw_trials(np.random.default_rng(6), c=0))
+
+    def test_operator_is_read_only_and_built_once_per_key(self):
+        raw = raw_trials(np.random.default_rng(7))
+        dsp.preprocess_operator.cache_clear()
+        data.preprocess(raw)
+        data.preprocess(raw.select(np.array([0])))
+        info = dsp.preprocess_operator.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        start, stop, op = dsp.preprocess_operator(1000, 4000, (1000, 3500), 100,
+                                                  (8.0, 30.0), 5)
+        assert (start, stop, op.shape) == (1000, 3491, (2491, 250))
+        assert not op.flags.writeable
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
+        data.preprocess(raw, band=(9.0, 29.0))
+        assert dsp.preprocess_operator.cache_info().misses == 2
+
+    @pytest.mark.parametrize("rate", [1000.5, np.nan, np.inf])
+    def test_non_integral_rate_is_data_error(self, rate):
+        raw = raw_trials(np.random.default_rng(8), fs=rate)
+        with pytest.raises(DataError, match="whole number"):
+            data.preprocess(raw)
 
 
 class TestSynthesize:
@@ -291,7 +392,8 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("overrides, message", [
         (dict(erd=-1.0), "ERD"), (dict(erd=np.nan), "ERD"), (dict(snr=np.nan), "SNR"),
-        (dict(n_subjects=0), "subject"), (dict(trials_per_class=0), "trial")])
+        (dict(n_subjects=0), "subject"), (dict(trials_per_class=0), "trial"),
+        (dict(seed=-1), "seed")])
     def test_invalid_settings_rejected(self, overrides, message):
         with pytest.raises(DataError, match=message):
             data.synthesize(data.SynthConfig(**overrides))

@@ -187,6 +187,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=name):
             model.ModelConfig(**overrides).validate()
 
+    # a zero learning rate is allowed: it freezes the group
+    # (test_zero_learning_rates_freeze_parameters)
+    @pytest.mark.parametrize("name, values", [
+        ("sample_rate_hz", (0.0, -100.0, np.nan, np.inf)),
+        ("lr_main", (-0.01, np.nan, np.inf)),
+        ("lr_wavelet", (-0.001, np.nan, np.inf)),
+        ("l1", (-0.01, np.nan, np.inf)),
+        ("l2", (-0.1, np.nan, np.inf)),
+        ("seed", (-1,)),
+    ])
+    def test_out_of_range_value_rejected(self, name, values):
+        for value in values:
+            with pytest.raises(ConfigError, match=f"{name} must be"):
+                model.ModelConfig(**{name: value}).validate()
+
+    def test_range_edges_accepted(self):
+        model.ModelConfig(lr_main=0.0, lr_wavelet=0.0, l1=0.0, l2=0.0, seed=0,
+                          sample_rate_hz=1e-3).validate()
+
 
 class TestTrainStep:
     def test_zero_learning_rates_freeze_parameters(self):
@@ -556,7 +575,11 @@ class TestSerialization:
 
     @pytest.mark.parametrize("old, new", [("epochs=2\n", "epochs=x\n"),
                                           ("ablate=\n", "ablate=q\n"),
-                                          ("temporal_len=16\n", "temporal_len=0\n")])
+                                          ("temporal_len=16\n", "temporal_len=0\n"),
+                                          ("sample_rate_hz=100.0\n", "sample_rate_hz=0.0\n"),
+                                          ("lr_main=0.01\n", "lr_main=-1.0\n"),
+                                          ("l2=0.1\n", "l2=nan\n"),
+                                          ("seed=0\n", "seed=-1\n")])
     def test_bad_config_text_is_a_data_error(self, tmp_path, old, new):
         net, _ = self.trained(tmp_path)
         path = net.save(tmp_path / "m.ccsp")
