@@ -1,7 +1,7 @@
 """EEG motor-imagery decoding with trainable spectral filters, CSP, and LDA.
 
 Modules:
-    dsp       Butterworth band-pass, downsampling, Morlet kernels, STFT.
+    dsp       Filter design, the preprocessing operator, Morlet kernels, STFT.
     autodiff  Reverse-mode graph, layer primitives, Adam.
     csp       Common spatial patterns and the differentiable feedback loss.
     lda       Two-class LDA and the Fisher criterion.
@@ -12,6 +12,7 @@ Modules:
     fixtures  Published per-subject and per-method benchmark numbers.
     plots     STFT and CSP-scatter plot data (CSV + SVG).
     cli       Command-line front end (`ccspnet`).
+    errors    Error classes and the exit codes the CLI maps them to.
 """
 
 from .model import ABLATIONS, CCSPNet, ModelConfig

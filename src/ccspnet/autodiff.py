@@ -16,7 +16,6 @@ __all__ = [
     "Node",
     "Parameter",
     "constant",
-    "add",
     "scale",
     "conv_same_temporal",
     "expand_maps",
@@ -110,17 +109,6 @@ def constant(value):
 def _maybe_backward(parent, g):
     if parent.requires_grad:
         parent._accumulate(g)
-
-
-def add(a: Node, b: Node) -> Node:
-    if a.shape != b.shape:
-        raise NumericalError(f"add shape mismatch: {a.shape} vs {b.shape}")
-
-    def backward(g):
-        _maybe_backward(a, g)
-        _maybe_backward(b, g)
-
-    return Node(a.value + b.value, (a, b), backward)
 
 
 def scale(a: Node, s: float) -> Node:
@@ -361,15 +349,6 @@ def binary_cross_entropy(probs: Node, targets: np.ndarray) -> Node:
             probs._accumulate(g * dp * inside)
 
     return Node(loss.sum(), (probs,), backward)
-
-
-def mean_of(x: Node) -> Node:
-    n = x.value.size
-
-    def backward(g):
-        _maybe_backward(x, np.full_like(x.value, g / n))
-
-    return Node(x.value.mean(), (x,), backward)
 
 
 class Adam:

@@ -1,10 +1,9 @@
 """Deterministic signal-processing primitives.
 
-Butterworth band-pass design and causal filtering, anti-aliased decimation,
-the cached linear operator that composes window, anti-alias low-pass,
-decimation and band-pass for `data.preprocess`, real Morlet wavelet
-construction with analytic parameter gradients, and a Hann-windowed STFT for
-diagnostics.
+Butterworth band-pass and anti-alias low-pass design (scipy SOS arrays), the
+cached linear operator that composes window, anti-alias low-pass, decimation
+and band-pass for `data.preprocess`, real Morlet wavelet construction with
+analytic parameter gradients, and a Hann-windowed STFT for diagnostics.
 """
 
 from __future__ import annotations
@@ -22,28 +21,9 @@ WAVELET_FREQ_MAX = 30.0
 WAVELET_WIDTH_MIN = 1e-3
 
 
-@dataclass(frozen=True)
-class BiquadCascade:
-    """Cascade of second-order IIR sections (scipy SOS layout, a0 = 1)."""
-
-    sections: np.ndarray          # n_sections x 6: b0 b1 b2 1 a1 a2
-    design_band: tuple[float, float]
-    order: int
-    sample_rate_hz: float
-
-    def response(self, freq_hz) -> np.ndarray:
-        """Cascade magnitude response |H| evaluated on the unit circle."""
-        freq_hz = np.atleast_1d(np.asarray(freq_hz, dtype=np.float64))
-        z = np.exp(-1j * 2 * np.pi * freq_hz / self.sample_rate_hz)
-        h = np.ones_like(z)
-        for b0, b1, b2, _, a1, a2 in self.sections:
-            h *= (b0 + b1 * z + b2 * z ** 2) / (1 + a1 * z + a2 * z ** 2)
-        return np.abs(h)
-
-
 def design_bandpass(low_hz: float, high_hz: float, order: int,
-                    fs: float) -> BiquadCascade:
-    """Butterworth band-pass via analog prototype + bilinear transform."""
+                    fs: float) -> np.ndarray:
+    """Butterworth band-pass as an n x 6 SOS array (b0 b1 b2 1 a1 a2 per row)."""
     nyquist = fs / 2.0
     if not (0 < low_hz < high_hz < nyquist):
         raise FilterDesignError(
@@ -51,23 +31,10 @@ def design_bandpass(low_hz: float, high_hz: float, order: int,
     if order < 1:
         raise FilterDesignError("filter order must be >= 1")
     sos = sps.butter(order, [low_hz, high_hz], btype="bandpass", fs=fs, output="sos")
-    cascade = BiquadCascade(sos, (low_hz, high_hz), order, fs)
     poles = np.array([np.roots([1.0, a1, a2]) for _, _, _, _, a1, a2 in sos])
     if np.any(np.abs(poles) >= 1.0):
         raise FilterDesignError("unstable section in the designed cascade")
-    return cascade
-
-
-def filter_forward(cascade: BiquadCascade, x: np.ndarray) -> np.ndarray:
-    """Causal single-pass direct-form-II-transposed filtering along the last axis."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        raise NumericalError("empty input signal")
-    finite = np.isfinite(x)
-    if not finite.all():
-        idx = np.argwhere(~finite)[0]
-        raise NumericalError(f"non-finite sample at index {tuple(idx)}")
-    return sps.sosfilt(cascade.sections, x, axis=-1)
+    return sos
 
 
 def design_antialias(target_hz: float, fs: float, order: int = 12) -> np.ndarray:
@@ -80,30 +47,6 @@ def design_antialias(target_hz: float, fs: float, order: int = 12) -> np.ndarray
     if cutoff >= fs / 2:
         raise FilterDesignError("anti-alias cutoff at or beyond Nyquist")
     return sps.butter(order, cutoff, btype="lowpass", fs=fs, output="sos")
-
-
-def trim_and_downsample(trial: np.ndarray, window_ms: tuple[int, int],
-                        target_hz: int, fs: int = 1000) -> np.ndarray:
-    """Extract a time window then decimate with an anti-alias low-pass.
-
-    trial is C x T at `fs`; output is C x (window_samples * target_hz / fs).
-    """
-    trial = np.asarray(trial, dtype=np.float64)
-    start_ms, end_ms = window_ms
-    start = int(round(start_ms * fs / 1000))
-    end = int(round(end_ms * fs / 1000))
-    if not (0 <= start < end <= trial.shape[-1]):
-        raise NumericalError(
-            f"window {window_ms} ms exceeds trial length {trial.shape[-1]} samples")
-    if fs % target_hz != 0:
-        raise NumericalError(f"{fs} Hz not divisible by target {target_hz} Hz")
-    window = trial[..., start:end]
-    factor = fs // target_hz
-    if factor == 1:
-        return window.copy()
-    sos = design_antialias(target_hz, fs)
-    smoothed = sps.sosfilt(sos, window, axis=-1)
-    return smoothed[..., ::factor]
 
 
 def _impulse_response(sos: np.ndarray, n: int) -> np.ndarray:
@@ -124,20 +67,22 @@ def _upper_toeplitz(g: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def preprocess_operator(fs: int, n_timepoints: int, window_ms: tuple, target_hz: int,
                         band: tuple, order: int) -> tuple[int, int, np.ndarray]:
-    """`trim_and_downsample` then `filter_forward` with the band-pass, as one matrix.
+    """Time window, anti-alias low-pass, decimation and band-pass as one matrix.
 
     Every stage (the time window, the anti-alias low-pass, decimation by
     f = fs / target_hz and the order-`order` Butterworth band-pass) is linear
     and causal with zero initial state, so a channel row x of a trial with
-    `n_timepoints` samples at `fs` maps to x[start:stop] @ P. The rows of P
-    are the samples that reach an output, [start, start + (T_out - 1) f + 1).
+    `n_timepoints` samples at `fs` maps to x[start:stop] @ P, which equals
+    filtering the window stage by stage with `sosfilt`. The rows of P are
+    the samples that reach an output, [start, start + (T_out - 1) f + 1).
 
     P is built from one impulse response per filter in polyphase form:
     P[q f - r, i] = g_r[i - q] with g_r = h_aa[r::f] * h_bp (convolution).
-    Calls with the same key share one read-only P. Raises what the two
-    functions raise for the same settings, designs first.
+    Calls with the same key share one read-only P. A bad band or order is a
+    `FilterDesignError`; a window outside the trial or a rate that is not a
+    multiple of `target_hz` is a `NumericalError`.
     """
-    cascade = design_bandpass(band[0], band[1], order, target_hz)
+    band_sos = design_bandpass(band[0], band[1], order, target_hz)
     start, end = (int(round(ms * fs / 1000)) for ms in window_ms)
     if not (0 <= start < end <= n_timepoints):
         raise NumericalError(
@@ -149,7 +94,7 @@ def preprocess_operator(fs: int, n_timepoints: int, window_ms: tuple, target_hz:
     # factor 1 has no anti-alias stage: its impulse response is a unit impulse
     h_aa = (_impulse_response(design_antialias(target_hz, fs), n_out * factor)
             if factor > 1 else np.eye(1, n_out)[0])
-    h_bp = _impulse_response(cascade.sections, n_out)
+    h_bp = _impulse_response(band_sos, n_out)
     op = np.zeros(((n_out - 1) * factor + 1, n_out))
     for r in range(factor):
         toeplitz = _upper_toeplitz(np.convolve(h_aa[r::factor], h_bp)[:n_out])

@@ -44,11 +44,3 @@ SI_METHOD_SUMMARIES = {
     "Kwon et al.": (74.15, 15.83, N_SUBJECTS),
     "CCSPNet": (74.28, 16.12, N_SUBJECTS),
 }
-
-# published SD means after removing one component at a time
-ABLATION_SD_MEANS = {
-    "wkcnn": 72.61,
-    "tcnn": 70.78,
-    "frn": 69.98,
-    "lda": 68.91,
-}

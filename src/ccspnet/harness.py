@@ -62,12 +62,16 @@ def fold_seed(global_seed: int, subject_id: int) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
+def _shaped(config: ModelConfig, trials: data.TrialSet) -> ModelConfig:
+    """`config` with its shape fields set from `trials`."""
+    return replace(config, n_channels=trials.n_channels, n_timepoints=trials.n_timepoints,
+                   sample_rate_hz=float(trials.sample_rate_hz))
+
+
 def _run_fold(train: data.TrialSet, test: data.TrialSet, config: ModelConfig):
     """Train and finalize a model on `train` under `config`, whose shape
     fields are set from the data; returns (test accuracy in percent, model)."""
-    net = CCSPNet(replace(config, n_channels=int(train.trials.shape[1]),
-                          n_timepoints=int(train.trials.shape[2]),
-                          sample_rate_hz=float(train.sample_rate_hz)))
+    net = CCSPNet(_shaped(config, train))
     net.train(train.trials, train.labels)
     net.finalize(train.trials, train.labels)
     accuracy = 100.0 * float((net.predict(test.trials) == test.labels).mean())
@@ -121,7 +125,7 @@ def _run_folds(dataset, folds, config, approach, jobs):
     """folds: list of (subject_id, train indices, test indices) into
     `dataset`; a fold's sets are made only when the fold runs."""
     start = time.monotonic()
-    config.validate()
+    _shaped(config, dataset).validate()
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     threads = min(jobs, len(folds))
@@ -162,27 +166,6 @@ def run_loso(dataset: data.TrialSet, config: ModelConfig, phase,
     code = data.phase_code(phase)
     folds = [(sid, *data.loso_fold(dataset, sid, code)) for sid in dataset.subjects()]
     return _run_folds(dataset, folds, config, f"SI-{data.PHASE_NAMES[code]}", jobs)
-
-
-def run_subject_sweep(config: ModelConfig, synth_config: data.SynthConfig,
-                      subject_counts) -> list[tuple[int, float]]:
-    """Accuracy of one held-out synthetic subject vs training-pool size."""
-    subject_counts = sorted(set(int(n) for n in subject_counts))
-    if not subject_counts or subject_counts[0] < 1:
-        raise ConfigError("subject counts must be given and >= 1")
-    total = subject_counts[-1] + 1
-    synth = replace(synth_config, n_subjects=total)
-    full = data.preprocess(data.synthesize(synth))
-    held_out = int(full.subjects()[-1])
-    train, test = data.loso_fold(full, held_out, data.PHASE_OFFLINE)
-    test = full.select(test)
-    points = []
-    for n in subject_counts:
-        pool = train[np.isin(full.subject_ids[train], full.subjects()[:n])]
-        acc, _ = _run_fold(full.select(pool), test, replace(
-            config, seed=fold_seed(config.seed, held_out * 1000 + n)))
-        points.append((n, acc))
-    return points
 
 
 CSV_FIELDS = ("subject_id", "approach", "ablation", "accuracy", "seed")

@@ -56,6 +56,10 @@ class ModelConfig:
         for name in ("n_wavelet_kernels", "wavelet_len", "temporal_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("wavelet_len", "temporal_len"):
+            if getattr(self, name) > self.n_timepoints:
+                raise ConfigError(f"{name} {getattr(self, name)} is longer than the "
+                                  f"{self.n_timepoints} time points of a trial")
         if min(self.dense_dims, default=0) < 1:
             raise ConfigError(f"dense_dims entries must be at least 1, got {self.dense_dims}")
         if self.n_wavelet_kernels != self.n_temporal_kernels:
@@ -225,10 +229,6 @@ class CCSPNet:
                 self.dense.append((w, b, bn))
                 d_in = d_out
         self.classifier = "softmax" if cfg.ablate == "lda" else "lda"
-
-    @property
-    def dense_w(self):
-        return [w for w, _, _ in self.dense]
 
     def _build_optimizer(self):
         cfg = self.config
@@ -494,7 +494,8 @@ class CCSPNet:
 
     def _restore(self, arrays, finalized, path):
         """Copy a file's arrays into this fresh model, walking `_state_arrays`;
-        a finalized file first gets zero frozen state of the config's shapes."""
+        a finalized file first gets zero frozen state of the config's shapes.
+        Every array must be finite, and a running variance non-negative."""
         if finalized:
             c = self.config.n_channels
             self.frozen_branches = [
@@ -511,6 +512,10 @@ class CCSPNet:
             if arr.shape != shape:
                 raise DataError(f"{path}: shape mismatch for {name!r}: "
                                 f"{arr.shape} vs {shape}")
+            if not np.isfinite(arr).all():
+                raise DataError(f"{path}: {name} holds a non-finite value")
+            if name.endswith(".running_var") and (arr < 0).any():
+                raise DataError(f"{path}: {name} holds a negative variance")
             return arr
 
         for name, live in self._state_arrays():

@@ -8,8 +8,29 @@ They must not call the code paths they are checking.
 import itertools
 
 import numpy as np
+from scipy import signal as sps
 
+from ccspnet import autodiff as ad
 from ccspnet import dsp
+
+
+def add_nodes(a, b):
+    """a + b as a graph node; the upstream gradient goes to both parents as is."""
+    def backward(g):
+        for parent in (a, b):
+            if parent.requires_grad:
+                parent._accumulate(g)
+
+    return ad.Node(a.value + b.value, (a, b), backward)
+
+
+def mean_of(x):
+    """Mean of every element of a node, as a scalar graph node."""
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(np.full_like(x.value, g / x.value.size))
+
+    return ad.Node(x.value.mean(), (x,), backward)
 
 
 def central_difference(fn, x, eps=1e-6):
@@ -193,14 +214,14 @@ def batch_norm_reference(x, gamma, beta, running_mean, running_var, g,
 
 def preprocess_sosfilt(raw, window_ms=(1000, 3500), target_hz=100,
                        band=(8.0, 30.0), order=5):
-    """`data.preprocess` stage by stage: per trial, trim and anti-aliased
-    decimation (`dsp.trim_and_downsample`), then the band-pass by `sosfilt`
-    (`dsp.filter_forward`). Returns the N x C x T_out array."""
+    """`data.preprocess` stage by stage with `sosfilt`: trim to the window,
+    anti-alias low-pass and keep every f-th sample (f = input rate / target
+    rate, no low-pass when f = 1), then the causal band-pass. Returns the
+    N x C x T_out array."""
     fs_in = int(raw.sample_rate_hz)
-    cascade = dsp.design_bandpass(band[0], band[1], order, target_hz)
-    out = []
-    for trial in raw.trials:
-        low = dsp.trim_and_downsample(np.asarray(trial, dtype=np.float64),
-                                      window_ms, target_hz, fs=fs_in)
-        out.append(dsp.filter_forward(cascade, low))
-    return np.stack(out)
+    start, end = (int(round(ms * fs_in / 1000)) for ms in window_ms)
+    low = np.asarray(raw.trials, dtype=np.float64)[..., start:end]
+    factor = fs_in // target_hz
+    if factor > 1:
+        low = sps.sosfilt(dsp.design_antialias(target_hz, fs_in), low, axis=-1)[..., ::factor]
+    return sps.sosfilt(dsp.design_bandpass(band[0], band[1], order, target_hz), low, axis=-1)

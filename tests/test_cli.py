@@ -184,6 +184,17 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_kernel_longer_than_the_data_is_config_error(self, dataset_dir, tmp_path,
+                                                         capsys):
+        # the config's n_timepoints passes; the preprocessed trials have 250
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_timepoints: 400\ntemporal_len: 300\n")
+        assert run("train", "--config", str(cfg), "--epochs", "1",
+                   "--manifest", str(dataset_dir / "manifest.txt"),
+                   "--out-dir", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: temporal_len 300 is longer") and "Traceback" not in err
+
     def test_negative_seed_is_config_error(self, dataset_dir, tmp_path, capsys):
         assert run("train", "--manifest", str(dataset_dir / "manifest.txt"),
                    "--epochs", "1", "--seed", "-1",

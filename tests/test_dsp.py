@@ -2,118 +2,132 @@ import numpy as np
 import pytest
 from scipy import signal as sps
 
-from ccspnet import dsp
+from ccspnet import data, dsp
 from ccspnet.errors import FilterDesignError, NumericalError
 
 from oracles import sos_magnitude, energy_by_quadrature, central_difference, rel_err
 
 
+def preprocess_rows(rows, fs, window_ms, target_hz=100):
+    """`data.preprocess` of one trial whose channel rows are `rows` (at fs Hz)."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    one = np.ones(1, dtype=np.uint8)
+    raw = data.TrialSet(rows[None], one - 1, one, one, one - 1, float(fs))
+    return data.preprocess(raw, window_ms=window_ms, target_hz=target_hz).trials[0]
+
+
+def band_pass(x):
+    """The 8-30 Hz band-pass alone: a 100 Hz signal preprocessed over its full
+    length, where decimation by 1 has no anti-alias stage."""
+    x = np.asarray(x, dtype=np.float64)
+    return preprocess_rows(x, 100, (0, 10 * x.shape[-1])).reshape(x.shape)
+
+
 class TestDesignBandpass:
     def test_passband_center_near_unity(self):
-        cascade = dsp.design_bandpass(8, 30, 5, 100)
+        sos = dsp.design_bandpass(8, 30, 5, 100)
         center = np.sqrt(8 * 30)
-        mag = cascade.response(center)[0]
+        mag = sos_magnitude(sos, center, 100)[0]
         assert 0.99 <= mag <= 1.0
 
     def test_band_edges_at_minus_3db(self):
-        cascade = dsp.design_bandpass(8, 30, 5, 100)
+        sos = dsp.design_bandpass(8, 30, 5, 100)
         for edge in (8, 30):
-            assert abs(cascade.response(edge)[0] - 1 / np.sqrt(2)) < 0.05
+            assert abs(sos_magnitude(sos, edge, 100)[0] - 1 / np.sqrt(2)) < 0.05
 
     def test_stopband_one_octave_below(self):
-        cascade = dsp.design_bandpass(8, 30, 5, 100)
+        sos = dsp.design_bandpass(8, 30, 5, 100)
         # oracle: independent polynomial evaluation of the cascade on the unit circle
-        assert sos_magnitude(cascade.sections, 4.0, 100)[0] < 0.03
-        assert cascade.response(4.0)[0] < 0.03
+        assert sos_magnitude(sos, 4.0, 100)[0] < 0.03
 
     def test_all_sections_stable(self):
-        cascade = dsp.design_bandpass(8, 30, 5, 100)
-        for _, _, _, _, a1, a2 in cascade.sections:
+        sos = dsp.design_bandpass(8, 30, 5, 100)
+        assert sos.shape == (5, 6)
+        for _, _, _, _, a1, a2 in sos:
             assert np.all(np.abs(np.roots([1.0, a1, a2])) < 1.0)
 
     def test_deterministic(self):
         a = dsp.design_bandpass(8, 30, 5, 100)
         b = dsp.design_bandpass(8, 30, 5, 100)
-        assert np.array_equal(a.sections, b.sections)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("low,high", [(8, 50), (0, 30), (30, 8), (8, 60)])
     def test_invalid_band_edges(self, low, high):
         with pytest.raises(FilterDesignError):
             dsp.design_bandpass(low, high, 5, 100)
 
-    def test_response_matches_scipy(self):
-        cascade = dsp.design_bandpass(8, 30, 5, 100)
+    def test_oracle_magnitude_matches_scipy(self):
+        sos = dsp.design_bandpass(8, 30, 5, 100)
         freqs = np.linspace(0.5, 49.5, 200)
-        _, h = sps.sosfreqz(cascade.sections, worN=2 * np.pi * freqs / 100)
-        assert np.allclose(cascade.response(freqs), np.abs(h), atol=1e-10)
+        _, h = sps.sosfreqz(sos, worN=2 * np.pi * freqs / 100)
+        assert np.allclose(sos_magnitude(sos, freqs, 100), np.abs(h), atol=1e-10)
 
 
-class TestFilterForward:
+class TestPreprocessBandPass:
+    """The band-pass stage of `data.preprocess`, seen at decimation factor 1."""
+
     def test_zeros_stay_zeros(self):
-        cascade = dsp.design_bandpass(8, 30, 5, 100)
-        out = dsp.filter_forward(cascade, np.zeros(250))
+        out = band_pass(np.zeros(250))
         assert np.array_equal(out, np.zeros(250))
 
     def test_dc_rejected(self):
-        cascade = dsp.design_bandpass(8, 30, 5, 100)
-        out = dsp.filter_forward(cascade, np.ones(600))
+        out = band_pass(np.ones(600))
         assert np.all(np.abs(out[200:]) < 1e-3)
 
     def test_impulse_energy_matches_quadrature(self):
-        cascade = dsp.design_bandpass(8, 30, 5, 100)
-        impulse = np.zeros(8192)
+        impulse = np.zeros(1024)
         impulse[0] = 1.0
-        response = dsp.filter_forward(cascade, impulse)
+        response = band_pass(impulse)
         energy = float(np.sum(response ** 2))
-        oracle = energy_by_quadrature(cascade.sections, 100)
+        oracle = energy_by_quadrature(dsp.design_bandpass(8, 30, 5, 100), 100)
         assert abs(energy - oracle) < 1e-3
 
     def test_sinusoid_steady_state_amplitude(self):
-        cascade = dsp.design_bandpass(8, 30, 5, 100)
         t = np.arange(1000) / 100
-        out = dsp.filter_forward(cascade, np.sin(2 * np.pi * 15 * t))
+        out = band_pass(np.sin(2 * np.pi * 15 * t))
         steady = np.max(np.abs(out[600:]))
-        expected = cascade.response(15.0)[0]
+        expected = sos_magnitude(dsp.design_bandpass(8, 30, 5, 100), 15.0, 100)[0]
         assert abs(steady - expected) / expected < 0.02
 
     def test_linearity(self):
         rng = np.random.default_rng(0)
-        cascade = dsp.design_bandpass(8, 30, 5, 100)
         x, y = rng.normal(size=300), rng.normal(size=300)
-        lhs = dsp.filter_forward(cascade, 2.5 * x - 1.25 * y)
-        rhs = 2.5 * dsp.filter_forward(cascade, x) - 1.25 * dsp.filter_forward(cascade, y)
+        lhs = band_pass(2.5 * x - 1.25 * y)
+        rhs = 2.5 * band_pass(x) - 1.25 * band_pass(y)
         assert np.allclose(lhs, rhs, atol=1e-10)
 
     def test_nonfinite_sample_reports_index(self):
-        cascade = dsp.design_bandpass(8, 30, 5, 100)
         x = np.zeros(100)
         x[37] = np.nan
-        with pytest.raises(NumericalError, match="37"):
-            dsp.filter_forward(cascade, x)
+        with pytest.raises(NumericalError, match="sample 37"):
+            band_pass(x)
 
-    def test_empty_input_rejected(self):
-        cascade = dsp.design_bandpass(8, 30, 5, 100)
+    @pytest.mark.parametrize("shape", [(0, 250), (1, 0)])
+    def test_empty_input_rejected(self, shape):
         with pytest.raises(NumericalError):
-            dsp.filter_forward(cascade, np.array([]))
+            preprocess_rows(np.zeros(shape), 100, (0, 10 * shape[1]))
 
 
-class TestTrimAndDownsample:
+class TestPreprocessDecimation:
+    """Window, anti-alias low-pass and decimation of `data.preprocess` at 1 kHz."""
+
     def test_paper_shape(self):
         trial = np.random.default_rng(1).normal(size=(62, 4000))
-        out = dsp.trim_and_downsample(trial, (1000, 3500), 100)
+        out = preprocess_rows(trial, 1000, (1000, 3500))
         assert out.shape == (62, 250)
 
-    def test_identity_window(self):
-        trial = np.random.default_rng(2).normal(size=(4, 4000))
-        out = dsp.trim_and_downsample(trial, (0, 4000), 1000)
-        assert np.array_equal(out, trial)
+    def test_full_window_at_input_rate_is_band_pass_alone(self):
+        trial = np.random.default_rng(2).normal(size=(4, 1000))
+        out = preprocess_rows(trial, 1000, (0, 1000), target_hz=1000)
+        expected = sps.sosfilt(dsp.design_bandpass(8, 30, 5, 1000), trial, axis=-1)
+        assert np.abs(out - expected).max() < 1e-10
 
     def test_antialias_band_behaviour(self):
         t = np.arange(4000) / 1000
         keep = np.sin(2 * np.pi * 10 * t)
         kill = np.sin(2 * np.pi * 45 * t)
-        out_keep = dsp.trim_and_downsample(keep[None], (0, 4000), 100)[0]
-        out_kill = dsp.trim_and_downsample(kill[None], (0, 4000), 100)[0]
+        out_keep = preprocess_rows(keep, 1000, (0, 4000))[0]
+        out_kill = preprocess_rows(kill, 1000, (0, 4000))[0]
         # oracle: anti-alias filter response at the two tones
         sos = dsp.design_antialias(100, 1000)
         assert abs(np.max(np.abs(out_keep[100:])) - 1.0) < 0.02
@@ -123,12 +137,12 @@ class TestTrimAndDownsample:
     def test_output_length_exact(self):
         trial = np.zeros((3, 4000))
         for target in (100, 200, 500):
-            out = dsp.trim_and_downsample(trial, (500, 3500), target)
+            out = preprocess_rows(trial, 1000, (500, 3500), target_hz=target)
             assert out.shape[-1] == 3000 * target // 1000
 
     def test_window_out_of_range(self):
         with pytest.raises(NumericalError):
-            dsp.trim_and_downsample(np.zeros((2, 1000)), (0, 2000), 100)
+            preprocess_rows(np.zeros((2, 1000)), 1000, (0, 2000))
 
 
 class TestMorlet:

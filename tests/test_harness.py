@@ -241,16 +241,19 @@ class TestRunAblation:
         assert fold_calls == []
 
 
-class TestSubjectSweep:
-    def test_sweep_points(self):
-        synth = data.SynthConfig(trials_per_class=10, n_channels=8, seed=6)
-        points = harness.run_subject_sweep(fast_config(), synth, [1, 2])
-        assert [n for n, _ in points] == [1, 2]
-        assert all(0.0 <= acc <= 100.0 for _, acc in points)
+class TestKernelLength:
+    """Kernel lengths are checked against the data's trial length (250 time
+    points here), not the config's n_timepoints, before any fold runs."""
 
-    def test_no_subject_counts_rejected(self):
-        with pytest.raises(ConfigError):
-            harness.run_subject_sweep(fast_config(), data.SynthConfig(), [])
+    @pytest.mark.parametrize("name", ["wavelet_len", "temporal_len"])
+    def test_kernel_longer_than_the_data_rejected(self, small_dataset, fold_calls, name):
+        with pytest.raises(ConfigError, match=f"{name} 300 is longer than the 250"):
+            harness.run_sd(small_dataset, fast_config(n_timepoints=400, **{name: 300}))
+        assert fold_calls == []
+
+    def test_config_trial_length_is_not_the_data_one(self, small_dataset, fold_calls):
+        harness.run_sd(small_dataset, fast_config(n_timepoints=100, temporal_len=200))
+        assert len(fold_calls) == 3
 
 
 class TestCsvAndSummary:

@@ -11,7 +11,7 @@ from ccspnet import autodiff as ad
 from ccspnet import csp, data, model
 from ccspnet.errors import ConfigError, DataError, ModelStateError
 
-from oracles import rel_err
+from oracles import add_nodes, rel_err
 
 
 def desk_config(**overrides):
@@ -206,6 +206,17 @@ class TestConfigValidation:
         model.ModelConfig(lr_main=0.0, lr_wavelet=0.0, l1=0.0, l2=0.0, seed=0,
                           sample_rate_hz=1e-3).validate()
 
+    def test_wavelet_longer_than_trial_rejected(self):
+        with pytest.raises(ConfigError, match="wavelet_len 65 is longer than the 64"):
+            model.ModelConfig(n_timepoints=64, wavelet_len=65, temporal_len=8).validate()
+
+    def test_temporal_kernel_longer_than_trial_rejected(self):
+        with pytest.raises(ConfigError, match="temporal_len 80 is longer than the 64"):
+            model.ModelConfig(n_timepoints=64, temporal_len=80).validate()
+
+    def test_kernels_as_long_as_the_trial_accepted(self):
+        model.ModelConfig(n_timepoints=64, wavelet_len=64, temporal_len=64).validate()
+
 
 class TestTrainStep:
     def test_zero_learning_rates_freeze_parameters(self):
@@ -222,7 +233,7 @@ class TestTrainStep:
         rng = np.random.default_rng(3)
         trials, labels = desk_batch(rng)
         net.train_step(trials, labels)
-        for w in net.dense_w:
+        for w, _, _ in net.dense:
             assert w.grad is None or np.all(np.asarray(w.grad) == 0.0)
         # the CNN side still receives gradient from the feedback loss
         assert np.any(net.temporal_kernels.grad != 0.0)
@@ -379,7 +390,7 @@ class TestStackedBranches:
         per_branch = None
         for piece, wr in zip(pieces, wrs):
             branch = csp.csp_loss(csp.spatial_filter_features(piece, wr[None]), labels)
-            per_branch = branch if per_branch is None else ad.add(per_branch, branch)
+            per_branch = branch if per_branch is None else add_nodes(per_branch, branch)
         per_branch.backward()
         # hand the branches' map gradients on to the spectral stack
         maps_grad = np.concatenate([p.grad for p in pieces], axis=1)
@@ -635,6 +646,38 @@ class TestSerialization:
                                             for n, a in items])
         with pytest.raises(DataError, match=f"m.ccsp: shape mismatch for '{name}'"):
             model.CCSPNet.load(path)
+
+    @pytest.mark.parametrize("name", ARRAY_KINDS + ["bn_wk.running_var", "adam.v.dense.0.w"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_array_is_a_data_error(self, tmp_path, name, value):
+        net, _ = self.trained(tmp_path)
+        path = net.save(tmp_path / "m.ccsp")
+
+        def poison(a):
+            a = a.copy()
+            a.flat[-1] = value
+            return a
+
+        rewrite_arrays(path, lambda items: [(n, poison(a) if n == name else a)
+                                            for n, a in items])
+        with pytest.raises(DataError, match=f"m.ccsp: {name} holds a non-finite value"):
+            model.CCSPNet.load(path)
+
+    @pytest.mark.parametrize("name", ["bn_wk.running_var", "bn_d.1.running_var"])
+    def test_negative_running_variance_is_a_data_error(self, tmp_path, name):
+        net, _ = self.trained(tmp_path)
+        path = net.save(tmp_path / "m.ccsp")
+        rewrite_arrays(path, lambda items: [(n, -np.ones_like(a) if n == name else a)
+                                            for n, a in items])
+        with pytest.raises(DataError, match=f"m.ccsp: {name} holds a negative variance"):
+            model.CCSPNet.load(path)
+
+    def test_zero_running_variance_loads(self, tmp_path):
+        net, _ = self.trained(tmp_path)
+        path = net.save(tmp_path / "m.ccsp")
+        rewrite_arrays(path, lambda items: [
+            (n, np.zeros_like(a) if n == "bn_d.1.running_var" else a) for n, a in items])
+        assert model.CCSPNet.load(path).config == net.config
 
 
 class TestConfigText:
