@@ -148,8 +148,16 @@ class _Stage(NamedTuple):
 
     name: str                        # key of its maps in forward_spectral's `stages`
     kernels: Callable[[], ad.Node]   # builds the K x len kernel node
+    kernel_params: tuple             # the parameters `kernels` reads
     bias: ad.Parameter | None
     bn: _BnLayer
+
+    def eval_arrays(self) -> list:
+        """Every array the stage reads in eval mode."""
+        params = self.kernel_params + (self.bn.gamma, self.bn.beta) \
+            + ((self.bias,) if self.bias is not None else ())
+        return [p.value for p in params] + [self.bn.state.running_mean,
+                                            self.bn.state.running_var]
 
 
 class CCSPNet:
@@ -163,6 +171,8 @@ class CCSPNet:
         self._params = {}
         self._adam_params = {"wavelet": [], "weight": [], "bias": [], "bn": []}
         self._bn_layers = {}
+        # (key, operator, offset) of the last _eval_operator build
+        self._eval_operator_cache = None
         self._build()
         self.optimizer = self._build_optimizer()
 
@@ -199,7 +209,8 @@ class CCSPNet:
                 ))
             wavelet = self.wavelet
             self.spectral_stages.append(_Stage(
-                "wkcnn", lambda: _wavelet_kernels(wavelet, cfg), None,
+                "wkcnn", lambda: _wavelet_kernels(wavelet, cfg),
+                tuple(p for triple in wavelet for p in triple), None,
                 self._register_bn("bn_wk", k)))
 
         self.temporal_kernels = None
@@ -211,7 +222,8 @@ class CCSPNet:
                 "weight")
             bias = self._register("temporal.bias", np.zeros(k), "bias")
             self.spectral_stages.append(_Stage(
-                "tcnn", lambda: kernels, bias, self._register_bn("bn_tc", k)))
+                "tcnn", lambda: kernels, (kernels,), bias,
+                self._register_bn("bn_tc", k)))
             self.temporal_kernels = kernels
 
         # (weight, bias, batch norm or None) per dense layer
@@ -241,6 +253,17 @@ class CCSPNet:
 
     # forward passes -------------------------------------------------------
 
+    def _checked_batch(self, batch) -> np.ndarray:
+        """`batch` as float64, which must be N x C x T for the model's C and T."""
+        cfg = self.config
+        batch = np.asarray(batch, dtype=np.float64)
+        if batch.ndim != 3 or batch.shape[1] != cfg.n_channels \
+                or batch.shape[2] != cfg.n_timepoints:
+            raise DataError(
+                f"batch shape {batch.shape} does not match model input "
+                f"(N, {cfg.n_channels}, {cfg.n_timepoints})")
+        return batch
+
     def forward_spectral(self, batch: np.ndarray, training: bool,
                          stages: dict | None = None) -> ad.Node:
         """The spectral stages: N x C x T in, node with N x K x C x T out.
@@ -250,12 +273,7 @@ class CCSPNet:
         (N x K x C x T) when present.
         """
         cfg = self.config
-        batch = np.asarray(batch, dtype=np.float64)
-        if batch.ndim != 3 or batch.shape[1] != cfg.n_channels \
-                or batch.shape[2] != cfg.n_timepoints:
-            raise DataError(
-                f"batch shape {batch.shape} does not match model input "
-                f"(N, {cfg.n_channels}, {cfg.n_timepoints})")
+        batch = self._checked_batch(batch)
         if stages is not None:
             stages["raw"] = batch
         x = ad.expand_maps(ad.constant(batch[:, None]), cfg.n_wavelet_kernels)
@@ -379,13 +397,43 @@ class CCSPNet:
         """Eval-mode dense head over the frozen features, the K branches' four
         features side by side."""
         feats = self.frozen_features(spectral).value
-        return self._dense_forward(ad.constant(feats.reshape(len(feats), -1)),
+        width = 4 * self.config.n_wavelet_kernels
+        return self._dense_forward(ad.constant(feats.reshape(len(feats), width)),
                                    training=False)
+
+    def _eval_operator(self) -> tuple[np.ndarray, np.ndarray]:
+        """(M, c), K x T x T and K x T: in eval mode every stage is affine and
+        acts alike on each channel row, so the spectral stack sends row x of
+        map k to x @ M[k] + c[k].
+
+        Built by `forward_spectral` on a zero row and the T unit impulses, and
+        cached on the model under the values of every array the stack reads:
+        a training step, an in-place write or a load makes the next call
+        rebuild it.
+        """
+        key = b"".join(np.ascontiguousarray(a).tobytes()
+                       for stage in self.spectral_stages for a in stage.eval_arrays())
+        if self._eval_operator_cache is None or self._eval_operator_cache[0] != key:
+            cfg = self.config
+            c, t = cfg.n_channels, cfg.n_timepoints
+            # row 0 is zero and row 1 + s the impulse at s, in whole trials of c rows
+            rows = np.zeros((-(-(t + 1) // c) * c, t))
+            rows[1:t + 1] = np.eye(t)
+            maps = self.forward_spectral(rows.reshape(-1, c, t), training=False).value
+            maps = maps.transpose(1, 0, 2, 3).reshape(cfg.n_wavelet_kernels, -1, t)
+            offset = maps[:, 0].copy()
+            self._eval_operator_cache = (key, maps[:, 1:t + 1] - offset[:, None],
+                                         offset)
+        return self._eval_operator_cache[1:]
 
     def predict(self, batch) -> np.ndarray:
         if not self.finalized:
             raise ModelStateError("model is not finalized; call finalize first")
-        out = self._frozen_head(self.forward_spectral(batch, training=False))
+        batch = self._checked_batch(batch)
+        operator, offset = self._eval_operator()
+        maps = np.matmul(batch[:, None], operator)
+        maps += offset[:, None, :]
+        out = self._frozen_head(ad.constant(maps))
         if self.classifier == "softmax":
             probs = ad.softmax(out).value
             return (probs[:, :2].sum(axis=1) > probs[:, 2:].sum(axis=1)).astype(np.uint8)
@@ -495,7 +543,8 @@ class CCSPNet:
     def _restore(self, arrays, finalized, path):
         """Copy a file's arrays into this fresh model, walking `_state_arrays`;
         a finalized file first gets zero frozen state of the config's shapes.
-        Every array must be finite, and a running variance non-negative."""
+        Every array must be finite, a running variance or an Adam second
+        moment non-negative and a wavelet width positive."""
         if finalized:
             c = self.config.n_channels
             self.frozen_branches = [
@@ -516,6 +565,10 @@ class CCSPNet:
                 raise DataError(f"{path}: {name} holds a non-finite value")
             if name.endswith(".running_var") and (arr < 0).any():
                 raise DataError(f"{path}: {name} holds a negative variance")
+            if name.startswith("adam.v.") and (arr < 0).any():
+                raise DataError(f"{path}: {name} holds a negative second moment")
+            if name.startswith("wavelet.h.") and (arr <= 0).any():
+                raise DataError(f"{path}: {name} holds a non-positive wavelet width")
             return arr
 
         for name, live in self._state_arrays():

@@ -11,7 +11,7 @@ import numpy as np
 from scipy import signal as sps
 
 from ccspnet import autodiff as ad
-from ccspnet import dsp
+from ccspnet import dsp, lda
 
 
 def add_nodes(a, b):
@@ -225,3 +225,13 @@ def preprocess_sosfilt(raw, window_ms=(1000, 3500), target_hz=100,
     if factor > 1:
         low = sps.sosfilt(dsp.design_antialias(target_hz, fs_in), low, axis=-1)[..., ::factor]
     return sps.sosfilt(dsp.design_bandpass(band[0], band[1], order, target_hz), low, axis=-1)
+
+
+def predict_conv(net, batch):
+    """`CCSPNet.predict` through the convolutions: the eval-mode
+    `forward_spectral` maps, the frozen head, then the classifier."""
+    out = net._frozen_head(net.forward_spectral(batch, training=False))
+    if net.classifier == "softmax":
+        probs = ad.softmax(out).value
+        return (probs[:, :2].sum(axis=1) > probs[:, 2:].sum(axis=1)).astype(np.uint8)
+    return lda.predict(net.frozen_lda, out.value)

@@ -11,7 +11,7 @@ from ccspnet import autodiff as ad
 from ccspnet import csp, data, model
 from ccspnet.errors import ConfigError, DataError, ModelStateError
 
-from oracles import add_nodes, rel_err
+from oracles import add_nodes, predict_conv, rel_err
 
 
 def desk_config(**overrides):
@@ -450,6 +450,14 @@ class TestTrainingOnSyntheticData:
             assert br.w_reduced.shape == (16, 4)
 
 
+def fitted_desk_model(ablate="", seed=9):
+    """A desk model trained one epoch on 20 trials and finalized, the trials
+    and their labels."""
+    trials, labels = desk_batch(np.random.default_rng(seed), n=20)
+    net = model.CCSPNet(desk_config(epochs=1, ablate=ablate))
+    return net.train(trials, labels).finalize(trials, labels), trials, labels
+
+
 class TestPredict:
     def test_unfinalized_rejected(self):
         net = model.CCSPNet(desk_config())
@@ -457,10 +465,7 @@ class TestPredict:
             net.predict(np.zeros((1, 6, 40)))
 
     def test_deterministic_and_batch_size_independent(self):
-        rng = np.random.default_rng(9)
-        trials, labels = desk_batch(rng, n=20)
-        net = model.CCSPNet(desk_config(epochs=1))
-        net.train(trials, labels).finalize(trials, labels)
+        net, _, _ = fitted_desk_model()
         fresh, _ = desk_batch(np.random.default_rng(10), n=6)
         batch_pred = net.predict(fresh)
         assert np.array_equal(batch_pred, net.predict(fresh))
@@ -468,16 +473,126 @@ class TestPredict:
         assert np.array_equal(batch_pred, singles)
 
 
-class TestAblations:
-    def fitted(self, ablate, rng):
-        trials, labels = desk_batch(rng, n=20)
-        net = model.CCSPNet(desk_config(epochs=1, ablate=ablate))
-        net.train(trials, labels).finalize(trials, labels)
-        return net, trials, labels
+@pytest.fixture(scope="module")
+def paper_shape_model():
+    """A model of the paper's input shape, trained one step on 40 trials."""
+    trials, labels = desk_batch(np.random.default_rng(14), n=40, c=62, t=250)
+    net = model.CCSPNet(model.ModelConfig(epochs=1, batch_size=40, seed=1))
+    return net.train(trials, labels).finalize(trials, labels)
 
+
+def count_operator_builds(monkeypatch):
+    """The `training` flag of every `forward_spectral` call from now on, as
+    a growing list; `predict` makes one eval-mode call per operator build."""
+    calls = []
+    original = model.CCSPNet.forward_spectral
+
+    def counting(self, batch, training, stages=None):
+        calls.append(training)
+        return original(self, batch, training, stages)
+
+    monkeypatch.setattr(model.CCSPNet, "forward_spectral", counting)
+    return calls
+
+
+class TestEvalOperator:
+    @pytest.mark.parametrize("ablate", ("",) + model.ABLATIONS)
+    def test_predict_matches_the_convolution_path(self, ablate):
+        net, trials, _ = fitted_desk_model(ablate)
+        fresh, _ = desk_batch(np.random.default_rng(15), n=30)
+        for batch in (trials, fresh):
+            np.testing.assert_array_equal(net.predict(batch), predict_conv(net, batch))
+
+    def test_predict_matches_the_convolution_path_at_paper_shape(self, paper_shape_model):
+        fresh, _ = desk_batch(np.random.default_rng(16), n=30, c=62, t=250)
+        pred = paper_shape_model.predict(fresh)
+        assert pred.dtype == np.uint8
+        np.testing.assert_array_equal(pred, predict_conv(paper_shape_model, fresh))
+
+    @pytest.mark.parametrize("offset", (0.0, 1e3))
+    @pytest.mark.parametrize("ablate", ("",) + model.ABLATIONS)
+    def test_maps_match_forward_spectral(self, ablate, offset):
+        net, _, _ = fitted_desk_model(ablate)
+        x = np.random.default_rng(17).normal(size=(7, 6, 40)) + offset
+        operator, bias = net._eval_operator()
+        assert operator.shape == (4, 40, 40) and bias.shape == (4, 40)
+        maps = np.matmul(x[:, None], operator) + bias[:, None, :]
+        expected = net.forward_spectral(x, training=False).value
+        assert np.abs(maps - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    def test_repeat_predict_does_not_rebuild(self, monkeypatch):
+        net, trials, _ = fitted_desk_model()
+        builds = count_operator_builds(monkeypatch)
+        first = net.predict(trials)
+        assert builds == [False]
+        np.testing.assert_array_equal(net.predict(trials), first)
+        np.testing.assert_array_equal(net.predict(trials[:3]), first[:3])
+        assert builds == [False]
+
+    @pytest.mark.parametrize("change", [
+        "train_step", "temporal_kernel", "wavelet_width", "running_var", "bias"])
+    def test_changed_arrays_rebuild(self, monkeypatch, change):
+        net, trials, labels = fitted_desk_model()
+        net.predict(trials)
+        if change == "train_step":
+            net.train_step(trials, labels)
+        elif change == "temporal_kernel":
+            net.temporal_kernels.value[0, 0] += 0.1
+        elif change == "wavelet_width":
+            net.wavelet[1][1].value = np.asarray(0.3)
+        elif change == "running_var":
+            net._bn_layers["bn_tc"].state.running_var[2] *= 2.0
+        else:
+            net._params["temporal.bias"].value[1] = 0.5
+        builds = count_operator_builds(monkeypatch)
+        pred = net.predict(trials)
+        assert builds == [False]
+        np.testing.assert_array_equal(pred, predict_conv(net, trials))
+
+    def test_restoring_a_file_in_place_rebuilds(self, tmp_path, monkeypatch):
+        # _restore writes into the arrays of a freshly built or loaded model
+        source, trials, _ = fitted_desk_model(seed=18)
+        net = model.CCSPNet.load(fitted_desk_model(seed=19)[0].save(tmp_path / "b.ccsp"))
+        expected = source.predict(trials)
+        assert not np.array_equal(net.predict(trials), expected)
+        net._restore(dict(source._state_arrays()), True, tmp_path / "a.ccsp")
+        builds = count_operator_builds(monkeypatch)
+        np.testing.assert_array_equal(net.predict(trials), expected)
+        assert builds == [False]
+
+    def test_loaded_model_builds_on_first_predict(self, tmp_path, monkeypatch):
+        net, trials, _ = fitted_desk_model()
+        path = net.save(tmp_path / "m.ccsp")
+        expected = net.predict(trials)
+        builds = count_operator_builds(monkeypatch)
+        loaded = model.CCSPNet.load(path)
+        assert builds == []
+        np.testing.assert_array_equal(loaded.predict(trials), expected)
+        assert builds == [False]
+
+    def test_chunked_predict_matches_bulk(self, paper_shape_model):
+        fresh, _ = desk_batch(np.random.default_rng(20), n=23, c=62, t=250)
+        bulk = paper_shape_model.predict(fresh)
+        chunks = [paper_shape_model.predict(fresh[i:i + 5]) for i in range(0, 23, 5)]
+        np.testing.assert_array_equal(np.concatenate(chunks), bulk)
+
+    def test_predict_leaves_the_file_bytes_alone(self, tmp_path):
+        net, trials, _ = fitted_desk_model()
+        before = net.save(tmp_path / "before.ccsp").read_bytes()
+        net.predict(trials)
+        assert net.save(tmp_path / "after.ccsp").read_bytes() == before
+
+    @pytest.mark.parametrize("ablate", ("",) + model.ABLATIONS)
+    def test_empty_batch_predicts_nothing(self, ablate):
+        net, _, _ = fitted_desk_model(ablate)
+        pred = net.predict(np.zeros((0, 6, 40)))
+        assert pred.shape == (0,) and pred.dtype == np.uint8
+
+
+class TestAblations:
     @pytest.mark.parametrize("ablate", model.ABLATIONS)
     def test_each_variant_trains_and_predicts(self, ablate):
-        net, trials, labels = self.fitted(ablate, np.random.default_rng(11))
+        net, trials, labels = fitted_desk_model(ablate, seed=11)
         pred = net.predict(trials)
         assert pred.shape == labels.shape
         assert set(np.unique(pred)) <= {0, 1}
@@ -510,6 +625,13 @@ class TestParameterAccounting:
 ARRAY_KINDS = ["temporal.kernels", "bn_wk.running_mean", "adam.m.dense.0.w",
                "adam.step", "history", "csp.0.sigma0", "csp.0.w_reduced",
                "lda.w", "lda.mu"]
+
+
+def last_entry_set(arr, value):
+    """A copy of `arr` whose last entry is `value`."""
+    arr = arr.copy()
+    arr.flat[-1] = value
+    return arr
 
 
 def widened(arr):
@@ -652,13 +774,7 @@ class TestSerialization:
     def test_non_finite_array_is_a_data_error(self, tmp_path, name, value):
         net, _ = self.trained(tmp_path)
         path = net.save(tmp_path / "m.ccsp")
-
-        def poison(a):
-            a = a.copy()
-            a.flat[-1] = value
-            return a
-
-        rewrite_arrays(path, lambda items: [(n, poison(a) if n == name else a)
+        rewrite_arrays(path, lambda items: [(n, last_entry_set(a, value) if n == name else a)
                                             for n, a in items])
         with pytest.raises(DataError, match=f"m.ccsp: {name} holds a non-finite value"):
             model.CCSPNet.load(path)
@@ -670,6 +786,18 @@ class TestSerialization:
         rewrite_arrays(path, lambda items: [(n, -np.ones_like(a) if n == name else a)
                                             for n, a in items])
         with pytest.raises(DataError, match=f"m.ccsp: {name} holds a negative variance"):
+            model.CCSPNet.load(path)
+
+    @pytest.mark.parametrize("name, value, problem", [
+        ("wavelet.h.2", 0.0, "a non-positive wavelet width"),
+        ("wavelet.h.2", -1.0, "a non-positive wavelet width"),
+        ("adam.v.temporal.kernels", -1e-9, "a negative second moment")])
+    def test_out_of_range_array_is_a_data_error(self, tmp_path, name, value, problem):
+        net, _ = self.trained(tmp_path)
+        path = net.save(tmp_path / "m.ccsp")
+        rewrite_arrays(path, lambda items: [(n, last_entry_set(a, value) if n == name else a)
+                                            for n, a in items])
+        with pytest.raises(DataError, match=f"m.ccsp: {name} holds {problem}"):
             model.CCSPNet.load(path)
 
     def test_zero_running_variance_loads(self, tmp_path):
