@@ -146,15 +146,61 @@ def _toeplitz_bands(kernels: np.ndarray, t_len: int) -> np.ndarray:
     return np.ascontiguousarray(windows[:, ::-1])
 
 
+# output columns per block of the banded products; a block reads only the
+# _BLOCK + klen - 1 input columns its band reaches (95 of 250 for a 32-tap
+# kernel, 127 for 64 taps), instead of every column of the T x T matrix
+_BLOCK = 64
+
+
+def _blocks(t_len: int, lead: int, trail: int):
+    """(a, b, lo, hi) for each block [a, b) of _BLOCK output columns, with
+    [lo, hi) = [a - lead, b + trail) clipped to the time axis: the input
+    columns a band reaching `lead` columns back and `trail` ahead touches."""
+    for a in range(0, t_len, _BLOCK):
+        b = min(a + _BLOCK, t_len)
+        yield a, b, max(0, a - lead), min(t_len, b + trail)
+
+
+def _banded_matmul(x: np.ndarray, bands: np.ndarray, lead: int, trail: int) -> np.ndarray:
+    """x @ bands for N x K x C x T `x` and K x T x T `bands` whose entry
+    [k, s, t] is zero unless t - lead <= s <= t + trail: one product per
+    block of output columns, over only the input columns its band reaches,
+    written into one output array."""
+    out = np.empty(x.shape)
+    for a, b, lo, hi in _blocks(x.shape[3], lead, trail):
+        np.matmul(x[..., lo:hi], bands[:, lo:hi, a:b], out=out[..., a:b])
+    return out
+
+
 def _diagonal_sums(x: np.ndarray, g: np.ndarray, klen: int) -> np.ndarray:
     """Kernel gradient K x klen: entry w sums g[n,k,c,t] * x[n,k,c,t + w - pad_l],
-    which is the diagonal at offset w - pad_l of G_k^T X_k over (N*C) x T rows."""
-    n_maps, t_len = x.shape[1], x.shape[3]
+    which is the diagonal at offset w - pad_l of G_k^T X_k over (N*C) x T rows.
+
+    Only the band of each G_k^T X_k is formed: per block [a, b) of its rows,
+    the columns [a - pad_l, b + pad_r), zero where they fall outside the
+    time axis, so diagonal w is column w of the block read along its rows."""
+    n, n_maps, c, t_len = x.shape
     pad_l = (klen - 1) // 2
-    products = np.stack([g[:, k].reshape(-1, t_len).T @ x[:, k].reshape(-1, t_len)
-                         for k in range(n_maps)])
-    return np.stack([np.trace(products, offset=w - pad_l, axis1=1, axis2=2)
-                     for w in range(klen)], axis=1)
+    sums = np.zeros((n_maps, klen))
+    # each map's (N*C) x T rows, copied into one pair of buffers that every
+    # map reuses
+    map_g, map_x = np.empty((n, c, t_len)), np.empty((n, c, t_len))
+    rows_g, rows_x = map_g.reshape(-1, t_len), map_x.reshape(-1, t_len)
+    for k in range(n_maps):
+        np.copyto(map_g, g[:, k])
+        np.copyto(map_x, x[:, k])
+        for a, b, lo, hi in _blocks(t_len, pad_l, klen - 1 - pad_l):
+            width = b - a
+            product = np.zeros((width, width + klen - 1))
+            skip = lo - (a - pad_l)
+            np.matmul(rows_g[:, a:b].T, rows_x[:, lo:hi],
+                      out=product[:, skip:skip + hi - lo])
+            # diagonals[i, w] = product[i, i + w]
+            diagonals = np.lib.stride_tricks.as_strided(
+                product, (width, klen), (product.strides[0] + product.strides[1],
+                                         product.strides[1]), writeable=False)
+            sums[k] += diagonals.sum(axis=0)
+    return sums
 
 
 def conv_same_temporal(x: Node, kernels: Node, bias: Node | None = None) -> Node:
@@ -162,8 +208,10 @@ def conv_same_temporal(x: Node, kernels: Node, bias: Node | None = None) -> Node
 
     x: N x K x C x T, kernels: K x k. Feature map i is convolved along the
     time axis with kernel i only; channels are untouched. Output time length
-    equals input time length. Each map is one matmul against its kernel's
-    banded Toeplitz matrix, so the work runs on BLAS.
+    equals input time length. Each map is a matmul against its kernel's
+    banded Toeplitz matrix, so the work runs on BLAS; the forward, the input
+    gradient and the kernel gradient each multiply only the band, one block
+    of _BLOCK output columns at a time.
     """
     n_maps = x.shape[1]
     if kernels.value.ndim != 2 or kernels.shape[0] != n_maps:
@@ -174,8 +222,10 @@ def conv_same_temporal(x: Node, kernels: Node, bias: Node | None = None) -> Node
     if klen > t_len:
         raise NumericalError("kernel longer than the time axis")
 
+    pad_l = (klen - 1) // 2
+    pad_r = klen - 1 - pad_l
     bands = _toeplitz_bands(kernels.value, t_len)
-    out = np.matmul(x.value, bands)
+    out = _banded_matmul(x.value, bands, pad_l, pad_r)
     parents = [x, kernels]
     if bias is not None:
         out += bias.value[None, :, None, None]
@@ -185,7 +235,7 @@ def conv_same_temporal(x: Node, kernels: Node, bias: Node | None = None) -> Node
         if kernels.requires_grad:
             kernels._accumulate(_diagonal_sums(x.value, g, klen))
         if x.requires_grad:
-            x._accumulate(np.matmul(g, bands.transpose(0, 2, 1)))
+            x._accumulate(_banded_matmul(g, bands.transpose(0, 2, 1), pad_r, pad_l))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)))
 
@@ -398,8 +448,12 @@ class Adam:
                     grad = grad + g["l2"] * p.value
                 if g["l1"]:
                     grad = grad + g["l1"] * np.sign(p.value)
-                g["m"][i] = self.beta1 * g["m"][i] + (1 - self.beta1) * grad
-                g["v"][i] = self.beta2 * g["v"][i] + (1 - self.beta2) * grad ** 2
-                mhat = g["m"][i] / bc1
-                vhat = g["v"][i] / bc2
-                p.value = p.value - g["lr"] * mhat / (np.sqrt(vhat) + self.eps)
+                # numpy arithmetic on a 0-d array returns a scalar; asarray
+                # keeps every parameter and moment an array that can be
+                # written in place
+                m = g["m"][i] = np.asarray(self.beta1 * g["m"][i]
+                                           + (1 - self.beta1) * grad)
+                v = g["v"][i] = np.asarray(self.beta2 * g["v"][i]
+                                           + (1 - self.beta2) * grad ** 2)
+                step = g["lr"] * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                p.value = np.asarray(p.value - step)

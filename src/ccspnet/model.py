@@ -27,6 +27,10 @@ MODEL_VERSION = 1
 
 ABLATIONS = ("wkcnn", "tcnn", "frn", "lda")
 
+# a CSP eigenvalue solves sigma0 w = lambda (sigma0 + sigma1) w for two
+# covariances, so a fitted one lies in [0, 1] up to rounding
+_EIGENVALUE_SLACK = 1e-9
+
 # published total for the original architecture; our itemization differs,
 # see parameter_report and the README
 REFERENCE_PARAMETER_TOTAL = 5036
@@ -334,8 +338,9 @@ class CCSPNet:
 
     def _clamp_wavelets(self):
         for f, h, _ in self.wavelet:
-            f.value = np.clip(f.value, dsp.WAVELET_FREQ_MIN, dsp.WAVELET_FREQ_MAX)
-            h.value = np.maximum(h.value, dsp.WAVELET_WIDTH_MIN)
+            f.value = np.asarray(np.clip(f.value, dsp.WAVELET_FREQ_MIN,
+                                         dsp.WAVELET_FREQ_MAX))
+            h.value = np.asarray(np.maximum(h.value, dsp.WAVELET_WIDTH_MIN))
 
     def train_step(self, batch, labels):
         """One optimizer step; returns (L, J, combined loss)."""
@@ -543,8 +548,9 @@ class CCSPNet:
     def _restore(self, arrays, finalized, path):
         """Copy a file's arrays into this fresh model, walking `_state_arrays`;
         a finalized file first gets zero frozen state of the config's shapes.
-        Every array must be finite, a running variance or an Adam second
-        moment non-negative and a wavelet width positive."""
+        Every array must be finite, a running variance, an Adam second
+        moment or a CSP class covariance's diagonal non-negative, a wavelet
+        width positive and a CSP eigenvalue within [0, 1]."""
         if finalized:
             c = self.config.n_channels
             self.frozen_branches = [
@@ -569,6 +575,14 @@ class CCSPNet:
                 raise DataError(f"{path}: {name} holds a negative second moment")
             if name.startswith("wavelet.h.") and (arr <= 0).any():
                 raise DataError(f"{path}: {name} holds a non-positive wavelet width")
+            if name.startswith("csp.") and name.endswith(".eigenvalues") and (
+                    (arr < -_EIGENVALUE_SLACK) | (arr > 1 + _EIGENVALUE_SLACK)).any():
+                raise DataError(f"{path}: {name} holds an eigenvalue "
+                                "below 0 or above 1")
+            if name.startswith("csp.") and name.endswith((".sigma0", ".sigma1")) \
+                    and (np.diagonal(arr) < 0).any():
+                raise DataError(f"{path}: {name} holds a negative variance "
+                                "on its diagonal")
             return arr
 
         for name, live in self._state_arrays():

@@ -147,7 +147,8 @@ def conv_same_temporal_einsum(x, kernels, g):
     x: N x K x C x T, kernels: K x klen, g: an upstream gradient shaped like
     the output. Returns (output without bias, kernel gradient, input gradient)
     computed with einsum over zero-padded windows, independently of the
-    banded-matmul kernels in autodiff.
+    banded-matmul kernels in autodiff, which multiply one block of output
+    columns at a time by the band of its Toeplitz matrix.
     """
     klen = kernels.shape[1]
     pad_l, pad_r = (klen - 1) // 2, klen // 2

@@ -118,6 +118,13 @@ class TestBlasKernelsMatchEinsum:
         (1, 4, 5, 30, 8, True),      # one trial
         (300, 2, 6, 40, 9, False),   # a paper-size batch
         (300, 4, 6, 40, 16, True),
+        # several blocks of output columns
+        (2, 2, 3, 250, 32, False),   # the wavelet layer's length
+        (2, 2, 3, 250, 64, True),    # the temporal layer's length
+        (2, 2, 3, 250, 63, False),   # odd klen
+        (2, 2, 3, 131, 65, True),    # T not a multiple of the block
+        (2, 2, 2, 200, 200, False),  # klen == T
+        (2, 2, 3, 131, 1, True),     # klen == 1
     ])
     def test_conv_forward_and_gradients(self, n, k, c, t, klen, with_bias):
         rng = np.random.default_rng(n * 1000 + klen)

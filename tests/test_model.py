@@ -550,9 +550,9 @@ class TestEvalOperator:
         np.testing.assert_array_equal(pred, predict_conv(net, trials))
 
     def test_restoring_a_file_in_place_rebuilds(self, tmp_path, monkeypatch):
-        # _restore writes into the arrays of a freshly built or loaded model
+        # _restore writes into the arrays of a trained model
         source, trials, _ = fitted_desk_model(seed=18)
-        net = model.CCSPNet.load(fitted_desk_model(seed=19)[0].save(tmp_path / "b.ccsp"))
+        net = fitted_desk_model(seed=19)[0]
         expected = source.predict(trials)
         assert not np.array_equal(net.predict(trials), expected)
         net._restore(dict(source._state_arrays()), True, tmp_path / "a.ccsp")
@@ -791,7 +791,11 @@ class TestSerialization:
     @pytest.mark.parametrize("name, value, problem", [
         ("wavelet.h.2", 0.0, "a non-positive wavelet width"),
         ("wavelet.h.2", -1.0, "a non-positive wavelet width"),
-        ("adam.v.temporal.kernels", -1e-9, "a negative second moment")])
+        ("adam.v.temporal.kernels", -1e-9, "a negative second moment"),
+        ("csp.1.eigenvalues", -1.0, "an eigenvalue below 0 or above 1"),
+        ("csp.1.eigenvalues", 1 + 1e-8, "an eigenvalue below 0 or above 1"),
+        ("csp.0.sigma0", -1.0, "a negative variance on its diagonal"),
+        ("csp.3.sigma1", -1e-9, "a negative variance on its diagonal")])
     def test_out_of_range_array_is_a_data_error(self, tmp_path, name, value, problem):
         net, _ = self.trained(tmp_path)
         path = net.save(tmp_path / "m.ccsp")
@@ -799,6 +803,13 @@ class TestSerialization:
                                             for n, a in items])
         with pytest.raises(DataError, match=f"m.ccsp: {name} holds {problem}"):
             model.CCSPNet.load(path)
+
+    def test_every_array_stays_an_array_after_training(self, tmp_path):
+        # numpy arithmetic on a 0-d array gives a scalar, which _restore
+        # cannot write into
+        net, _ = self.trained(tmp_path)
+        assert [name for name, arr in net._state_arrays()
+                if type(arr) is not np.ndarray] == []
 
     def test_zero_running_variance_loads(self, tmp_path):
         net, _ = self.trained(tmp_path)
