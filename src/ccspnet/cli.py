@@ -193,14 +193,25 @@ def cmd_stats(args) -> int:
         print(f"{path}: n={len(rows)} mean={mean:.2f} sd={sd:.2f} "
               f"median={median:g} range={width:g} ({lo:g}-{hi:g})")
     if len(tables) == 2:
-        a = {r["subject_id"]: r["accuracy"] for r in tables[0]}
-        b = {r["subject_id"]: r["accuracy"] for r in tables[1]}
+        a, b = (_accuracy_by_subject(path, rows) for path, rows in zip(args.csv, tables))
         shared = sorted(set(a) & set(b))
         if len(shared) < 2:
             raise DataError("paired test needs at least 2 shared subjects")
         t, p = stats.paired_t([a[s] for s in shared], [b[s] for s in shared])
         print(f"paired t-test over {len(shared)} subjects: t={t:.4f} p={p:.4f}")
     return 0
+
+
+def _accuracy_by_subject(path, rows) -> dict:
+    """subject -> accuracy of one results CSV; the paired test needs one row
+    per subject."""
+    out = {}
+    for r in rows:
+        if r["subject_id"] in out:
+            raise DataError(f"{path}: subject {r['subject_id']} has more than one "
+                            "row; the paired test needs one accuracy per subject")
+        out[r["subject_id"]] = r["accuracy"]
+    return out
 
 
 def cmd_plot(args) -> int:

@@ -114,7 +114,8 @@ def write_trial_file(path, trialset: TrialSet):
 
 
 def read_trial_file(path):
-    """Read one EEGT file into parallel arrays."""
+    """Read one EEGT file into parallel arrays: read-only views of the file's
+    bytes, but for the subject tags, which are widened to int."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != TRIAL_MAGIC:
@@ -149,9 +150,8 @@ def read_trial_file(path):
     bad_phases = np.setdiff1d(records["phase"], list(PHASE_NAMES))
     if bad_phases.size:
         raise DataError(f"{path.name}: unknown phase tag {bad_phases[0]}")
-    return (records["samples"].copy(), records["label"].copy(),
-            records["subject"].astype(np.int_), records["session"].copy(),
-            records["phase"].copy())
+    return (records["samples"], records["label"], records["subject"].astype(np.int_),
+            records["session"], records["phase"])
 
 
 def write_manifest(path, manifest: DatasetManifest):
@@ -242,24 +242,14 @@ def save_dataset(out_dir, trialset: TrialSet, non_separable=False) -> Path:
     return manifest_path
 
 
-def load_trials(manifest_path, subjects=None, sessions=None,
-                phases=None) -> TrialSet:
-    """Load trials indexed by a manifest, with optional tag filters.
-
-    `phases` accepts phase names ("offline"/"online") or codes.
-    """
+def load_trials(manifest_path) -> TrialSet:
+    """Load every trial a manifest indexes, checking each file against its
+    entry."""
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
     base = manifest_path.parent
-    if phases is not None:
-        phases = [phase_code(p) for p in phases]
-    wanted = set(manifest.subjects) if subjects is None else set(subjects)
-    unknown = wanted - set(manifest.subjects)
-    if unknown:
-        raise DataError(f"subjects {sorted(unknown)} not in manifest")
-
     parts = []
-    for sid in sorted(wanted):
+    for sid in sorted(manifest.subjects):
         fname, n_trials, n_bytes = manifest.subjects[sid]
         fpath = base / fname
         if not fpath.exists():
@@ -279,7 +269,7 @@ def load_trials(manifest_path, subjects=None, sessions=None,
                             f"declared subject {sid}")
         parts.append((trials, labels, sids, sess, phs))
 
-    trialset = TrialSet(
+    return TrialSet(
         np.concatenate([p[0] for p in parts]),
         np.concatenate([p[1] for p in parts]),
         np.concatenate([p[2] for p in parts]),
@@ -287,12 +277,6 @@ def load_trials(manifest_path, subjects=None, sessions=None,
         np.concatenate([p[4] for p in parts]),
         manifest.sample_rate_hz,
     )
-    mask = np.ones(len(trialset), dtype=bool)
-    if sessions is not None:
-        mask &= np.isin(trialset.sessions, list(sessions))
-    if phases is not None:
-        mask &= np.isin(trialset.phases, phases)
-    return trialset.select(mask)
 
 
 def preprocess(raw: TrialSet, window_ms=(1000, 3500), target_hz=100,

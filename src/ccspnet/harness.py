@@ -197,6 +197,9 @@ def read_results_csv(path) -> list[dict]:
                 row["seed"] = int(row["seed"])
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}: malformed row {row}: {exc}")
+            if not 0.0 <= row["accuracy"] <= 100.0:
+                raise DataError(f"{path}: line {reader.line_num}: accuracy "
+                                f"{row['accuracy']} outside [0, 100]")
             rows.append(row)
     if not rows:
         raise DataError(f"{path}: no result rows")

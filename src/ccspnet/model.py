@@ -217,7 +217,6 @@ class CCSPNet:
                 tuple(p for triple in wavelet for p in triple), None,
                 self._register_bn("bn_wk", k)))
 
-        self.temporal_kernels = None
         if cfg.ablate != "tcnn":
             bound = 1.0 / np.sqrt(cfg.temporal_len)
             kernels = self._register(
@@ -228,7 +227,6 @@ class CCSPNet:
             self.spectral_stages.append(_Stage(
                 "tcnn", lambda: kernels, (kernels,), bias,
                 self._register_bn("bn_tc", k)))
-            self.temporal_kernels = kernels
 
         # (weight, bias, batch norm or None) per dense layer
         self.dense = []
@@ -296,22 +294,15 @@ class CCSPNet:
                 x = ad.batch_norm(x, bn.gamma, bn.beta, bn.state, training)
         return x
 
-    def csp_feedback_loss(self, batch, labels, training=True, frozen_wr=None):
-        """Spectral forward + per-branch CSP refit + cross-entropy loss.
-
-        Returns (loss node, N x K x 4 feature node, reduced projections).
-        When frozen_wr is given the refit is skipped, which keeps the loss a
-        pure function of the CNN parameters for gradient checking.
-        """
+    def csp_feedback_loss(self, batch, labels):
+        """Training-mode spectral forward + per-branch CSP refit + cross-entropy
+        loss; returns (loss node, N x K x 4 feature node)."""
         labels = np.asarray(labels)
-        spectral = self.forward_spectral(batch, training)
-        if frozen_wr is None:
-            wrs = [csp.fit_branch(spectral.value[:, i], labels).w_reduced
-                   for i in range(self.config.n_wavelet_kernels)]
-        else:
-            wrs = list(frozen_wr)
-        feats = csp.spatial_filter_features(spectral, np.stack(wrs))
-        return csp.csp_loss(feats, labels), feats, wrs
+        spectral = self.forward_spectral(batch, training=True)
+        wrs = np.stack([csp.fit_branch(spectral.value[:, i], labels).w_reduced
+                        for i in range(self.config.n_wavelet_kernels)])
+        feats = csp.spatial_filter_features(spectral, wrs)
+        return csp.csp_loss(feats, labels), feats
 
     # training -------------------------------------------------------------
 
@@ -346,7 +337,7 @@ class CCSPNet:
         """One optimizer step; returns (L, J, combined loss)."""
         labels = np.asarray(labels)
         self.optimizer.zero_grad()
-        loss_node, feats, _ = self.csp_feedback_loss(batch, labels, training=True)
+        loss_node, feats = self.csp_feedback_loss(batch, labels)
         loss_node.backward()
         loss_l = float(loss_node.value)
         concat = feats.value.reshape(len(labels), -1)
@@ -375,14 +366,14 @@ class CCSPNet:
     # freezing and inference ------------------------------------------------
 
     def finalize(self, trials, labels):
-        """Eval-mode pass over the full training set; refit and freeze CSP + LDA."""
+        """Eval-mode maps of the full training set; refit and freeze CSP + LDA."""
         labels = np.asarray(labels)
-        spectral = self.forward_spectral(trials, training=False)
-        self.frozen_branches = [csp.fit_branch(spectral.value[:, i], labels)
+        maps = self.eval_maps(trials)
+        self.frozen_branches = [csp.fit_branch(maps[:, i], labels)
                                 for i in range(self.config.n_wavelet_kernels)]
         self.frozen_lda = None
         if self.classifier == "lda":
-            self.frozen_lda = lda.fit(self._frozen_head(spectral).value, labels)
+            self.frozen_lda = lda.fit(self._frozen_head(maps).value, labels)
         return self
 
     @property
@@ -393,15 +384,15 @@ class CCSPNet:
         """The frozen branches' reduced CSP projections stacked, K x C x 4."""
         return np.stack([br.w_reduced for br in self.frozen_branches])
 
-    def frozen_features(self, spectral: ad.Node) -> ad.Node:
-        """N x K x 4 CSP features of the spectral maps under the frozen
-        projections."""
-        return csp.spatial_filter_features(spectral, self.frozen_projection())
+    def frozen_features(self, maps: np.ndarray) -> ad.Node:
+        """N x K x 4 CSP features of N x K x C x T spectral maps under the
+        frozen projections."""
+        return csp.spatial_filter_features(ad.constant(maps), self.frozen_projection())
 
-    def _frozen_head(self, spectral: ad.Node) -> ad.Node:
+    def _frozen_head(self, maps: np.ndarray) -> ad.Node:
         """Eval-mode dense head over the frozen features, the K branches' four
         features side by side."""
-        feats = self.frozen_features(spectral).value
+        feats = self.frozen_features(maps).value
         width = 4 * self.config.n_wavelet_kernels
         return self._dense_forward(ad.constant(feats.reshape(len(feats), width)),
                                    training=False)
@@ -431,14 +422,19 @@ class CCSPNet:
                                          offset)
         return self._eval_operator_cache[1:]
 
-    def predict(self, batch) -> np.ndarray:
-        if not self.finalized:
-            raise ModelStateError("model is not finalized; call finalize first")
+    def eval_maps(self, batch) -> np.ndarray:
+        """Eval-mode spectral maps of an N x C x T batch, N x K x C x T, through
+        the cached operator of `_eval_operator`."""
         batch = self._checked_batch(batch)
         operator, offset = self._eval_operator()
         maps = np.matmul(batch[:, None], operator)
         maps += offset[:, None, :]
-        out = self._frozen_head(ad.constant(maps))
+        return maps
+
+    def predict(self, batch) -> np.ndarray:
+        if not self.finalized:
+            raise ModelStateError("model is not finalized; call finalize first")
+        out = self._frozen_head(self.eval_maps(batch))
         if self.classifier == "softmax":
             probs = ad.softmax(out).value
             return (probs[:, :2].sum(axis=1) > probs[:, 2:].sum(axis=1)).astype(np.uint8)

@@ -231,7 +231,7 @@ def preprocess_sosfilt(raw, window_ms=(1000, 3500), target_hz=100,
 def predict_conv(net, batch):
     """`CCSPNet.predict` through the convolutions: the eval-mode
     `forward_spectral` maps, the frozen head, then the classifier."""
-    out = net._frozen_head(net.forward_spectral(batch, training=False))
+    out = net._frozen_head(net.forward_spectral(batch, training=False).value)
     if net.classifier == "softmax":
         probs = ad.softmax(out).value
         return (probs[:, :2].sum(axis=1) > probs[:, 2:].sum(axis=1)).astype(np.uint8)

@@ -292,6 +292,44 @@ class TestStatsCommand:
         bad.write_text("subject_id,approach,ablation,accuracy,seed\n1,SD,none,oops,0\n")
         assert run("stats", "--csv", str(bad)) == 2
 
+    @pytest.mark.parametrize("accuracy", ["nan", "150", "-5", "100.01"])
+    def test_impossible_accuracy_is_data_error(self, tmp_path, capsys, accuracy):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("subject_id,approach,ablation,accuracy,seed\n"
+                       f"1,SD,none,70,0\n2,SD,none,{accuracy},0\n")
+        assert run("stats", "--csv", str(bad)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bad.csv: line 3: accuracy {float(accuracy)} outside [0, 100]" \
+            in captured.err
+
+    def test_accuracy_bounds_are_valid(self, tmp_path, capsys):
+        path = tmp_path / "edges.csv"
+        path.write_text("subject_id,approach,ablation,accuracy,seed\n"
+                        "1,SD,none,0,0\n2,SD,none,100,0\n")
+        assert run("stats", "--csv", str(path)) == 0
+        assert "range=100 (0-100)" in capsys.readouterr().out
+
+    def test_repeated_subject_in_paired_test_is_data_error(self, tmp_path, capsys):
+        # an ablation.csv holds one row per subject per component
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("subject_id,approach,ablation,accuracy,seed\n"
+                     "1,SD,wkcnn,80,0\n1,SD,tcnn,20,0\n2,SD,wkcnn,70,0\n")
+        b.write_text("subject_id,approach,ablation,accuracy,seed\n"
+                     "1,SD,none,60,0\n2,SD,none,65,0\n")
+        assert run("stats", "--csv", str(a), "--csv", str(b)) == 2
+        err = capsys.readouterr().err
+        assert "a.csv: subject 1 has more than one row" in err
+        assert run("stats", "--csv", str(b), "--csv", str(a)) == 2
+        assert "a.csv: subject 1 has more than one row" in capsys.readouterr().err
+
+    def test_one_csv_summary_keeps_repeated_subjects(self, tmp_path, capsys):
+        path = tmp_path / "ablation.csv"
+        path.write_text("subject_id,approach,ablation,accuracy,seed\n"
+                        "1,SD,wkcnn,80,0\n1,SD,tcnn,20,0\n2,SD,wkcnn,70,0\n")
+        assert run("stats", "--csv", str(path)) == 0
+        assert "n=3 mean=56.67" in capsys.readouterr().out
+
 
 @pytest.fixture(scope="module")
 def trained_model(dataset_dir, tmp_path_factory):

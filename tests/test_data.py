@@ -82,19 +82,6 @@ class TestTrialFileRoundTrip:
         loaded = data.load_trials(manifest_path)
         assert len(loaded) == 8
 
-    def test_phase_filter(self, tmp_path):
-        ts = small_trialset(np.random.default_rng(2))
-        manifest_path = data.save_dataset(tmp_path, ts)
-        offline = data.load_trials(manifest_path, phases=["offline"])
-        assert np.all(offline.phases == data.PHASE_OFFLINE)
-        assert len(offline) == len(ts) // 2
-
-    def test_subject_filter(self, tmp_path):
-        ts = small_trialset(np.random.default_rng(3))
-        manifest_path = data.save_dataset(tmp_path, ts)
-        sub = data.load_trials(manifest_path, subjects=[2])
-        assert set(np.unique(sub.subject_ids)) == {2}
-
     def test_corrupted_magic_names_file(self, tmp_path):
         ts = small_trialset(np.random.default_rng(4), n_subjects=1)
         manifest_path = data.save_dataset(tmp_path, ts)
@@ -161,12 +148,6 @@ class TestTrialFileRoundTrip:
         path.write_bytes(CORRUPTIONS[message](path.read_bytes()))
         with pytest.raises(DataError, match=f"bad.eegt: .*{message}"):
             data.read_trial_file(path)
-
-    def test_unknown_subject_filter_rejected(self, tmp_path):
-        ts = small_trialset(np.random.default_rng(7))
-        manifest_path = data.save_dataset(tmp_path, ts)
-        with pytest.raises(DataError):
-            data.load_trials(manifest_path, subjects=[99])
 
     def test_file_shape_must_match_manifest(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -489,8 +470,3 @@ class TestPhaseCode:
         (0, data.PHASE_OFFLINE), (np.uint8(1), data.PHASE_ONLINE)])
     def test_names_and_codes(self, phase, code):
         assert data.phase_code(phase) == code
-
-    def test_load_trials_unknown_phase_rejected(self, tmp_path):
-        manifest = data.save_dataset(tmp_path, small_trialset(np.random.default_rng(19)))
-        with pytest.raises(DataError, match="unknown phase 'bogus'"):
-            data.load_trials(manifest, phases=["bogus"])

@@ -1,6 +1,7 @@
 import copy
 import gc
 import struct
+import tracemalloc
 import weakref
 from dataclasses import fields
 
@@ -236,7 +237,7 @@ class TestTrainStep:
         for w, _, _ in net.dense:
             assert w.grad is None or np.all(np.asarray(w.grad) == 0.0)
         # the CNN side still receives gradient from the feedback loss
-        assert np.any(net.temporal_kernels.grad != 0.0)
+        assert np.any(net._params["temporal.kernels"].grad != 0.0)
 
     def test_single_class_batch_rejected(self):
         net = model.CCSPNet(desk_config())
@@ -328,14 +329,30 @@ class TestTrainBatches:
             np.testing.assert_array_equal(p.value, replay._params[name].value)
 
 
+def refit_projections(net, trials, labels):
+    """The K x C x 4 reduced CSP projections `csp_feedback_loss` fits to the
+    training-mode maps of `trials`."""
+    maps = net.forward_spectral(trials, training=True).value
+    return np.stack([csp.fit_branch(maps[:, i], labels).w_reduced
+                     for i in range(maps.shape[1])])
+
+
+def frozen_projection_loss(net, trials, labels, wrs):
+    """The CSP feedback loss with the projections held at `wrs` rather than
+    refit, so it is a function of the spectral parameters alone."""
+    spectral = net.forward_spectral(trials, training=True)
+    return csp.csp_loss(csp.spatial_filter_features(spectral, wrs), labels)
+
+
 class TestEndToEndGradient:
     def test_feedback_loss_gradient_matches_finite_differences(self):
         cfg = desk_config(n_channels=6, n_timepoints=40, seed=7)
         net = model.CCSPNet(cfg)
         rng = np.random.default_rng(8)
         trials, labels = desk_batch(rng, n=8)
+        wrs = refit_projections(net, trials, labels)
         net.optimizer.zero_grad()
-        loss, _, wrs = net.csp_feedback_loss(trials, labels, training=True)
+        loss, _ = net.csp_feedback_loss(trials, labels)
         loss.backward()
         grads = {name: None if p.grad is None else np.array(p.grad)
                  for name, p in net._params.items()}
@@ -343,8 +360,7 @@ class TestEndToEndGradient:
         def loss_at(param, value):
             saved = param.value
             param.value = np.asarray(value)
-            out = float(net.csp_feedback_loss(trials, labels, training=True,
-                                              frozen_wr=wrs)[0].value)
+            out = float(frozen_projection_loss(net, trials, labels, wrs).value)
             param.value = saved
             return out
 
@@ -375,11 +391,10 @@ class TestStackedBranches:
     def test_feedback_loss_and_gradients_match_per_branch_sum(self):
         net = model.CCSPNet(desk_config(seed=4))
         trials, labels = desk_batch(np.random.default_rng(5))
-        _, _, wrs = net.csp_feedback_loss(trials, labels, training=True)
+        wrs = refit_projections(net, trials, labels)
 
         net.optimizer.zero_grad()
-        loss = net.csp_feedback_loss(trials, labels, training=True,
-                                     frozen_wr=wrs)[0]
+        loss = frozen_projection_loss(net, trials, labels, wrs)
         loss.backward()
         grads = {name: p.grad for name, p in net._params.items()}
 
@@ -414,7 +429,7 @@ class TestStackedBranches:
             [csp.spatial_filter_features(ad.constant(spectral.value[:, i]),
                                          br.w_reduced).value
              for i, br in enumerate(net.frozen_branches)], axis=1)
-        np.testing.assert_allclose(net.frozen_features(spectral).value, want,
+        np.testing.assert_allclose(net.frozen_features(spectral.value).value, want,
                                    rtol=1e-12, atol=1e-12)
 
 
@@ -521,13 +536,14 @@ class TestEvalOperator:
         assert np.abs(maps - expected).max() <= 1e-10 * np.abs(expected).max()
 
     def test_repeat_predict_does_not_rebuild(self, monkeypatch):
+        # finalize builds the operator; predict reuses it
         net, trials, _ = fitted_desk_model()
         builds = count_operator_builds(monkeypatch)
         first = net.predict(trials)
-        assert builds == [False]
+        assert builds == []
         np.testing.assert_array_equal(net.predict(trials), first)
         np.testing.assert_array_equal(net.predict(trials[:3]), first[:3])
-        assert builds == [False]
+        assert builds == []
 
     @pytest.mark.parametrize("change", [
         "train_step", "temporal_kernel", "wavelet_width", "running_var", "bias"])
@@ -537,7 +553,7 @@ class TestEvalOperator:
         if change == "train_step":
             net.train_step(trials, labels)
         elif change == "temporal_kernel":
-            net.temporal_kernels.value[0, 0] += 0.1
+            net._params["temporal.kernels"].value[0, 0] += 0.1
         elif change == "wavelet_width":
             net.wavelet[1][1].value = np.asarray(0.3)
         elif change == "running_var":
@@ -587,6 +603,27 @@ class TestEvalOperator:
         net, _, _ = fitted_desk_model(ablate)
         pred = net.predict(np.zeros((0, 6, 40)))
         assert pred.shape == (0,) and pred.dtype == np.uint8
+
+
+class TestFinalizeMemory:
+    def test_peak_is_a_few_inputs_at_any_size(self):
+        # the maps (four inputs) from the cached operator, not the
+        # convolution graph; the operator build is a fixed cost
+        ratios = []
+        for n in (100, 200):
+            trials, labels = desk_batch(np.random.default_rng(20), n=n, c=62, t=250)
+            net = model.CCSPNet(model.ModelConfig(epochs=1, batch_size=40, seed=1))
+            net.train_step(trials[:40], labels[:40])
+            gc.collect()
+            tracemalloc.start()
+            try:
+                net.finalize(trials, labels)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            ratios.append(peak / trials.nbytes)
+        assert max(ratios) < 8.0, ratios
+        assert ratios[1] <= ratios[0] + 0.25, ratios
 
 
 class TestAblations:

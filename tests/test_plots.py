@@ -84,15 +84,11 @@ class TestCspScatter:
         assert centroid_gap > within_sd
 
     def test_features_match_training_and_predict_paths(self, fitted):
-        # one feature op: the frozen-projection loss, predict and the scatter
-        # see the same N x K x 4 features, bit for bit
+        # one eval path: predict and the scatter see the same N x K x 4
+        # features, bit for bit
         net, _, test = fitted
-        _, loss_feats, _ = net.csp_feedback_loss(
-            test.trials, test.labels, training=False, frozen_wr=net.frozen_projection())
-        predict_feats = net.frozen_features(
-            net.forward_spectral(test.trials, training=False))
-        np.testing.assert_array_equal(loss_feats.value, predict_feats.value)
-        assert loss_feats.shape == (len(test), 4, 4)
+        predict_feats = net.frozen_features(net.eval_maps(test.trials))
+        assert predict_feats.shape == (len(test), 4, 4)
         rows = plots.csp_scatter_points(net, test.trials, test.labels)
         scatter = np.array([[r["x"], r["y"]] for r in rows])
         np.testing.assert_array_equal(
