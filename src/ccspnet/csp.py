@@ -99,13 +99,32 @@ def fit_branch(batch: np.ndarray, labels: np.ndarray) -> CspBranch:
     return CspBranch(sigma0, sigma1, w, eigvals, reduce_projection(w))
 
 
-def spatial_filter_features(maps: ad.Node, w_reduced: np.ndarray) -> ad.Node:
+def spatial_filter_features(x: ad.Node, w_reduced: np.ndarray,
+                            operator: tuple[np.ndarray, np.ndarray] | None = None
+                            ) -> ad.Node:
     """log(var(W_r^T X)) per trial, W_r held constant.
 
     A C x 4 `w_reduced` turns N x C x T into N x 4 features; a stacked
     K x C x 4 one turns N x K x C x T maps into N x K x 4, branch by branch.
+
+    With the eval-mode operator (M, c) of the spectral stack, K x T x T and
+    K x T, `x` is the N x C x T input itself: map k would be X M_k + 1 c_k^T,
+    and since the projection commutes with M_k, W_k^T (X M_k + 1 c_k^T) =
+    (W_k^T X) M_k + (W_k^T 1) c_k^T. So the K x 4 rows are projected first,
+    and no N x K x C x T map is made.
     """
-    return ad.log_variance(ad.project_channels(maps, w_reduced))
+    if operator is None:
+        return ad.log_variance(ad.project_channels(x, w_reduced))
+    m, c = operator
+    k, n_ch, d = w_reduced.shape
+    n, t = x.shape[0], x.shape[-1]
+    # one C x 4K projection, then each branch's 4N rows through M_k as one
+    # GEMM (twice as fast at N = 100 as N x K products of 4 rows)
+    rows = ad.project_channels(x, w_reduced.transpose(1, 0, 2).reshape(n_ch, k * d))
+    rows = rows.value.reshape(n, k, d, t).transpose(1, 0, 2, 3).reshape(k, n * d, t)
+    z = np.matmul(rows, m).reshape(k, n, d, t).transpose(1, 0, 2, 3)
+    z += w_reduced.sum(axis=1)[:, :, None] * c[:, None, :]
+    return ad.log_variance(ad.constant(z))
 
 
 def target_vectors(labels: np.ndarray) -> np.ndarray:

@@ -366,14 +366,15 @@ class CCSPNet:
     # freezing and inference ------------------------------------------------
 
     def finalize(self, trials, labels):
-        """Eval-mode maps of the full training set; refit and freeze CSP + LDA."""
+        """Refit and freeze CSP + LDA on the full training set: the CSP class
+        covariances from its eval-mode maps, the LDA on its frozen features."""
         labels = np.asarray(labels)
         maps = self.eval_maps(trials)
         self.frozen_branches = [csp.fit_branch(maps[:, i], labels)
                                 for i in range(self.config.n_wavelet_kernels)]
         self.frozen_lda = None
         if self.classifier == "lda":
-            self.frozen_lda = lda.fit(self._frozen_head(maps).value, labels)
+            self.frozen_lda = lda.fit(self._frozen_head(trials).value, labels)
         return self
 
     @property
@@ -384,15 +385,18 @@ class CCSPNet:
         """The frozen branches' reduced CSP projections stacked, K x C x 4."""
         return np.stack([br.w_reduced for br in self.frozen_branches])
 
-    def frozen_features(self, maps: np.ndarray) -> ad.Node:
-        """N x K x 4 CSP features of N x K x C x T spectral maps under the
-        frozen projections."""
-        return csp.spatial_filter_features(ad.constant(maps), self.frozen_projection())
+    def frozen_features(self, batch) -> ad.Node:
+        """N x K x 4 CSP features of an N x C x T batch: its eval-mode maps
+        under the frozen projections, projected before the cached operator of
+        `_eval_operator` applies, so no map is made."""
+        batch = self._checked_batch(batch)
+        return csp.spatial_filter_features(ad.constant(batch), self.frozen_projection(),
+                                           self._eval_operator())
 
-    def _frozen_head(self, maps: np.ndarray) -> ad.Node:
+    def _frozen_head(self, batch) -> ad.Node:
         """Eval-mode dense head over the frozen features, the K branches' four
         features side by side."""
-        feats = self.frozen_features(maps).value
+        feats = self.frozen_features(batch).value
         width = 4 * self.config.n_wavelet_kernels
         return self._dense_forward(ad.constant(feats.reshape(len(feats), width)),
                                    training=False)
@@ -424,7 +428,8 @@ class CCSPNet:
 
     def eval_maps(self, batch) -> np.ndarray:
         """Eval-mode spectral maps of an N x C x T batch, N x K x C x T, through
-        the cached operator of `_eval_operator`."""
+        the cached operator of `_eval_operator`: `finalize`'s CSP class
+        covariances need them."""
         batch = self._checked_batch(batch)
         operator, offset = self._eval_operator()
         maps = np.matmul(batch[:, None], operator)
@@ -434,7 +439,7 @@ class CCSPNet:
     def predict(self, batch) -> np.ndarray:
         if not self.finalized:
             raise ModelStateError("model is not finalized; call finalize first")
-        out = self._frozen_head(self.eval_maps(batch))
+        out = self._frozen_head(batch)
         if self.classifier == "softmax":
             probs = ad.softmax(out).value
             return (probs[:, :2].sum(axis=1) > probs[:, 2:].sum(axis=1)).astype(np.uint8)
@@ -546,7 +551,8 @@ class CCSPNet:
         a finalized file first gets zero frozen state of the config's shapes.
         Every array must be finite, a running variance, an Adam second
         moment or a CSP class covariance's diagonal non-negative, a wavelet
-        width positive and a CSP eigenvalue within [0, 1]."""
+        width positive, the CSP eigenvalues within [0, 1] and non-increasing,
+        and a CSP reduced projection the reduction of its branch's w_full."""
         if finalized:
             c = self.config.n_channels
             self.frozen_branches = [
@@ -575,6 +581,14 @@ class CCSPNet:
                     (arr < -_EIGENVALUE_SLACK) | (arr > 1 + _EIGENVALUE_SLACK)).any():
                 raise DataError(f"{path}: {name} holds an eigenvalue "
                                 "below 0 or above 1")
+            if name.startswith("csp.") and name.endswith(".eigenvalues") \
+                    and (np.diff(arr) > 0).any():
+                raise DataError(f"{path}: {name} is not in descending order")
+            # w_full comes before w_reduced in the file order, so it is checked
+            if name.startswith("csp.") and name.endswith(".w_reduced") and not np.array_equal(
+                    arr, csp.reduce_projection(arrays[name.replace("w_reduced", "w_full")])):
+                raise DataError(f"{path}: {name} is not the first two and last two "
+                                "columns of w_full")
             if name.startswith("csp.") and name.endswith((".sigma0", ".sigma1")) \
                     and (np.diagonal(arr) < 0).any():
                 raise DataError(f"{path}: {name} holds a negative variance "

@@ -125,7 +125,7 @@ def csp_scatter_points(net: CCSPNet, trials, labels) -> list[dict]:
     if not net.finalized:
         raise ModelStateError("CSP scatter needs a finalized model")
     labels = np.asarray(labels)
-    feats = net.frozen_features(net.eval_maps(trials)).value
+    feats = net.frozen_features(trials).value
     return [{"branch": i + 1, "trial": n,
              "x": float(feats[n, i, 0]), "y": float(feats[n, i, -1]),
              "label": int(labels[n])}

@@ -11,7 +11,7 @@ import numpy as np
 from scipy import signal as sps
 
 from ccspnet import autodiff as ad
-from ccspnet import dsp, lda
+from ccspnet import csp, dsp, lda
 
 
 def add_nodes(a, b):
@@ -230,8 +230,11 @@ def preprocess_sosfilt(raw, window_ms=(1000, 3500), target_hz=100,
 
 def predict_conv(net, batch):
     """`CCSPNet.predict` through the convolutions: the eval-mode
-    `forward_spectral` maps, the frozen head, then the classifier."""
-    out = net._frozen_head(net.forward_spectral(batch, training=False).value)
+    `forward_spectral` maps, their frozen CSP features, the dense head, then
+    the classifier."""
+    maps = net.forward_spectral(batch, training=False).value
+    feats = csp.spatial_filter_features(ad.constant(maps), net.frozen_projection()).value
+    out = net._dense_forward(ad.constant(feats.reshape(len(feats), -1)), training=False)
     if net.classifier == "softmax":
         probs = ad.softmax(out).value
         return (probs[:, :2].sum(axis=1) > probs[:, 2:].sum(axis=1)).astype(np.uint8)

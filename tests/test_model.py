@@ -429,7 +429,7 @@ class TestStackedBranches:
             [csp.spatial_filter_features(ad.constant(spectral.value[:, i]),
                                          br.w_reduced).value
              for i, br in enumerate(net.frozen_branches)], axis=1)
-        np.testing.assert_allclose(net.frozen_features(spectral.value).value, want,
+        np.testing.assert_allclose(net.frozen_features(trials).value, want,
                                    rtol=1e-12, atol=1e-12)
 
 
@@ -603,6 +603,53 @@ class TestEvalOperator:
         net, _, _ = fitted_desk_model(ablate)
         pred = net.predict(np.zeros((0, 6, 40)))
         assert pred.shape == (0,) and pred.dtype == np.uint8
+
+
+class TestProjectFirstFeatures:
+    @pytest.mark.parametrize("offset", (0.0, 1e3))
+    @pytest.mark.parametrize("ablate", ("",) + model.ABLATIONS)
+    def test_features_match_the_maps_path(self, ablate, offset):
+        # an offset input exercises the (W^T 1) c^T term
+        net, _, _ = fitted_desk_model(ablate)
+        x = np.random.default_rng(21).normal(size=(9, 6, 40)) + offset
+        want = csp.spatial_filter_features(ad.constant(net.eval_maps(x)),
+                                           net.frozen_projection()).value
+        got = net.frozen_features(x)
+        assert got.shape == (9, 4, 4)
+        assert rel_err(got.value, want) <= 1e-10
+
+    @pytest.mark.parametrize("ablate", ("",) + model.ABLATIONS)
+    def test_predict_builds_no_maps(self, ablate, monkeypatch):
+        net, trials, _ = fitted_desk_model(ablate)
+        fresh, _ = desk_batch(np.random.default_rng(22), n=30)
+        want = [predict_conv(net, batch) for batch in (trials, fresh)]
+
+        def no_maps(self, batch):
+            raise AssertionError("eval_maps called")
+
+        monkeypatch.setattr(model.CCSPNet, "eval_maps", no_maps)
+        for batch, expected in zip((trials, fresh), want):
+            np.testing.assert_array_equal(net.predict(batch), expected)
+
+
+class TestPredictMemory:
+    def test_peak_is_below_the_input_size_and_a_half(self):
+        # N x K x 4 x T projected rows, not the N x K x C x T maps
+        ratios = []
+        for n in (100, 200):
+            trials, labels = desk_batch(np.random.default_rng(20), n=n, c=62, t=250)
+            net = model.CCSPNet(model.ModelConfig(epochs=1, batch_size=40, seed=1))
+            net.train_step(trials[:40], labels[:40])
+            net.finalize(trials[:40], labels[:40])
+            gc.collect()
+            tracemalloc.start()
+            try:
+                net.predict(trials)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            ratios.append(peak / trials.nbytes)
+        assert max(ratios) < 1.5, ratios
 
 
 class TestFinalizeMemory:
@@ -839,6 +886,21 @@ class TestSerialization:
         rewrite_arrays(path, lambda items: [(n, last_entry_set(a, value) if n == name else a)
                                             for n, a in items])
         with pytest.raises(DataError, match=f"m.ccsp: {name} holds {problem}"):
+            model.CCSPNet.load(path)
+
+    @pytest.mark.parametrize("name, edit, problem", [
+        ("csp.2.w_reduced", lambda items: dict(items)["csp.2.w_full"][:, 2:6],
+         "is not the first two and last two columns of w_full"),
+        ("csp.2.w_reduced", lambda items: np.nextafter(dict(items)["csp.2.w_reduced"], 2.0),
+         "is not the first two and last two columns of w_full"),
+        ("csp.0.eigenvalues", lambda items: dict(items)["csp.0.eigenvalues"][::-1],
+         "is not in descending order")])
+    def test_inconsistent_csp_arrays_are_a_data_error(self, tmp_path, name, edit, problem):
+        net, _ = self.trained(tmp_path)
+        path = net.save(tmp_path / "m.ccsp")
+        rewrite_arrays(path, lambda items: [(n, edit(items) if n == name else a)
+                                            for n, a in items])
+        with pytest.raises(DataError, match=f"m.ccsp: {name} {problem}"):
             model.CCSPNet.load(path)
 
     def test_every_array_stays_an_array_after_training(self, tmp_path):

@@ -4,7 +4,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from ccspnet import data, plots
+from ccspnet import autodiff as ad
+from ccspnet import csp, data, plots
 from ccspnet.errors import DataError, ModelStateError
 from ccspnet.model import CCSPNet, ModelConfig
 
@@ -87,12 +88,29 @@ class TestCspScatter:
         # one eval path: predict and the scatter see the same N x K x 4
         # features, bit for bit
         net, _, test = fitted
-        predict_feats = net.frozen_features(net.eval_maps(test.trials))
+        predict_feats = net.frozen_features(test.trials)
         assert predict_feats.shape == (len(test), 4, 4)
         rows = plots.csp_scatter_points(net, test.trials, test.labels)
         scatter = np.array([[r["x"], r["y"]] for r in rows])
         np.testing.assert_array_equal(
             scatter, predict_feats.value[:, :, [0, -1]].transpose(1, 0, 2).reshape(-1, 2))
+
+    def test_builds_no_maps(self, fitted, monkeypatch):
+        # the features of the maps, without making them
+        net, _, test = fitted
+        maps = net.eval_maps(test.trials)
+        want = csp.spatial_filter_features(ad.constant(maps), net.frozen_projection()).value
+        want = want[:, :, [0, -1]].transpose(1, 0, 2).reshape(-1, 2)
+
+        def no_maps(self, batch):
+            raise AssertionError("eval_maps called")
+
+        monkeypatch.setattr(CCSPNet, "eval_maps", no_maps)
+        rows = plots.csp_scatter_points(net, test.trials, test.labels)
+        assert [(r["branch"], r["trial"], r["label"]) for r in rows] == [
+            (i + 1, n, int(test.labels[n])) for i in range(4) for n in range(len(test))]
+        np.testing.assert_allclose(np.array([[r["x"], r["y"]] for r in rows]), want,
+                                   rtol=1e-10)
 
     def test_unfinalized_rejected(self, fitted):
         _, train, _ = fitted
