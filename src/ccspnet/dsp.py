@@ -9,6 +9,7 @@ analytic parameter gradients, and a Hann-windowed STFT for diagnostics.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,12 +120,22 @@ class MorletParams:
         return (np.arange(k) - k // 2) / self.fs
 
 
+def _width_power(h: float, n: int) -> float:
+    """h ** n, or inf where that overflows a float: so wide an envelope is
+    flat across the kernel, and a quotient by it is zero."""
+    try:
+        return h ** n
+    except OverflowError:
+        return math.inf
+
+
 def build_morlet(params: MorletParams) -> np.ndarray:
     """w[n] = cos(2 pi f t[n]) * exp(-c t[n]^2 / h^2) on the centered grid."""
     if params.h <= 0:
         raise NumericalError(f"wavelet width must be positive, got {params.h}")
     t = params.time_grid()
-    return np.cos(2 * np.pi * params.f * t) * np.exp(-params.c * t ** 2 / params.h ** 2)
+    return np.cos(2 * np.pi * params.f * t) * np.exp(
+        -params.c * t ** 2 / _width_power(params.h, 2))
 
 
 def morlet_gradients(params: MorletParams,
@@ -134,11 +145,12 @@ def morlet_gradients(params: MorletParams,
         raise NumericalError(f"wavelet width must be positive, got {params.h}")
     upstream = np.asarray(upstream, dtype=np.float64)
     t = params.time_grid()
-    envelope = np.exp(-params.c * t ** 2 / params.h ** 2)
+    h2 = _width_power(params.h, 2)
+    envelope = np.exp(-params.c * t ** 2 / h2)
     phase = 2 * np.pi * params.f * t
     dw_df = -2 * np.pi * t * np.sin(phase) * envelope
-    dw_dh = np.cos(phase) * envelope * (2 * params.c * t ** 2 / params.h ** 3)
-    dw_dc = np.cos(phase) * envelope * (-t ** 2 / params.h ** 2)
+    dw_dh = np.cos(phase) * envelope * (2 * params.c * t ** 2 / _width_power(params.h, 3))
+    dw_dc = np.cos(phase) * envelope * (-t ** 2 / h2)
     return (float(upstream @ dw_df), float(upstream @ dw_dh), float(upstream @ dw_dc))
 
 

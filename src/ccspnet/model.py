@@ -150,7 +150,7 @@ class _Stage(NamedTuple):
     batch norm over the maps. `kernels` must not hold the model, so that a
     dropped model is freed at once rather than by the cycle collector."""
 
-    name: str                        # key of its maps in forward_spectral's `stages`
+    name: str                        # names its partial operator in stage_operators
     kernels: Callable[[], ad.Node]   # builds the K x len kernel node
     kernel_params: tuple             # the parameters `kernels` reads
     bias: ad.Parameter | None
@@ -162,6 +162,16 @@ class _Stage(NamedTuple):
             + ((self.bias,) if self.bias is not None else ())
         return [p.value for p in params] + [self.bn.state.running_mean,
                                             self.bn.state.running_var]
+
+    def operator(self, t_len: int) -> tuple[np.ndarray, np.ndarray]:
+        """(B, o), K x T x T and K x T: in eval mode the stage sends row x of map
+        k to x @ B[k] + o[k], its convolution then its batch norm as one map."""
+        state = self.bn.state
+        scale = self.bn.gamma.value / np.sqrt(state.running_var + state.eps)
+        bands = ad._toeplitz_bands(self.kernels().value, t_len) * scale[:, None, None]
+        bias = self.bias.value if self.bias is not None else 0.0
+        offset = (bias - state.running_mean) * scale + self.bn.beta.value
+        return bands, np.repeat(offset[:, None], t_len, axis=1)
 
 
 class CCSPNet:
@@ -266,25 +276,23 @@ class CCSPNet:
                 f"(N, {cfg.n_channels}, {cfg.n_timepoints})")
         return batch
 
-    def forward_spectral(self, batch: np.ndarray, training: bool,
-                         stages: dict | None = None) -> ad.Node:
-        """The spectral stages: N x C x T in, node with N x K x C x T out.
+    @staticmethod
+    def _checked_labels(labels, n_trials: int) -> np.ndarray:
+        """`labels` as an array, which must hold one label per trial."""
+        labels = np.asarray(labels)
+        if labels.shape[:1] != (n_trials,):
+            raise DataError(f"{labels.size} labels for {n_trials} trials")
+        return labels
 
-        When `stages` is a dict, each stage's output value is stored in it in
-        pipeline order: 'raw' (N x C x T), then 'wkcnn' and 'tcnn'
-        (N x K x C x T) when present.
-        """
-        cfg = self.config
+    def forward_spectral(self, batch: np.ndarray) -> ad.Node:
+        """The spectral stages in training mode: N x C x T in, node with
+        N x K x C x T out. Eval mode goes through `stage_operators`."""
         batch = self._checked_batch(batch)
-        if stages is not None:
-            stages["raw"] = batch
-        x = ad.expand_maps(ad.constant(batch[:, None]), cfg.n_wavelet_kernels)
+        x = ad.expand_maps(ad.constant(batch[:, None]), self.config.n_wavelet_kernels)
         for stage in self.spectral_stages:
             x = ad.conv_same_temporal(x, stage.kernels(), stage.bias)
             x = ad.batch_norm(x, stage.bn.gamma, stage.bn.beta, stage.bn.state,
-                              training)
-            if stages is not None:
-                stages[stage.name] = x.value
+                              training=True)
         return x
 
     def _dense_forward(self, x: ad.Node, training: bool) -> ad.Node:
@@ -298,7 +306,7 @@ class CCSPNet:
         """Training-mode spectral forward + per-branch CSP refit + cross-entropy
         loss; returns (loss node, N x K x 4 feature node)."""
         labels = np.asarray(labels)
-        spectral = self.forward_spectral(batch, training=True)
+        spectral = self.forward_spectral(batch)
         wrs = np.stack([csp.fit_branch(spectral.value[:, i], labels).w_reduced
                         for i in range(self.config.n_wavelet_kernels)])
         feats = csp.spatial_filter_features(spectral, wrs)
@@ -335,7 +343,8 @@ class CCSPNet:
 
     def train_step(self, batch, labels):
         """One optimizer step; returns (L, J, combined loss)."""
-        labels = np.asarray(labels)
+        batch = self._checked_batch(batch)
+        labels = self._checked_labels(labels, len(batch))
         self.optimizer.zero_grad()
         loss_node, feats = self.csp_feedback_loss(batch, labels)
         loss_node.backward()
@@ -350,10 +359,10 @@ class CCSPNet:
     def train(self, trials, labels):
         """Epoch/batch loop over a training set; appends to the history log."""
         trials = np.asarray(trials, dtype=np.float64)
-        labels = np.asarray(labels)
         n = len(trials)
         if n == 0:
             raise DataError("empty training set")
+        labels = self._checked_labels(labels, n)
         for epoch in range(self.config.epochs):
             order = self._rng.permutation(n)
             for bi, idx in enumerate(_train_batches(order, labels,
@@ -368,7 +377,8 @@ class CCSPNet:
     def finalize(self, trials, labels):
         """Refit and freeze CSP + LDA on the full training set: the CSP class
         covariances from its eval-mode maps, the LDA on its frozen features."""
-        labels = np.asarray(labels)
+        trials = self._checked_batch(trials)
+        labels = self._checked_labels(labels, len(trials))
         maps = self.eval_maps(trials)
         self.frozen_branches = [csp.fit_branch(maps[:, i], labels)
                                 for i in range(self.config.n_wavelet_kernels)]
@@ -401,29 +411,28 @@ class CCSPNet:
         return self._dense_forward(ad.constant(feats.reshape(len(feats), width)),
                                    training=False)
 
-    def _eval_operator(self) -> tuple[np.ndarray, np.ndarray]:
-        """(M, c), K x T x T and K x T: in eval mode every stage is affine and
-        acts alike on each channel row, so the spectral stack sends row x of
-        map k to x @ M[k] + c[k].
+    def stage_operators(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
+        """(name, M, c) after each spectral stage: in eval mode the stages up to
+        the named one send row x of map k to x @ M[k] + c[k]. The product of
+        the stages' operators, M <- M @ B and c <- c @ B + o."""
+        stages = []
+        for stage in self.spectral_stages:
+            bands, offset = stage.operator(self.config.n_timepoints)
+            if stages:
+                _, operator, previous = stages[-1]
+                offset += np.matmul(previous[:, None], bands)[:, 0]
+                bands = np.matmul(operator, bands)
+            stages.append((stage.name, bands, offset))
+        return stages
 
-        Built by `forward_spectral` on a zero row and the T unit impulses, and
-        cached on the model under the values of every array the stack reads:
-        a training step, an in-place write or a load makes the next call
-        rebuild it.
-        """
+    def _eval_operator(self) -> tuple[np.ndarray, np.ndarray]:
+        """(M, c) of the whole spectral stack, cached under the values of every
+        array the stack reads: a training step, an in-place write or a load
+        makes the next call rebuild it."""
         key = b"".join(np.ascontiguousarray(a).tobytes()
                        for stage in self.spectral_stages for a in stage.eval_arrays())
         if self._eval_operator_cache is None or self._eval_operator_cache[0] != key:
-            cfg = self.config
-            c, t = cfg.n_channels, cfg.n_timepoints
-            # row 0 is zero and row 1 + s the impulse at s, in whole trials of c rows
-            rows = np.zeros((-(-(t + 1) // c) * c, t))
-            rows[1:t + 1] = np.eye(t)
-            maps = self.forward_spectral(rows.reshape(-1, c, t), training=False).value
-            maps = maps.transpose(1, 0, 2, 3).reshape(cfg.n_wavelet_kernels, -1, t)
-            offset = maps[:, 0].copy()
-            self._eval_operator_cache = (key, maps[:, 1:t + 1] - offset[:, None],
-                                         offset)
+            self._eval_operator_cache = (key,) + self.stage_operators()[-1][1:]
         return self._eval_operator_cache[1:]
 
     def eval_maps(self, batch) -> np.ndarray:

@@ -72,11 +72,11 @@ def stft_stage_grids(net: CCSPNet, trial: np.ndarray, channel: int,
     if not 0 <= channel < trial.shape[0]:
         raise DataError(f"channel {channel} outside 0..{trial.shape[0] - 1}")
     fs = net.config.sample_rate_hz
-    stages = {}
-    net.forward_spectral(trial[None], training=False, stages=stages)
-    grids = {"raw": [dsp.stft(stages.pop("raw")[0, channel], window_len, hop, fs)]}
-    for name, maps in stages.items():   # maps: 1 x K x C x T
-        grids[name] = [dsp.stft(m[channel], window_len, hop, fs) for m in maps[0]]
+    row = net._checked_batch(trial[None])[0, channel]
+    grids = {"raw": [dsp.stft(row, window_len, hop, fs)]}
+    for name, operator, offset in net.stage_operators():   # the channel's K maps
+        grids[name] = [dsp.stft(m, window_len, hop, fs)
+                       for m in np.matmul(row, operator) + offset]
     return grids
 
 

@@ -228,11 +228,32 @@ def preprocess_sosfilt(raw, window_ms=(1000, 3500), target_hz=100,
     return sps.sosfilt(dsp.design_bandpass(band[0], band[1], order, target_hz), low, axis=-1)
 
 
+def stage_maps_conv(net, batch):
+    """Eval-mode maps of an N x C x T batch after each spectral stage of
+    `net`, as (stage name, N x K x C x T) pairs in pipeline order: each
+    stage's depthwise convolution, then its batch norm under the running
+    statistics, with no linear operator built."""
+    x = ad.expand_maps(ad.constant(np.asarray(batch, dtype=np.float64)[:, None]),
+                       net.config.n_wavelet_kernels)
+    stages = []
+    for stage in net.spectral_stages:
+        x = ad.conv_same_temporal(x, stage.kernels(), stage.bias)
+        x = ad.batch_norm(x, stage.bn.gamma, stage.bn.beta, stage.bn.state,
+                          training=False)
+        stages.append((stage.name, x.value))
+    return stages
+
+
+def eval_maps_conv(net, batch):
+    """Eval-mode spectral maps of an N x C x T batch through the convolutions."""
+    return stage_maps_conv(net, batch)[-1][1]
+
+
 def predict_conv(net, batch):
-    """`CCSPNet.predict` through the convolutions: the eval-mode
-    `forward_spectral` maps, their frozen CSP features, the dense head, then
-    the classifier."""
-    maps = net.forward_spectral(batch, training=False).value
+    """`CCSPNet.predict` through the convolutions: the eval-mode maps of
+    `eval_maps_conv`, their frozen CSP features, the dense head, then the
+    classifier."""
+    maps = eval_maps_conv(net, batch)
     feats = csp.spatial_filter_features(ad.constant(maps), net.frozen_projection()).value
     out = net._dense_forward(ad.constant(feats.reshape(len(feats), -1)), training=False)
     if net.classifier == "softmax":

@@ -178,6 +178,13 @@ class TestMorlet:
         with pytest.raises(NumericalError):
             dsp.build_morlet(dsp.MorletParams(10, 0.0, 1.0, 32, 100))
 
+    @pytest.mark.parametrize("h", [1e103, 1e300])
+    def test_huge_width_gives_a_flat_envelope(self, h):
+        # h ** 2 overflows a float above ~1.3e154
+        params = dsp.MorletParams(f=10.0, h=h, c=2.0, kernel_len=32, fs=100)
+        np.testing.assert_array_equal(dsp.build_morlet(params),
+                                      np.cos(2 * np.pi * 10 * params.time_grid()))
+
 
 class TestMorletGradients:
     def test_dc_gradient_vanishes_at_center(self):
@@ -190,6 +197,18 @@ class TestMorletGradients:
     def test_zero_upstream_gives_zero(self):
         params = dsp.MorletParams(f=10.0, h=0.25, c=2.0, kernel_len=32, fs=100)
         assert dsp.morlet_gradients(params, np.zeros(32)) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("h", [1e103, 1e300])
+    def test_huge_width_has_finite_gradients(self, h):
+        # h ** 3 overflows a float above ~5.6e102; the envelope is flat, so
+        # neither h nor c moves the kernel
+        params = dsp.MorletParams(f=10.0, h=h, c=2.0, kernel_len=32, fs=100)
+        upstream = np.random.default_rng(0).normal(size=32)
+        df, dh, dc = dsp.morlet_gradients(params, upstream)
+        flat = dsp.MorletParams(f=10.0, h=1.0, c=0.0, kernel_len=32, fs=100)
+        assert df == dsp.morlet_gradients(flat, upstream)[0]
+        assert dh == 0.0
+        assert abs(dc) < 1e-200
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_finite_differences(self, seed):

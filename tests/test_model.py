@@ -10,9 +10,9 @@ import pytest
 
 from ccspnet import autodiff as ad
 from ccspnet import csp, data, model
-from ccspnet.errors import ConfigError, DataError, ModelStateError
+from ccspnet.errors import CcspError, ConfigError, DataError, ModelStateError, NumericalError
 
-from oracles import add_nodes, predict_conv, rel_err
+from oracles import add_nodes, eval_maps_conv, predict_conv, rel_err
 
 
 def desk_config(**overrides):
@@ -113,7 +113,7 @@ class TestForwardSpectral:
     def test_full_scale_shapes(self):
         net = model.CCSPNet(model.ModelConfig())
         rng = np.random.default_rng(0)
-        out = net.forward_spectral(rng.normal(size=(2, 62, 250)), training=False)
+        out = net.eval_maps(rng.normal(size=(2, 62, 250)))
         assert out.shape == (2, 4, 62, 250)
 
     def test_wavelet_init_frequencies(self):
@@ -124,8 +124,8 @@ class TestForwardSpectral:
 
     def test_zero_input_zero_output_eval_mode(self):
         net = model.CCSPNet(desk_config())
-        out = net.forward_spectral(np.zeros((3, 6, 40)), training=False)
-        assert np.allclose(out.value, 0.0)
+        out = net.eval_maps(np.zeros((3, 6, 40)))
+        assert np.allclose(out, 0.0)
 
     def test_map_order_follows_wavelet_index(self):
         # zeroing one wavelet's frequency band response is hard to isolate, so
@@ -133,34 +133,16 @@ class TestForwardSpectral:
         net = model.CCSPNet(desk_config(ablate="tcnn"))
         rng = np.random.default_rng(1)
         x = rng.normal(size=(2, 6, 40))
-        base = net.forward_spectral(x, training=False).value
+        base = net.eval_maps(x)
         net.wavelet[2][0].value = np.asarray(12.0)  # move kernel 2 only
-        moved = net.forward_spectral(x, training=False).value
+        moved = net.eval_maps(x)
         changed = [not np.allclose(base[:, i], moved[:, i]) for i in range(4)]
         assert changed == [False, False, True, False]
 
     def test_channel_mismatch_rejected(self):
         net = model.CCSPNet(desk_config())
         with pytest.raises(DataError):
-            net.forward_spectral(np.zeros((2, 7, 40)), training=False)
-
-    def test_stages_recorded_along_the_forward(self):
-        net = model.CCSPNet(desk_config())
-        x = np.random.default_rng(2).normal(size=(3, 6, 40))
-        stages = {}
-        out = net.forward_spectral(x, training=False, stages=stages)
-        assert set(stages) == {"raw", "wkcnn", "tcnn"}
-        np.testing.assert_array_equal(stages["raw"], x)
-        assert stages["wkcnn"].shape == (3, 4, 6, 40)
-        assert stages["tcnn"] is out.value
-
-    def test_stages_of_a_wrongly_shaped_batch_rejected(self):
-        net = model.CCSPNet(desk_config(n_channels=8, n_timepoints=64))
-        stages = {}
-        with pytest.raises(DataError):
-            net.forward_spectral(np.zeros((2, 7, 40)), training=False,
-                                 stages=stages)
-        assert stages == {}
+            net.eval_maps(np.zeros((2, 7, 40)))
 
 
 class TestConfigValidation:
@@ -332,7 +314,7 @@ class TestTrainBatches:
 def refit_projections(net, trials, labels):
     """The K x C x 4 reduced CSP projections `csp_feedback_loss` fits to the
     training-mode maps of `trials`."""
-    maps = net.forward_spectral(trials, training=True).value
+    maps = net.forward_spectral(trials).value
     return np.stack([csp.fit_branch(maps[:, i], labels).w_reduced
                      for i in range(maps.shape[1])])
 
@@ -340,7 +322,7 @@ def refit_projections(net, trials, labels):
 def frozen_projection_loss(net, trials, labels, wrs):
     """The CSP feedback loss with the projections held at `wrs` rather than
     refit, so it is a function of the spectral parameters alone."""
-    spectral = net.forward_spectral(trials, training=True)
+    spectral = net.forward_spectral(trials)
     return csp.csp_loss(csp.spatial_filter_features(spectral, wrs), labels)
 
 
@@ -399,7 +381,7 @@ class TestStackedBranches:
         grads = {name: p.grad for name, p in net._params.items()}
 
         net.optimizer.zero_grad()
-        spectral = net.forward_spectral(trials, training=True)
+        spectral = net.forward_spectral(trials)
         # each branch on its own copy of its map, N x 1 x C x T
         pieces = [ad.Parameter(spectral.value[:, i:i + 1]) for i in range(len(wrs))]
         per_branch = None
@@ -424,9 +406,9 @@ class TestStackedBranches:
         net = model.CCSPNet(desk_config(epochs=1))
         trials, labels = desk_batch(np.random.default_rng(6))
         net.train(trials, labels).finalize(trials, labels)
-        spectral = net.forward_spectral(trials, training=False)
+        maps = eval_maps_conv(net, trials)
         want = np.stack(
-            [csp.spatial_filter_features(ad.constant(spectral.value[:, i]),
+            [csp.spatial_filter_features(ad.constant(maps[:, i]),
                                          br.w_reduced).value
              for i, br in enumerate(net.frozen_branches)], axis=1)
         np.testing.assert_allclose(net.frozen_features(trials).value, want,
@@ -496,17 +478,21 @@ def paper_shape_model():
     return net.train(trials, labels).finalize(trials, labels)
 
 
+# the stages whose operators one build of the full model's operator makes
+ONE_BUILD = ["wkcnn", "tcnn"]
+
+
 def count_operator_builds(monkeypatch):
-    """The `training` flag of every `forward_spectral` call from now on, as
-    a growing list; `predict` makes one eval-mode call per operator build."""
+    """The name of the stage of every `_Stage.operator` call from now on, as
+    a growing list; one operator build calls it once per stage, in order."""
     calls = []
-    original = model.CCSPNet.forward_spectral
+    original = model._Stage.operator
 
-    def counting(self, batch, training, stages=None):
-        calls.append(training)
-        return original(self, batch, training, stages)
+    def counting(self, t_len):
+        calls.append(self.name)
+        return original(self, t_len)
 
-    monkeypatch.setattr(model.CCSPNet, "forward_spectral", counting)
+    monkeypatch.setattr(model._Stage, "operator", counting)
     return calls
 
 
@@ -532,8 +518,16 @@ class TestEvalOperator:
         operator, bias = net._eval_operator()
         assert operator.shape == (4, 40, 40) and bias.shape == (4, 40)
         maps = np.matmul(x[:, None], operator) + bias[:, None, :]
-        expected = net.forward_spectral(x, training=False).value
+        expected = eval_maps_conv(net, x)
         assert np.abs(maps - expected).max() <= 1e-10 * np.abs(expected).max()
+        assert rel_err(maps, expected) <= 1e-12
+        # the oracle's maps of a zero row and of the T unit impulses are c
+        # and M + c
+        rows = np.zeros((41, 6, 40))
+        rows[1:, 0] = np.eye(40)
+        impulses = eval_maps_conv(net, rows)[:, :, 0]
+        assert rel_err(bias, impulses[0]) <= 1e-12
+        assert rel_err(operator, (impulses[1:] - impulses[0]).transpose(1, 0, 2)) <= 1e-12
 
     def test_repeat_predict_does_not_rebuild(self, monkeypatch):
         # finalize builds the operator; predict reuses it
@@ -562,7 +556,7 @@ class TestEvalOperator:
             net._params["temporal.bias"].value[1] = 0.5
         builds = count_operator_builds(monkeypatch)
         pred = net.predict(trials)
-        assert builds == [False]
+        assert builds == ONE_BUILD
         np.testing.assert_array_equal(pred, predict_conv(net, trials))
 
     def test_restoring_a_file_in_place_rebuilds(self, tmp_path, monkeypatch):
@@ -574,7 +568,7 @@ class TestEvalOperator:
         net._restore(dict(source._state_arrays()), True, tmp_path / "a.ccsp")
         builds = count_operator_builds(monkeypatch)
         np.testing.assert_array_equal(net.predict(trials), expected)
-        assert builds == [False]
+        assert builds == ONE_BUILD
 
     def test_loaded_model_builds_on_first_predict(self, tmp_path, monkeypatch):
         net, trials, _ = fitted_desk_model()
@@ -584,7 +578,7 @@ class TestEvalOperator:
         loaded = model.CCSPNet.load(path)
         assert builds == []
         np.testing.assert_array_equal(loaded.predict(trials), expected)
-        assert builds == [False]
+        assert builds == ONE_BUILD
 
     def test_chunked_predict_matches_bulk(self, paper_shape_model):
         fresh, _ = desk_batch(np.random.default_rng(20), n=23, c=62, t=250)
@@ -671,6 +665,88 @@ class TestFinalizeMemory:
             ratios.append(peak / trials.nbytes)
         assert max(ratios) < 8.0, ratios
         assert ratios[1] <= ratios[0] + 0.25, ratios
+
+
+class TestLabelCount:
+    @pytest.mark.parametrize("n_labels", (15, 17))
+    @pytest.mark.parametrize("entry", ("train", "train_step", "finalize"))
+    def test_label_count_must_match_the_trials(self, entry, n_labels):
+        net = model.CCSPNet(desk_config())
+        trials, _ = desk_batch(np.random.default_rng(24))
+        labels = np.arange(n_labels) % 2
+        with pytest.raises(DataError, match=f"{n_labels} labels for 16 trials"):
+            getattr(net, entry)(trials, labels)
+
+
+class TestHugeWaveletWidth:
+    def test_file_with_a_huge_width_loads_and_predicts(self, tmp_path):
+        net, trials, _ = fitted_desk_model()
+        path = net.save(tmp_path / "m.ccsp")
+        rewrite_arrays(path, lambda items: [
+            (n, np.asarray(1e300) if n == "wavelet.h.0" else a) for n, a in items])
+        loaded = model.CCSPNet.load(path)
+        assert float(loaded.wavelet[0][1].value) == 1e300
+        pred = loaded.predict(trials)
+        np.testing.assert_array_equal(pred, predict_conv(loaded, trials))
+
+    def test_huge_wavelet_learning_rate_is_a_numerical_error(self):
+        # the first step throws the widths past 1e307; numpy's overflow on
+        # the next steps is silenced so that the error the caller gets shows
+        net = model.CCSPNet(desk_config(lr_wavelet=1e308))
+        trials, labels = desk_batch(np.random.default_rng(25))
+        with np.errstate(all="ignore"), pytest.raises(NumericalError):
+            net.train(trials, labels)
+
+
+# what each array of a .ccsp file is perturbed to; None swaps the first two
+# entries of its last axis
+FUZZ_VALUES = {"nan": np.nan, "inf": np.inf, "minus_one": -1.0, "zero": 0.0,
+               "swap": None}
+
+
+def perturbed(arr, value, rng):
+    """A copy of `arr` with one seeded entry set to `value`, or with the first
+    two entries of its last axis swapped when `value` is None; None when the
+    array has no such entries."""
+    arr = np.array(arr, dtype=np.float64)
+    if value is None:
+        if arr.ndim == 0 or arr.shape[-1] < 2:
+            return None
+        arr[..., [0, 1]] = arr[..., [1, 0]]
+    elif arr.size:
+        arr.flat[rng.integers(arr.size)] = value
+    else:
+        return None
+    return arr
+
+
+class TestCcspFuzz:
+    @pytest.mark.parametrize("ablate", ("", "tcnn"))
+    def test_perturbed_arrays_predict_or_raise_a_named_error(self, tmp_path, ablate):
+        # every array of a finalized model, each perturbed five ways, through
+        # _restore, save, load and predict
+        net, trials, _ = fitted_desk_model(ablate)
+        arrays = {name: np.array(a) for name, a in net._state_arrays()}
+        rng = np.random.default_rng(26)
+        path = tmp_path / "fuzz.ccsp"
+        outcomes = {"clean": 0, "error": 0}
+        for name in arrays:
+            for how, value in FUZZ_VALUES.items():
+                arr = perturbed(arrays[name], value, rng)
+                if arr is None:
+                    continue
+                fresh = model.CCSPNet(net.config)
+                try:
+                    fresh._restore({**arrays, name: arr}, True, path)
+                    fresh.save(path)
+                    pred = model.CCSPNet.load(path).predict(trials)
+                except CcspError as exc:
+                    assert type(exc) is not CcspError and str(exc), (name, how)
+                    outcomes["error"] += 1
+                else:
+                    assert pred.shape == (len(trials),), (name, how)
+                    outcomes["clean"] += 1
+        assert outcomes["clean"] and outcomes["error"], outcomes
 
 
 class TestAblations:

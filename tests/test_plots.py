@@ -7,7 +7,9 @@ import pytest
 from ccspnet import autodiff as ad
 from ccspnet import csp, data, plots
 from ccspnet.errors import DataError, ModelStateError
-from ccspnet.model import CCSPNet, ModelConfig
+from ccspnet.model import ABLATIONS, CCSPNet, ModelConfig
+
+from oracles import rel_err, stage_maps_conv
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +50,29 @@ class TestStftGrids:
         with pytest.raises(DataError):
             plots.stft_stage_grids(net, np.zeros((7, 40)), channel=0)
 
+    @pytest.mark.parametrize("offset", (0.0, 1e3))
+    @pytest.mark.parametrize("ablate", ("",) + ABLATIONS)
+    def test_stage_maps_match_the_convolution_oracle(self, ablate, offset):
+        # the grids' maps of each stage come from its partial operator
+        net = CCSPNet(ModelConfig(n_channels=6, n_timepoints=40, wavelet_len=8,
+                                  temporal_len=16, epochs=1, batch_size=16,
+                                  ablate=ablate))
+        x = np.random.default_rng(2).normal(size=(4, 6, 40))
+        net.train(x, np.array([0, 1, 0, 1]))
+        x += offset
+        stages = net.stage_operators()
+        want = stage_maps_conv(net, x)
+        assert [name for name, _, _ in stages] == [name for name, _ in want]
+        assert len(stages) == (1 if ablate in ("wkcnn", "tcnn") else 2)
+        for (_, operator, bias), (_, maps) in zip(stages, want):
+            assert rel_err(np.matmul(x[:, None], operator) + bias[:, None], maps) <= 1e-10
+
+    def test_stages_of_a_wrongly_shaped_trial_rejected(self):
+        # the channel exists, but the trial is too short
+        net = CCSPNet(ModelConfig(n_channels=8, n_timepoints=64))
+        with pytest.raises(DataError, match="does not match model input"):
+            plots.stft_stage_grids(net, np.zeros((8, 40)), channel=0)
+
     def test_csv_row_count(self, fitted, tmp_path):
         net, train, _ = fitted
         grids = plots.stft_stage_grids(net, train.trials[0], channel=0)
@@ -66,6 +91,27 @@ class TestStftGrids:
         plots.render_stft_svg(path, grids)
         root = ET.parse(path).getroot()
         assert root.tag.endswith("svg")
+
+
+def test_evaluation_runs_no_convolution(monkeypatch):
+    # predict, finalize and both plots go through the stage operators; only
+    # training convolves
+    cfg = data.SynthConfig(n_subjects=1, trials_per_class=10, n_channels=8, seed=4)
+    train, _ = data.split_sd(data.preprocess(data.synthesize(cfg)))
+    net = CCSPNet(ModelConfig(n_channels=8, epochs=1, batch_size=300, seed=0))
+    net.train(train.trials, train.labels)
+
+    def no_conv(*args, **kwargs):
+        raise AssertionError("conv_same_temporal called")
+
+    monkeypatch.setattr(ad, "conv_same_temporal", no_conv)
+    net.finalize(train.trials, train.labels)
+    assert net.predict(train.trials).shape == (len(train),)
+    assert len(plots.csp_scatter_points(net, train.trials, train.labels)) == 4 * len(train)
+    assert set(plots.stft_stage_grids(net, train.trials[0], channel=0)) == {
+        "raw", "wkcnn", "tcnn"}
+    with pytest.raises(AssertionError, match="conv_same_temporal called"):
+        net.train_step(train.trials, train.labels)
 
 
 class TestCspScatter:
