@@ -3,7 +3,8 @@
 Values are float64 numpy arrays. Each op returns a Node holding the forward
 value and a closure that scatters the upstream adjoint to its parents.
 Backward visits nodes in reverse topological order exactly once, so adjoints
-of shared subexpressions accumulate additively.
+of shared subexpressions accumulate additively. An inner node's adjoint is
+dropped once its closure has handed it on; leaves keep theirs.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ class Node:
         """Run reverse-mode accumulation from this node.
 
         `seed` scales the whole gradient (useful for weighted loss terms).
+        Each inner node's gradient is released once its `_backward` has run,
+        so only the leaves, the nodes with no `_backward`, keep one.
         """
         if self.value.ndim != 0:
             raise NumericalError("backward requires a scalar root node")
@@ -82,6 +85,7 @@ class Node:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     def _accumulate(self, g):
         # the first gradient is kept as it arrives; later ones make a new sum,
@@ -289,8 +293,13 @@ def batch_norm(x: Node, gamma: Node, beta: Node, state: BatchNormState,
 
     2D flavour: x is N x K x C x T, features are the K maps. 1D flavour:
     x is N x F, features are the F columns. Feature axis is axis 1 in both.
-    The forward makes two arrays of the size of x (x-hat and the output) and
-    the backward at most two (the x gradient and, in training, one term of it).
+    The forward normalizes into its output, the one array of the size of x it
+    makes, and keeps only the per-feature mean and 1/std: the backward
+    rebuilds x-hat from x with the same float operations, so its gradients
+    are those of a stored x-hat bit for bit. The backward makes at most two
+    arrays of the size of x: x-hat and the x gradient in training, which
+    scales x-hat in place for its x-hat term; in eval mode x-hat is freed
+    before the x gradient is made.
     """
     feat_shape = [1] * x.value.ndim
     feat_shape[1] = x.shape[1]
@@ -300,36 +309,46 @@ def batch_norm(x: Node, gamma: Node, beta: Node, state: BatchNormState,
         if x.shape[0] < 2:
             raise NumericalError("batch norm in train mode requires batch size >= 2")
         mean = _feature_sums(x.value) / count
-        xhat = x.value - mean.reshape(feat_shape)
-        var = _feature_dots(xhat, xhat) / count
+        out = x.value - mean.reshape(feat_shape)
+        var = _feature_dots(out, out) / count
         m = state.momentum
         state.running_mean = (1 - m) * state.running_mean + m * mean
         state.running_var = (1 - m) * state.running_var + m * var
     else:
+        # a copy: a load writes the running statistics in place
+        mean = state.running_mean.copy()
         var = state.running_var
-        xhat = x.value - state.running_mean.reshape(feat_shape)
+        out = x.value - mean.reshape(feat_shape)
 
     istd = 1.0 / np.sqrt(var + state.eps)
-    xhat *= istd.reshape(feat_shape)
-    out = xhat * gamma.value.reshape(feat_shape)
+    out *= istd.reshape(feat_shape)
+    out *= gamma.value.reshape(feat_shape)
     out += beta.value.reshape(feat_shape)
 
     def backward(g):
         sum_g = _feature_sums(g)
+        xhat = x.value - mean.reshape(feat_shape)
+        xhat *= istd.reshape(feat_shape)
         sum_g_xhat = _feature_dots(g, xhat)
         if gamma.requires_grad:
             gamma._accumulate(sum_g_xhat)
         if beta.requires_grad:
             beta._accumulate(sum_g)
-        if x.requires_grad:
-            scale_g = gamma.value * istd
+        if not x.requires_grad:
+            return
+        scale_g = gamma.value * istd
+        if training:
+            # batch statistics depend on x:
+            # dx = gamma istd (g - sum_g / count - xhat sum_g_xhat / count),
+            # its x-hat term made in x-hat's own array
+            xhat *= (scale_g * sum_g_xhat / count).reshape(feat_shape)
             dx = g * scale_g.reshape(feat_shape)
-            if training:
-                # batch statistics depend on x:
-                # dx = gamma istd (g - sum_g / count - xhat sum_g_xhat / count)
-                dx -= xhat * (scale_g * sum_g_xhat / count).reshape(feat_shape)
-                dx -= (scale_g * sum_g / count).reshape(feat_shape)
-            x._accumulate(dx)
+            dx -= xhat
+            dx -= (scale_g * sum_g / count).reshape(feat_shape)
+        else:
+            del xhat
+            dx = g * scale_g.reshape(feat_shape)
+        x._accumulate(dx)
 
     return Node(out, (x, gamma, beta), backward)
 
@@ -372,8 +391,8 @@ def log_variance(x: Node) -> Node:
     centered = x.value - x.value.mean(axis=-1, keepdims=True)
     var = (centered ** 2).mean(axis=-1)
     if np.any(var <= 0):
-        idx = np.argwhere(var <= 0)[0]
-        raise NumericalError(f"zero-variance row at index {tuple(idx)}")
+        idx = tuple(int(i) for i in np.argwhere(var <= 0)[0])
+        raise NumericalError(f"zero-variance row at index {idx}")
 
     def backward(g):
         if x.requires_grad:

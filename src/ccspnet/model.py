@@ -278,10 +278,13 @@ class CCSPNet:
 
     @staticmethod
     def _checked_labels(labels, n_trials: int) -> np.ndarray:
-        """`labels` as an array, which must hold one label per trial."""
+        """`labels` as an array, which must hold one label, 0 or 1, per trial."""
         labels = np.asarray(labels)
         if labels.shape[:1] != (n_trials,):
             raise DataError(f"{labels.size} labels for {n_trials} trials")
+        bad = labels[~np.isin(labels, (0, 1))]
+        if bad.size:
+            raise DataError(f"label {bad.flat[0].item()!r} is not 0 or 1")
         return labels
 
     def forward_spectral(self, batch: np.ndarray) -> ad.Node:
@@ -560,8 +563,11 @@ class CCSPNet:
         a finalized file first gets zero frozen state of the config's shapes.
         Every array must be finite, a running variance, an Adam second
         moment or a CSP class covariance's diagonal non-negative, a wavelet
-        width positive, the CSP eigenvalues within [0, 1] and non-increasing,
-        and a CSP reduced projection the reduction of its branch's w_full."""
+        width positive, a spectral stage's batch-norm scale non-zero (a zero
+        makes its map constant in eval mode), the CSP eigenvalues within
+        [0, 1] and non-increasing, and a CSP reduced projection the
+        reduction of its branch's w_full."""
+        stage_scales = {stage.bn.gamma.name for stage in self.spectral_stages}
         if finalized:
             c = self.config.n_channels
             self.frozen_branches = [
@@ -586,6 +592,8 @@ class CCSPNet:
                 raise DataError(f"{path}: {name} holds a negative second moment")
             if name.startswith("wavelet.h.") and (arr <= 0).any():
                 raise DataError(f"{path}: {name} holds a non-positive wavelet width")
+            if name in stage_scales and (arr == 0).any():
+                raise DataError(f"{path}: {name} holds a zero batch-norm scale")
             if name.startswith("csp.") and name.endswith(".eigenvalues") and (
                     (arr < -_EIGENVALUE_SLACK) | (arr > 1 + _EIGENVALUE_SLACK)).any():
                 raise DataError(f"{path}: {name} holds an eigenvalue "

@@ -12,6 +12,7 @@ from scipy import signal as sps
 
 from ccspnet import autodiff as ad
 from ccspnet import csp, dsp, lda
+from ccspnet.errors import NumericalError
 
 
 def add_nodes(a, b):
@@ -211,6 +212,54 @@ def batch_norm_reference(x, gamma, beta, running_mean, running_var, g,
         dx = ghat * istd_b
     return (out, running_mean, running_var, dx,
             (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes))
+
+
+def batch_norm_stored_xhat(x, gamma, beta, state, training):
+    """`ad.batch_norm` as it was when its forward kept x-hat for the backward:
+    the same reductions (`ad._feature_sums`, `ad._feature_dots`) and the same
+    float operations in the same order, with x-hat made once in the forward
+    and read again by the backward. The fused op, which rebuilds x-hat in its
+    backward, must match it bit for bit."""
+    feat_shape = [1] * x.value.ndim
+    feat_shape[1] = x.shape[1]
+    count = x.value.size // x.shape[1]
+
+    if training:
+        if x.shape[0] < 2:
+            raise NumericalError("batch norm in train mode requires batch size >= 2")
+        mean = ad._feature_sums(x.value) / count
+        xhat = x.value - mean.reshape(feat_shape)
+        var = ad._feature_dots(xhat, xhat) / count
+        m = state.momentum
+        state.running_mean = (1 - m) * state.running_mean + m * mean
+        state.running_var = (1 - m) * state.running_var + m * var
+    else:
+        var = state.running_var
+        xhat = x.value - state.running_mean.reshape(feat_shape)
+
+    istd = 1.0 / np.sqrt(var + state.eps)
+    xhat *= istd.reshape(feat_shape)
+    out = xhat * gamma.value.reshape(feat_shape)
+    out += beta.value.reshape(feat_shape)
+
+    def backward(g):
+        sum_g = ad._feature_sums(g)
+        sum_g_xhat = ad._feature_dots(g, xhat)
+        if gamma.requires_grad:
+            gamma._accumulate(sum_g_xhat)
+        if beta.requires_grad:
+            beta._accumulate(sum_g)
+        if x.requires_grad:
+            scale_g = gamma.value * istd
+            dx = g * scale_g.reshape(feat_shape)
+            if training:
+                # batch statistics depend on x:
+                # dx = gamma istd (g - sum_g / count - xhat sum_g_xhat / count)
+                dx -= xhat * (scale_g * sum_g_xhat / count).reshape(feat_shape)
+                dx -= (scale_g * sum_g / count).reshape(feat_shape)
+            x._accumulate(dx)
+
+    return ad.Node(out, (x, gamma, beta), backward)
 
 
 def preprocess_sosfilt(raw, window_ms=(1000, 3500), target_hz=100,

@@ -6,8 +6,9 @@ import pytest
 from ccspnet import autodiff as ad
 from ccspnet.errors import NumericalError
 
-from oracles import (add_nodes, batch_norm_reference, central_difference,
-                     conv_same_temporal_einsum, mean_of, project_channels_einsum, rel_err)
+from oracles import (add_nodes, batch_norm_reference, batch_norm_stored_xhat,
+                     central_difference, conv_same_temporal_einsum, mean_of,
+                     project_channels_einsum, rel_err)
 
 
 def grad_check(build_loss, x0, eps=1e-6, tol=1e-5):
@@ -44,6 +45,27 @@ class TestGraphBasics:
         x = ad.Parameter(np.ones(3))
         with pytest.raises(NumericalError):
             x.backward()
+
+
+class TestBackwardReleasesGradients:
+    def test_inner_grads_cleared_and_leaf_grads_kept(self):
+        x = ad.Parameter(np.array([1.0, 2.0, 3.0]))
+        loose = ad.Node(np.array([4.0, 5.0, 6.0]), requires_grad=True)
+        inner = add_nodes(ad.scale(x, 2.0), loose)
+        root = mean_of(inner)
+        root.backward()
+        assert inner.grad is None and root.grad is None
+        np.testing.assert_array_equal(x.grad, np.full(3, 2.0 / 3))
+        # a leaf need not be a Parameter: it is a node with no backward
+        np.testing.assert_array_equal(loose.grad, np.full(3, 1.0 / 3))
+
+    def test_shared_subexpression_still_sums(self):
+        x = ad.Parameter(np.array([1.0, -1.0]))
+        shared = ad.scale(x, 3.0)
+        root = mean_of(add_nodes(shared, shared))
+        root.backward()
+        assert shared.grad is None
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
 
 
 class TestConvSameTemporal:
@@ -322,6 +344,36 @@ class TestBatchNormMatchesReference:
         grad_check(loss, x0)
 
 
+class TestBatchNormMatchesStoredXhat:
+    """The batch norm that rebuilds x-hat in its backward against the one that
+    stored it (tests/oracles.py): equal bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 5), (40, 4, 6, 50), (2, 5), (300, 16)])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_outputs_statistics_and_gradients_are_equal(self, shape, training, offset):
+        rng = np.random.default_rng(sum(shape) + 3 * training + int(offset))
+        n_feat = shape[1]
+        x0 = rng.normal(offset, 2.0, size=shape)
+        gamma0 = rng.uniform(0.5, 1.5, size=n_feat)
+        beta0 = rng.normal(size=n_feat)
+        mean0 = offset + rng.normal(size=n_feat)
+        var0 = rng.uniform(0.5, 2.0, size=n_feat)
+        g = rng.normal(size=shape)
+        results = []
+        for op in (ad.batch_norm, batch_norm_stored_xhat):
+            x, gamma, beta = (ad.Parameter(a.copy()) for a in (x0, gamma0, beta0))
+            state = ad.BatchNormState(n_feat)
+            state.running_mean, state.running_var = mean0.copy(), var0.copy()
+            out = op(x, gamma, beta, state, training)
+            out._backward(g)
+            results.append((out.value, state.running_mean, state.running_var,
+                            x.grad, gamma.grad, beta.grad))
+        for name, got, want in zip(("out", "running_mean", "running_var", "dx",
+                                    "dgamma", "dbeta"), *results):
+            assert np.array_equal(got, want), name
+
+
 def _traced_peak(fn):
     """Peak of traced allocations made while fn runs, above the level at its start."""
     start = tracemalloc.get_traced_memory()[0]
@@ -332,8 +384,9 @@ def _traced_peak(fn):
 
 class TestBatchNormAllocations:
     """The fused batch norm makes few arrays of the size of its input map:
-    x-hat and the output in the forward, the x gradient and one term of it
-    in the training backward, the x gradient alone in the eval backward."""
+    the output alone in the forward, which keeps no x-hat; the rebuilt x-hat
+    and the x gradient in the training backward; the x gradient alone in the
+    eval backward, which frees x-hat first."""
 
     SHAPE = (40, 4, 16, 250)
 
@@ -358,7 +411,7 @@ class TestBatchNormAllocations:
 
     def test_training_mode(self):
         fwd, bwd = self._peaks(training=True)
-        assert fwd <= 2.5, f"forward peak {fwd:.2f} map sizes"
+        assert fwd <= 1.5, f"forward peak {fwd:.2f} map sizes"
         assert bwd <= 2.5, f"backward peak {bwd:.2f} map sizes"
 
     def test_eval_mode_backward(self):
@@ -463,6 +516,13 @@ class TestLogVariance:
         x[1] += np.random.default_rng(15).normal(size=10)
         with pytest.raises(NumericalError, match="0"):
             ad.log_variance(ad.constant(x))
+
+    def test_zero_variance_index_prints_plain_ints(self):
+        x = np.random.default_rng(16).normal(size=(2, 3, 10))
+        x[1, 2] = 5.0
+        with pytest.raises(NumericalError) as info:
+            ad.log_variance(ad.constant(x))
+        assert str(info.value) == "zero-variance row at index (1, 2)"
 
 
 class TestAdam:

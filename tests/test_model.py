@@ -667,6 +667,38 @@ class TestFinalizeMemory:
         assert ratios[1] <= ratios[0] + 0.25, ratios
 
 
+class TestTrainStepMemory:
+    """A training step holds few arrays of the size of one N x K x C x T map:
+    each inner node's gradient is freed once its backward has handed it on,
+    and batch norm keeps no x-hat between its forward and backward."""
+
+    @pytest.mark.parametrize("ablate, bound", [("", 10.0), ("wkcnn", 7.5), ("tcnn", 7.5)])
+    def test_peak_in_maps(self, ablate, bound):
+        n, c, t = 40, 16, 250
+        trials, labels = desk_batch(np.random.default_rng(30), n=n, c=c, t=t)
+        net = model.CCSPNet(model.ModelConfig(n_channels=c, n_timepoints=t,
+                                              batch_size=n, ablate=ablate))
+        net.train_step(trials, labels)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            net.train_step(trials, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        maps = peak / (8 * n * net.config.n_wavelet_kernels * c * t)
+        assert maps <= bound, f"train_step peak {maps:.2f} maps"
+
+
+class TestLabelValues:
+    @pytest.mark.parametrize("entry", ("train", "train_step", "finalize"))
+    def test_labels_other_than_0_and_1_are_a_data_error(self, entry):
+        net = model.CCSPNet(desk_config())
+        trials, labels = desk_batch(np.random.default_rng(24))
+        with pytest.raises(DataError, match="label 2 is not 0 or 1"):
+            getattr(net, entry)(trials, 2 * labels)
+
+
 class TestLabelCount:
     @pytest.mark.parametrize("n_labels", (15, 17))
     @pytest.mark.parametrize("entry", ("train", "train_step", "finalize"))
@@ -696,6 +728,20 @@ class TestHugeWaveletWidth:
         trials, labels = desk_batch(np.random.default_rng(25))
         with np.errstate(all="ignore"), pytest.raises(NumericalError):
             net.train(trials, labels)
+
+
+class TestZeroStageScale:
+    @pytest.mark.parametrize("ablate, name", [("", "bn_wk.gamma"), ("", "bn_tc.gamma"),
+                                              ("tcnn", "bn_wk.gamma"),
+                                              ("wkcnn", "bn_tc.gamma")])
+    def test_zero_in_a_spectral_batch_norm_scale_is_a_data_error(self, tmp_path,
+                                                                 ablate, name):
+        net, _, _ = fitted_desk_model(ablate)
+        path = net.save(tmp_path / "m.ccsp")
+        rewrite_arrays(path, lambda items: [
+            (n, last_entry_set(a, 0.0) if n == name else a) for n, a in items])
+        with pytest.raises(DataError, match=f"m.ccsp: {name} holds a zero batch-norm scale"):
+            model.CCSPNet.load(path)
 
 
 # what each array of a .ccsp file is perturbed to; None swaps the first two
@@ -741,7 +787,9 @@ class TestCcspFuzz:
                     fresh.save(path)
                     pred = model.CCSPNet.load(path).predict(trials)
                 except CcspError as exc:
-                    assert type(exc) is not CcspError and str(exc), (name, how)
+                    # a bad array is the file's fault: a DataError naming it
+                    assert type(exc) is DataError and str(path) in str(exc), \
+                        (name, how, exc)
                     outcomes["error"] += 1
                 else:
                     assert pred.shape == (len(trials),), (name, how)
