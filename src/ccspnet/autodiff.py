@@ -13,23 +13,6 @@ import numpy as np
 
 from .errors import NumericalError
 
-__all__ = [
-    "Node",
-    "Parameter",
-    "constant",
-    "scale",
-    "conv_same_temporal",
-    "expand_maps",
-    "project_channels",
-    "batch_norm",
-    "BatchNormState",
-    "dense",
-    "softmax",
-    "log_variance",
-    "binary_cross_entropy",
-    "Adam",
-]
-
 
 def _as_f64(x):
     a = np.asarray(x, dtype=np.float64)
@@ -53,9 +36,6 @@ class Node:
     @property
     def shape(self):
         return self.value.shape
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self, seed=1.0):
         """Run reverse-mode accumulation from this node.
@@ -447,7 +427,7 @@ class Adam:
     def zero_grad(self):
         for g in self.groups:
             for p in g["params"]:
-                p.zero_grad()
+                p.grad = None
 
     def step(self):
         self.step_count += 1

@@ -8,6 +8,7 @@ treated as a constant during backprop).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,27 +31,37 @@ class CspBranch:
     w_reduced: np.ndarray     # C x 4: first two and last two columns
 
 
-def class_covariances(batch: np.ndarray,
+def class_covariances(trials: np.ndarray | Iterable[np.ndarray],
                       labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trace-normalized per-trial covariances averaged within each class."""
-    batch = np.asarray(batch, dtype=np.float64)
+    """Trace-normalized per-trial covariances averaged within each class.
+
+    `trials` is an N x C x T array or an iterable of such blocks of
+    consecutive trials, one label per trial; a generator may refill one
+    buffer, as a block is read before the next is taken. Each covariance joins
+    its class's running sum in trial order: over the count, numpy's mean exactly."""
     labels = np.asarray(labels)
-    if batch.shape[-1] < 2:
-        raise NumericalError("covariance needs at least two time points")
-    out = []
-    for cls in (0, 1):
-        trials = batch[labels == cls]
-        if len(trials) == 0:
-            raise NumericalError(f"class {cls} missing from batch; CSP undefined")
-        covs = np.matmul(trials, trials.transpose(0, 2, 1))
+    bad = labels[~np.isin(labels, (0, 1))]
+    if bad.size:
+        raise NumericalError(f"CSP label {bad.flat[0].item()!r} is not 0 or 1")
+    classes, sums, n = labels.astype(int).tolist(), [None, None], 0
+    for block in [trials] if isinstance(trials, np.ndarray) else trials:
+        block = np.asarray(block, dtype=np.float64)
+        if block.shape[-1] < 2:
+            raise NumericalError("covariance needs at least two time points")
+        covs = np.matmul(block, block.transpose(0, 2, 1))
         traces = np.trace(covs, axis1=1, axis2=2)
         if np.any(traces <= 0):
             raise NumericalError("zero-power trial in covariance estimation")
-        out.append((covs / traces[:, None, None]).mean(axis=0))
-    sigma0, sigma1 = out
-    sigma0 = 0.5 * (sigma0 + sigma0.T)
-    sigma1 = 0.5 * (sigma1 + sigma1.T)
-    return sigma0, sigma1
+        covs /= traces[:, None, None]
+        for cls, cov in zip(classes[n:n + len(covs)], covs):
+            sums[cls] = cov if sums[cls] is None else sums[cls] + cov
+        n += len(covs)
+    if n != len(classes):
+        raise NumericalError(f"{len(classes)} CSP labels for {n} trials")
+    counts = np.bincount(classes, minlength=2)
+    if not counts.all():
+        raise NumericalError(f"class {counts.argmin()} missing from batch; CSP undefined")
+    return tuple(0.5 * (mean + mean.T) for mean in map(np.divide, sums, counts))
 
 
 def solve_csp(sigma0: np.ndarray,
@@ -92,9 +103,8 @@ def reduce_projection(w: np.ndarray) -> np.ndarray:
     return np.concatenate([w[:, :2], w[:, -2:]], axis=1)
 
 
-def fit_branch(batch: np.ndarray, labels: np.ndarray) -> CspBranch:
-    """Full per-branch fit: covariances -> eigenvectors -> reduced projection."""
-    sigma0, sigma1 = class_covariances(batch, labels)
+def fit_branch(sigma0: np.ndarray, sigma1: np.ndarray) -> CspBranch:
+    """Per-branch fit to two class covariances: eigenvectors -> reduced projection."""
     w, eigvals = solve_csp(sigma0, sigma1)
     return CspBranch(sigma0, sigma1, w, eigvals, reduce_projection(w))
 

@@ -269,14 +269,8 @@ def load_trials(manifest_path) -> TrialSet:
                             f"declared subject {sid}")
         parts.append((trials, labels, sids, sess, phs))
 
-    return TrialSet(
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-        np.concatenate([p[2] for p in parts]),
-        np.concatenate([p[3] for p in parts]),
-        np.concatenate([p[4] for p in parts]),
-        manifest.sample_rate_hz,
-    )
+    return TrialSet(*(np.concatenate(column) for column in zip(*parts)),
+                    manifest.sample_rate_hz)
 
 
 def preprocess(raw: TrialSet, window_ms=(1000, 3500), target_hz=100,

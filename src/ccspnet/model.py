@@ -31,6 +31,8 @@ ABLATIONS = ("wkcnn", "tcnn", "frn", "lda")
 # covariances, so a fitted one lies in [0, 1] up to rounding
 _EIGENVALUE_SLACK = 1e-9
 
+_MAP_CHUNK = 64   # trials per chunk of the eval-mode maps finalize streams
+
 # published total for the original architecture; our itemization differs,
 # see parameter_report and the README
 REFERENCE_PARAMETER_TOTAL = 5036
@@ -310,8 +312,8 @@ class CCSPNet:
         loss; returns (loss node, N x K x 4 feature node)."""
         labels = np.asarray(labels)
         spectral = self.forward_spectral(batch)
-        wrs = np.stack([csp.fit_branch(spectral.value[:, i], labels).w_reduced
-                        for i in range(self.config.n_wavelet_kernels)])
+        wrs = np.stack([csp.fit_branch(*csp.class_covariances(maps, labels)).w_reduced
+                        for maps in np.moveaxis(spectral.value, 1, 0)])
         feats = csp.spatial_filter_features(spectral, wrs)
         return csp.csp_loss(feats, labels), feats
 
@@ -379,12 +381,13 @@ class CCSPNet:
 
     def finalize(self, trials, labels):
         """Refit and freeze CSP + LDA on the full training set: the CSP class
-        covariances from its eval-mode maps, the LDA on its frozen features."""
+        covariances streamed from its eval-mode maps, the LDA on its features."""
         trials = self._checked_batch(trials)
         labels = self._checked_labels(labels, len(trials))
-        maps = self.eval_maps(trials)
-        self.frozen_branches = [csp.fit_branch(maps[:, i], labels)
-                                for i in range(self.config.n_wavelet_kernels)]
+        # all the sums before any solve: scipy's LAPACK waits on numpy's spinning BLAS threads
+        covariances = [csp.class_covariances(_branch_maps(trials, m, c), labels)
+                       for m, c in zip(*self._eval_operator())]
+        self.frozen_branches = [csp.fit_branch(*pair) for pair in covariances]
         self.frozen_lda = None
         if self.classifier == "lda":
             self.frozen_lda = lda.fit(self._frozen_head(trials).value, labels)
@@ -437,16 +440,6 @@ class CCSPNet:
         if self._eval_operator_cache is None or self._eval_operator_cache[0] != key:
             self._eval_operator_cache = (key,) + self.stage_operators()[-1][1:]
         return self._eval_operator_cache[1:]
-
-    def eval_maps(self, batch) -> np.ndarray:
-        """Eval-mode spectral maps of an N x C x T batch, N x K x C x T, through
-        the cached operator of `_eval_operator`: `finalize`'s CSP class
-        covariances need them."""
-        batch = self._checked_batch(batch)
-        operator, offset = self._eval_operator()
-        maps = np.matmul(batch[:, None], operator)
-        maps += offset[:, None, :]
-        return maps
 
     def predict(self, batch) -> np.ndarray:
         if not self.finalized:
@@ -594,13 +587,11 @@ class CCSPNet:
                 raise DataError(f"{path}: {name} holds a non-positive wavelet width")
             if name in stage_scales and (arr == 0).any():
                 raise DataError(f"{path}: {name} holds a zero batch-norm scale")
-            if name.startswith("csp.") and name.endswith(".eigenvalues") and (
-                    (arr < -_EIGENVALUE_SLACK) | (arr > 1 + _EIGENVALUE_SLACK)).any():
-                raise DataError(f"{path}: {name} holds an eigenvalue "
-                                "below 0 or above 1")
-            if name.startswith("csp.") and name.endswith(".eigenvalues") \
-                    and (np.diff(arr) > 0).any():
-                raise DataError(f"{path}: {name} is not in descending order")
+            if name.startswith("csp.") and name.endswith(".eigenvalues"):
+                if ((arr < -_EIGENVALUE_SLACK) | (arr > 1 + _EIGENVALUE_SLACK)).any():
+                    raise DataError(f"{path}: {name} holds an eigenvalue below 0 or above 1")
+                if (np.diff(arr) > 0).any():
+                    raise DataError(f"{path}: {name} is not in descending order")
             # w_full comes before w_reduced in the file order, so it is checked
             if name.startswith("csp.") and name.endswith(".w_reduced") and not np.array_equal(
                     arr, csp.reduce_projection(arrays[name.replace("w_reduced", "w_full")])):
@@ -641,6 +632,17 @@ def _wavelet_kernels(wavelet, cfg: ModelConfig) -> ad.Node:
 
     return ad.Node(np.stack([dsp.build_morlet(mp) for mp in params]),
                    tuple(p for triple in wavelet for p in triple), backward)
+
+
+def _branch_maps(trials, operator, offset):
+    """One branch's maps X M + c of the trials in blocks of _MAP_CHUNK, each
+    made into one buffer: read a block before taking the next."""
+    buffer = np.empty((min(len(trials), _MAP_CHUNK),) + trials.shape[1:])
+    for start in range(0, len(trials), _MAP_CHUNK):
+        chunk = trials[start:start + _MAP_CHUNK]
+        maps = np.matmul(chunk, operator, out=buffer[:len(chunk)])
+        maps += offset
+        yield maps
 
 
 def _trainable(batch_labels) -> bool:

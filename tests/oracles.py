@@ -175,6 +175,20 @@ def class_covariances_einsum(batch, labels):
     return tuple(out)
 
 
+def class_covariances_stacked(batch, labels):
+    """`csp.class_covariances` as it was before it streamed: per class, the
+    stack of trace-normalized covariances of an N x C x T batch and numpy's
+    mean over it, symmetrized. The streamed sum must match it bit for bit."""
+    out = []
+    for cls in (0, 1):
+        trials = batch[labels == cls]
+        covs = np.matmul(trials, trials.transpose(0, 2, 1))
+        traces = np.trace(covs, axis1=1, axis2=2)
+        mean = (covs / traces[:, None, None]).mean(axis=0)
+        out.append(0.5 * (mean + mean.T))
+    return tuple(out)
+
+
 def project_channels_einsum(w, x, g):
     """w^T X per trial and its input gradient W G, by einsum."""
     return np.einsum("cd,nct->ndt", w, x), np.einsum("cd,ndt->nct", w, g)

@@ -6,7 +6,7 @@ from ccspnet import csp
 from ccspnet.errors import NumericalError
 
 from oracles import (central_difference, class_covariances_einsum,
-                     project_channels_einsum, rel_err)
+                     class_covariances_stacked, project_channels_einsum, rel_err)
 
 
 def random_spd(rng, n):
@@ -49,6 +49,48 @@ class TestClassCovariances:
         with pytest.raises(NumericalError):
             csp.class_covariances(batch, np.zeros(4, dtype=int))
 
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_label_other_than_0_and_1_rejected(self, label):
+        # a running sum indexed by label would drop a 2 and count a -1 as class 1
+        batch = np.random.default_rng(3).normal(size=(4, 3, 20))
+        with pytest.raises(NumericalError, match=f"CSP label {label} is not 0 or 1"):
+            csp.class_covariances(batch, np.array([0, 1, label, 1]))
+
+    @pytest.mark.parametrize("n_labels", [3, 5])
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_label_count_other_than_trial_count_rejected(self, n_labels, stream):
+        batch = np.random.default_rng(4).normal(size=(4, 3, 20))
+        trials = (batch[i:i + 3] for i in range(0, 4, 3)) if stream else batch
+        with pytest.raises(NumericalError, match=f"{n_labels} CSP labels for 4 trials"):
+            csp.class_covariances(trials, np.arange(n_labels) % 2)
+
+    @pytest.mark.parametrize("n", [2, 300])
+    def test_streamed_sum_matches_the_stacked_mean_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        # a strided map slice, as the model hands each branch over
+        batch = rng.normal(size=(n, 4, 10, 60))[:, 2]
+        labels = np.arange(n) % 2
+        want = class_covariances_stacked(batch, labels)
+        # the whole batch as one block, and blocks of 7 trials and of one
+        for trials in (batch, [batch[i:i + 7] for i in range(0, n, 7)], list(batch[:, None])):
+            for got, expected in zip(csp.class_covariances(trials, labels), want):
+                np.testing.assert_array_equal(got, expected)
+
+    def test_generator_may_refill_one_buffer(self):
+        rng = np.random.default_rng(5)
+        batch = rng.normal(size=(7, 5, 30))
+        labels = np.array([0, 1, 1, 0, 1, 0, 0])
+        buffer = np.empty((3, 5, 30))
+
+        def refilled():
+            for start in range(0, 7, 3):
+                block = buffer[:len(batch[start:start + 3])]
+                block[...] = batch[start:start + 3]
+                yield block
+
+        for got, want in zip(csp.class_covariances(refilled(), labels),
+                             class_covariances_stacked(batch, labels)):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("n", [2, 300])
     def test_matches_einsum_oracle(self, n):
@@ -262,7 +304,7 @@ class TestDiscriminabilityMonotonicity:
             sources[:n, 0] *= np.sqrt(ratio)  # class 0 boosts source 0
             batch = np.einsum("cd,ndt->nct", mixing, sources)
             labels = np.array([0] * n + [1] * n)
-            branch = csp.fit_branch(batch, labels)
+            branch = csp.fit_branch(*csp.class_covariances(batch, labels))
             feats = csp.spatial_filter_features(ad.constant(batch), branch.w_reduced).value
             gaps.append(feats[:n, 0].mean() - feats[n:, 0].mean())
         assert gaps[0] < gaps[1] < gaps[2] < gaps[3]

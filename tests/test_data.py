@@ -30,7 +30,7 @@ def baseline_csp_lda_accuracy(train, test):
     """Plain CSP + LDA reference pipeline (no CNN stack)."""
     x_train = np.asarray(train.trials, dtype=np.float64)
     x_test = np.asarray(test.trials, dtype=np.float64)
-    branch = csp.fit_branch(x_train, train.labels)
+    branch = csp.fit_branch(*csp.class_covariances(x_train, train.labels))
     model = lda.fit(
         csp.spatial_filter_features(ad.constant(x_train), branch.w_reduced).value,
         train.labels)

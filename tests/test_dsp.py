@@ -186,7 +186,26 @@ class TestMorlet:
                                       np.cos(2 * np.pi * 10 * params.time_grid()))
 
 
+    @pytest.mark.parametrize("h, c", [(0.01, -1e308), (1e-200, 2.0)])
+    def test_kernel_that_cannot_be_finite_is_a_numerical_error(self, h, c):
+        # exp overflows for the first; h ** 2 underflows to 0 for the second
+        params = dsp.MorletParams(f=10.0, h=h, c=c, kernel_len=32, fs=100)
+        with pytest.raises(NumericalError, match="wavelet kernel is not finite"):
+            dsp.build_morlet(params)
+        with pytest.raises(NumericalError, match="wavelet kernel is not finite"):
+            dsp.morlet_gradients(params, np.ones(32))
+
+
 class TestMorletGradients:
+    @pytest.mark.parametrize("h, c", [(1e308, -1e308), (1e-160, 0.0)])
+    def test_gradient_that_cannot_be_finite_names_its_parameter(self, h, c):
+        # the kernel is finite, but 2 c overflows for the first and h ** 3
+        # underflows to 0 for the second
+        params = dsp.MorletParams(f=30.0, h=h, c=c, kernel_len=8, fs=100)
+        assert np.isfinite(dsp.build_morlet(params)).all()
+        with pytest.raises(NumericalError, match="wavelet gradient in h is not finite"):
+            dsp.morlet_gradients(params, np.ones(8))
+
     def test_dc_gradient_vanishes_at_center(self):
         params = dsp.MorletParams(f=10.0, h=0.25, c=2.0, kernel_len=33, fs=100)
         upstream = np.zeros(33)

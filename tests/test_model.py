@@ -12,7 +12,8 @@ from ccspnet import autodiff as ad
 from ccspnet import csp, data, model
 from ccspnet.errors import CcspError, ConfigError, DataError, ModelStateError, NumericalError
 
-from oracles import add_nodes, eval_maps_conv, predict_conv, rel_err
+from oracles import (add_nodes, class_covariances_stacked, eval_maps_conv,
+                     predict_conv, rel_err)
 
 
 def desk_config(**overrides):
@@ -113,8 +114,11 @@ class TestForwardSpectral:
     def test_full_scale_shapes(self):
         net = model.CCSPNet(model.ModelConfig())
         rng = np.random.default_rng(0)
-        out = net.eval_maps(rng.normal(size=(2, 62, 250)))
+        out = net.forward_spectral(rng.normal(size=(2, 62, 250)))
         assert out.shape == (2, 4, 62, 250)
+        # eval mode: row x of map k goes to x @ M[k] + c[k]
+        operator, offset = net._eval_operator()
+        assert operator.shape == (4, 250, 250) and offset.shape == (4, 250)
 
     def test_wavelet_init_frequencies(self):
         net = model.CCSPNet(model.ModelConfig())
@@ -123,26 +127,28 @@ class TestForwardSpectral:
                                        22.666666666666668, 30.0])
 
     def test_zero_input_zero_output_eval_mode(self):
+        # the eval-mode maps of a zero input are the offsets c
         net = model.CCSPNet(desk_config())
-        out = net.eval_maps(np.zeros((3, 6, 40)))
-        assert np.allclose(out, 0.0)
+        for _, _, offset in net.stage_operators():
+            assert np.allclose(offset, 0.0)
+        assert np.allclose(net._eval_operator()[1], 0.0)
 
     def test_map_order_follows_wavelet_index(self):
         # zeroing one wavelet's frequency band response is hard to isolate, so
         # check the cheap invariant instead: map i depends only on kernel i
         net = model.CCSPNet(desk_config(ablate="tcnn"))
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(2, 6, 40))
-        base = net.eval_maps(x)
+        base = [a.copy() for a in net._eval_operator()]
         net.wavelet[2][0].value = np.asarray(12.0)  # move kernel 2 only
-        moved = net.eval_maps(x)
-        changed = [not np.allclose(base[:, i], moved[:, i]) for i in range(4)]
+        moved = net._eval_operator()
+        changed = [not all(np.allclose(b[i], m[i]) for b, m in zip(base, moved))
+                   for i in range(4)]
         assert changed == [False, False, True, False]
 
-    def test_channel_mismatch_rejected(self):
+    @pytest.mark.parametrize("entry", ("forward_spectral", "frozen_features"))
+    def test_channel_mismatch_rejected(self, entry):
         net = model.CCSPNet(desk_config())
         with pytest.raises(DataError):
-            net.eval_maps(np.zeros((2, 7, 40)))
+            getattr(net, entry)(np.zeros((2, 7, 40)))
 
 
 class TestConfigValidation:
@@ -315,7 +321,7 @@ def refit_projections(net, trials, labels):
     """The K x C x 4 reduced CSP projections `csp_feedback_loss` fits to the
     training-mode maps of `trials`."""
     maps = net.forward_spectral(trials).value
-    return np.stack([csp.fit_branch(maps[:, i], labels).w_reduced
+    return np.stack([csp.fit_branch(*csp.class_covariances(maps[:, i], labels)).w_reduced
                      for i in range(maps.shape[1])])
 
 
@@ -606,24 +612,12 @@ class TestProjectFirstFeatures:
         # an offset input exercises the (W^T 1) c^T term
         net, _, _ = fitted_desk_model(ablate)
         x = np.random.default_rng(21).normal(size=(9, 6, 40)) + offset
-        want = csp.spatial_filter_features(ad.constant(net.eval_maps(x)),
-                                           net.frozen_projection()).value
+        operator, bias = net._eval_operator()
+        maps = np.matmul(x[:, None], operator) + bias[:, None, :]
+        want = csp.spatial_filter_features(ad.constant(maps), net.frozen_projection()).value
         got = net.frozen_features(x)
         assert got.shape == (9, 4, 4)
         assert rel_err(got.value, want) <= 1e-10
-
-    @pytest.mark.parametrize("ablate", ("",) + model.ABLATIONS)
-    def test_predict_builds_no_maps(self, ablate, monkeypatch):
-        net, trials, _ = fitted_desk_model(ablate)
-        fresh, _ = desk_batch(np.random.default_rng(22), n=30)
-        want = [predict_conv(net, batch) for batch in (trials, fresh)]
-
-        def no_maps(self, batch):
-            raise AssertionError("eval_maps called")
-
-        monkeypatch.setattr(model.CCSPNet, "eval_maps", no_maps)
-        for batch, expected in zip((trials, fresh), want):
-            np.testing.assert_array_equal(net.predict(batch), expected)
 
 
 class TestPredictMemory:
@@ -648,8 +642,10 @@ class TestPredictMemory:
 
 class TestFinalizeMemory:
     def test_peak_is_a_few_inputs_at_any_size(self):
-        # the maps (four inputs) from the cached operator, not the
-        # convolution graph; the operator build is a fixed cost
+        # one chunk of one branch's maps at a time from the cached operator,
+        # then the project-first LDA features (about one input); the operator
+        # build is a fixed cost. TestFinalizeStreamsTheMaps holds the tighter
+        # bound
         ratios = []
         for n in (100, 200):
             trials, labels = desk_batch(np.random.default_rng(20), n=n, c=62, t=250)
@@ -665,6 +661,43 @@ class TestFinalizeMemory:
             ratios.append(peak / trials.nbytes)
         assert max(ratios) < 8.0, ratios
         assert ratios[1] <= ratios[0] + 0.25, ratios
+
+
+class TestFinalizeStreamsTheMaps:
+    @pytest.mark.parametrize("n", (200, 800))
+    def test_peak_is_below_the_input_size_and_a_half(self, n):
+        # no N x K x C x T maps (four inputs): the CSP sums read one
+        # _MAP_CHUNK-trial buffer of maps at a time
+        trials, labels = desk_batch(np.random.default_rng(20), n=n, c=62, t=250)
+        net = model.CCSPNet(model.ModelConfig(epochs=1, batch_size=40, seed=1))
+        net.train_step(trials[:40], labels[:40])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            net.finalize(trials, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / trials.nbytes <= 1.5, peak / trials.nbytes
+
+    @pytest.mark.parametrize("ablate", ("",) + model.ABLATIONS)
+    def test_class_only_in_the_last_chunk(self, ablate):
+        # class 1 first appears in the third chunk; the frozen covariances
+        # are the stacked mean over the maps of the cached operator, bit for bit
+        n = 2 * model._MAP_CHUNK + 9
+        rng = np.random.default_rng(25)
+        trials = rng.normal(size=(n, 6, 40))
+        labels = (np.arange(n) >= 2 * model._MAP_CHUNK).astype(int)
+        net = model.CCSPNet(desk_config(ablate=ablate))
+        net.train_step(*desk_batch(rng))
+        net.finalize(trials, labels)
+        operator, offset = net._eval_operator()
+        maps = np.matmul(trials[:, None], operator)
+        maps += offset[:, None, :]
+        for k, branch in enumerate(net.frozen_branches):
+            sigma0, sigma1 = class_covariances_stacked(maps[:, k], labels)
+            np.testing.assert_array_equal(branch.sigma0, sigma0)
+            np.testing.assert_array_equal(branch.sigma1, sigma1)
 
 
 class TestTrainStepMemory:
@@ -722,12 +755,22 @@ class TestHugeWaveletWidth:
         np.testing.assert_array_equal(pred, predict_conv(loaded, trials))
 
     def test_huge_wavelet_learning_rate_is_a_numerical_error(self):
-        # the first step throws the widths past 1e307; numpy's overflow on
-        # the next steps is silenced so that the error the caller gets shows
+        # the first step throws the widths past 1e307; the error comes
+        # before numpy would warn of an overflow, so nothing is silenced
         net = model.CCSPNet(desk_config(lr_wavelet=1e308))
         trials, labels = desk_batch(np.random.default_rng(25))
-        with np.errstate(all="ignore"), pytest.raises(NumericalError):
+        with pytest.raises(NumericalError):
             net.train(trials, labels)
+
+    def test_second_step_names_the_wavelet_parameter_before_numpy_warns(self):
+        # tier-1 turns a numpy RuntimeWarning into an error, so a warning
+        # raised first would fail this test
+        net = model.CCSPNet(desk_config(lr_wavelet=1e308))
+        trials, labels = desk_batch(np.random.default_rng(0))
+        net.train_step(trials, labels)
+        assert all(abs(float(c.value)) > 1e307 for _, _, c in net.wavelet)
+        with pytest.raises(NumericalError, match="wavelet gradient in h is not finite"):
+            net.train_step(trials, labels)
 
 
 class TestZeroStageScale:

@@ -9,7 +9,7 @@ from ccspnet import csp, data, plots
 from ccspnet.errors import DataError, ModelStateError
 from ccspnet.model import ABLATIONS, CCSPNet, ModelConfig
 
-from oracles import rel_err, stage_maps_conv
+from oracles import eval_maps_conv, rel_err, stage_maps_conv
 
 
 @pytest.fixture(scope="module")
@@ -141,17 +141,13 @@ class TestCspScatter:
         np.testing.assert_array_equal(
             scatter, predict_feats.value[:, :, [0, -1]].transpose(1, 0, 2).reshape(-1, 2))
 
-    def test_builds_no_maps(self, fitted, monkeypatch):
-        # the features of the maps, without making them
+    def test_rows_are_the_features_of_the_maps(self, fitted):
+        # branch-major rows, whose points are the frozen features of the maps
+        # the convolutions make
         net, _, test = fitted
-        maps = net.eval_maps(test.trials)
+        maps = eval_maps_conv(net, test.trials)
         want = csp.spatial_filter_features(ad.constant(maps), net.frozen_projection()).value
         want = want[:, :, [0, -1]].transpose(1, 0, 2).reshape(-1, 2)
-
-        def no_maps(self, batch):
-            raise AssertionError("eval_maps called")
-
-        monkeypatch.setattr(CCSPNet, "eval_maps", no_maps)
         rows = plots.csp_scatter_points(net, test.trials, test.labels)
         assert [(r["branch"], r["trial"], r["label"]) for r in rows] == [
             (i + 1, n, int(test.labels[n])) for i in range(4) for n in range(len(test))]
