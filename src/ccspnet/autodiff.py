@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import dsp
 from .errors import NumericalError
 
 
@@ -115,21 +116,6 @@ def expand_maps(x: Node, k: int) -> Node:
     return Node(np.repeat(x.value, k, axis=1), (x,), backward)
 
 
-def _toeplitz_bands(kernels: np.ndarray, t_len: int) -> np.ndarray:
-    """K x T x T banded matrices B with (x @ B[k])[t] = sum_w xpad[t + w] kernels[k, w].
-
-    B[k, s, t] = kernels[k, s - t + pad_l], read from a strided view of each
-    kernel zero-padded to 2T - 1 taps.
-    """
-    n_maps, klen = kernels.shape
-    lead = t_len - 1 - (klen - 1) // 2
-    padded = np.zeros((n_maps, 2 * t_len - 1))
-    padded[:, lead:lead + klen] = kernels
-    # windows[k, a, t] = padded[k, 2T - 2 - a - t]; a = T - 1 - s gives B[k, s, t]
-    windows = np.lib.stride_tricks.sliding_window_view(padded[:, ::-1], t_len, axis=1)
-    return np.ascontiguousarray(windows[:, ::-1])
-
-
 # output columns per block of the banded products; a block reads only the
 # _BLOCK + klen - 1 input columns its band reaches (95 of 250 for a 32-tap
 # kernel, 127 for 64 taps), instead of every column of the T x T matrix
@@ -208,7 +194,7 @@ def conv_same_temporal(x: Node, kernels: Node, bias: Node | None = None) -> Node
 
     pad_l = (klen - 1) // 2
     pad_r = klen - 1 - pad_l
-    bands = _toeplitz_bands(kernels.value, t_len)
+    bands = dsp.toeplitz_bands(kernels.value, t_len)
     out = _banded_matmul(x.value, bands, pad_l, pad_r)
     parents = [x, kernels]
     if bias is not None:
@@ -440,19 +426,26 @@ class Adam:
                 if grad is None:
                     grad = np.zeros_like(p.value)
                 grad = np.asarray(grad, dtype=np.float64).reshape(p.value.shape)
+                name = getattr(p, "name", "") or f"group param {i}"
                 if not np.all(np.isfinite(grad)):
-                    name = getattr(p, "name", "") or f"group param {i}"
                     raise NumericalError(f"non-finite gradient for {name}")
-                if g["l2"]:
-                    grad = grad + g["l2"] * p.value
-                if g["l1"]:
-                    grad = grad + g["l1"] * np.sign(p.value)
-                # numpy arithmetic on a 0-d array returns a scalar; asarray
-                # keeps every parameter and moment an array that can be
-                # written in place
-                m = g["m"][i] = np.asarray(self.beta1 * g["m"][i]
-                                           + (1 - self.beta1) * grad)
-                v = g["v"][i] = np.asarray(self.beta2 * g["v"][i]
-                                           + (1 - self.beta2) * grad ** 2)
-                step = g["lr"] * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-                p.value = np.asarray(p.value - step)
+                try:
+                    # raise, not warn: an infinite second moment would freeze the parameter
+                    with np.errstate(over="raise", divide="raise", invalid="raise"):
+                        if g["l2"]:
+                            grad = grad + g["l2"] * p.value
+                        if g["l1"]:
+                            grad = grad + g["l1"] * np.sign(p.value)
+                        # numpy arithmetic on a 0-d array returns a scalar; asarray
+                        # keeps every parameter and moment an array that can be
+                        # written in place
+                        m = g["m"][i] = np.asarray(self.beta1 * g["m"][i]
+                                                   + (1 - self.beta1) * grad)
+                        v = g["v"][i] = np.asarray(self.beta2 * g["v"][i]
+                                                   + (1 - self.beta2) * grad ** 2)
+                        step = g["lr"] * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                        p.value = np.asarray(p.value - step)
+                except FloatingPointError:
+                    raise NumericalError(
+                        f"Adam update for {name} is not finite (lr {g['lr']}, "
+                        f"l1 {g['l1']}, l2 {g['l2']})") from None

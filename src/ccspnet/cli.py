@@ -38,14 +38,7 @@ def parse_config_file(path) -> dict:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     out = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if ":" not in stripped:
-            raise ConfigError(f"{path.name}:{lineno}: expected 'key: value'")
-        key, _, raw = stripped.partition(":")
-        key, raw = key.strip(), raw.strip()
+    for lineno, key, raw in data.key_value_lines(path, ConfigError):
         try:
             if key == "jobs":
                 out[key] = int(raw)

@@ -170,6 +170,20 @@ def write_manifest(path, manifest: DatasetManifest):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def key_value_lines(path: Path, error: type[Exception]):
+    """(lineno, key, value) for each `key: value` line of a text file, both
+    stripped; blank and `#` lines are skipped, and any other line without a
+    colon raises `error` naming the file and line."""
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if ":" not in line:
+            raise error(f"{path.name}:{lineno}: expected 'key: value'")
+        key, _, value = line.partition(":")
+        yield lineno, key.strip(), value.strip()
+
+
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     if not path.exists():
@@ -178,14 +192,7 @@ def load_manifest(path) -> DatasetManifest:
     # manifests carry, are read and ignored
     fields = {}
     subjects = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":" not in line:
-            raise DataError(f"{path.name}:{lineno}: expected 'key: value'")
-        key, _, value = line.partition(":")
-        key, value = key.strip(), value.strip()
+    for lineno, key, value in key_value_lines(path, DataError):
         if key.startswith("subject "):
             try:
                 sid = int(key.split()[1])

@@ -1,9 +1,10 @@
 """Deterministic signal-processing primitives.
 
 Butterworth band-pass and anti-alias low-pass design (scipy SOS arrays), the
-cached linear operator that composes window, anti-alias low-pass, decimation
-and band-pass for `data.preprocess`, real Morlet wavelet construction with
-analytic parameter gradients, and a Hann-windowed STFT for diagnostics.
+banded Toeplitz matrices of a kernel set, the cached linear operator that
+composes window, anti-alias low-pass, decimation and band-pass for
+`data.preprocess`, real Morlet wavelet construction with analytic parameter
+gradients, and a Hann-windowed STFT for diagnostics.
 """
 
 from __future__ import annotations
@@ -58,12 +59,19 @@ def _impulse_response(sos: np.ndarray, n: int) -> np.ndarray:
     return sps.sosfilt(sos, impulse)
 
 
-def _upper_toeplitz(g: np.ndarray) -> np.ndarray:
-    """Read-only n x n view U with U[q, i] = g[i - q] for i >= q, else 0."""
-    n = len(g)
-    padded = np.concatenate([np.zeros(n - 1), g])
-    # row q of the reversed windows is padded[n - 1 - q:], so U[q, i] = padded[n - 1 - q + i]
-    return np.lib.stride_tricks.sliding_window_view(padded, n)[::-1]
+def toeplitz_bands(kernels: np.ndarray, t_len: int) -> np.ndarray:
+    """K x T x T banded matrices B with (x @ B[k])[t] = sum_w xpad[t + w] kernels[k, w].
+
+    B[k, s, t] = kernels[k, s - t + pad_l], read from a strided view of each
+    kernel zero-padded to 2T - 1 taps.
+    """
+    n_maps, klen = kernels.shape
+    lead = t_len - 1 - (klen - 1) // 2
+    padded = np.zeros((n_maps, 2 * t_len - 1))
+    padded[:, lead:lead + klen] = kernels
+    # windows[k, a, t] = padded[k, 2T - 2 - a - t]; a = T - 1 - s gives B[k, s, t]
+    windows = np.lib.stride_tricks.sliding_window_view(padded[:, ::-1], t_len, axis=1)
+    return np.ascontiguousarray(windows[:, ::-1])
 
 
 @functools.lru_cache(maxsize=8)
@@ -99,9 +107,11 @@ def preprocess_operator(fs: int, n_timepoints: int, window_ms: tuple, target_hz:
     h_bp = _impulse_response(band_sos, n_out)
     op = np.zeros(((n_out - 1) * factor + 1, n_out))
     for r in range(factor):
-        toeplitz = _upper_toeplitz(np.convolve(h_aa[r::factor], h_bp)[:n_out])
+        g = np.convolve(h_aa[r::factor], h_bp)[:n_out]
+        # g reversed and zero-padded to 2 n_out - 1 taps: block[q, i] = g[i - q], i >= q
+        block = toeplitz_bands(np.concatenate([g[::-1], np.zeros(n_out - 1)])[None], n_out)[0]
         # rows q f - r for q >= 1, and q = 0 too when r = 0
-        op[(factor - r) % factor::factor] = toeplitz[1 if r else 0:]
+        op[(factor - r) % factor::factor] = block[1 if r else 0:]
     op.setflags(write=False)
     return start, start + len(op), op
 

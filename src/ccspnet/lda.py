@@ -61,13 +61,9 @@ def fit(features: np.ndarray, labels: np.ndarray) -> LdaModel:
     return LdaModel(w=w, mu0=mu0, mu1=mu1)
 
 
-def fisher_criterion(projected: np.ndarray, labels: np.ndarray) -> float:
-    """J = (var0 + var1) / (mean0 - mean1)^2 with population variances."""
-    return float(fisher_criterion_node(ad.constant(projected), labels).value)
-
-
 def fisher_criterion_node(projected: ad.Node, labels: np.ndarray) -> ad.Node:
-    """Differentiable Fisher criterion on a length-N (or N x 1) projection node."""
+    """Fisher criterion J = (var0 + var1) / (mean0 - mean1)^2, population
+    variances, as a differentiable node over a length-N (or N x 1) projection."""
     labels = np.asarray(labels)
     g = projected.value.reshape(-1)
     mask0 = labels == 0

@@ -12,6 +12,7 @@ constant during backprop.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
@@ -59,7 +60,13 @@ class ModelConfig:
     ablate: str = ""
 
     def validate(self):
-        for name in ("n_wavelet_kernels", "wavelet_len", "temporal_len"):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "int" and not _is_int(v):
+                raise ConfigError(f"{f.name} must be an integer, got {v!r}")
+        if not all(map(_is_int, self.dense_dims)):
+            raise ConfigError(f"dense_dims entries must be integers, got {self.dense_dims}")
+        for name in ("n_timepoints", "n_wavelet_kernels", "wavelet_len", "temporal_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         for name in ("wavelet_len", "temporal_len"):
@@ -69,19 +76,20 @@ class ModelConfig:
         if min(self.dense_dims, default=0) < 1:
             raise ConfigError(f"dense_dims entries must be at least 1, got {self.dense_dims}")
         if self.n_wavelet_kernels != self.n_temporal_kernels:
-            raise ConfigError("wavelet and temporal kernel counts must match "
+            raise ConfigError("n_wavelet_kernels and n_temporal_kernels must match "
                               "(depthwise pairing)")
         if self.n_channels < 4:
-            raise ConfigError("need at least 4 channels for the CSP reduction")
+            raise ConfigError(f"n_channels must be at least 4 for the CSP reduction, "
+                              f"got {self.n_channels}")
         if self.ablate and self.ablate not in ABLATIONS:
-            raise ConfigError(f"unknown ablation {self.ablate!r}; "
-                              f"choose one of {ABLATIONS}")
+            raise ConfigError(f"ablate must be empty or one of {ABLATIONS}, "
+                              f"got {self.ablate!r}")
         if not 0.0 <= self.loss_ratio <= 1.0:
             raise ConfigError(f"loss_ratio must be in [0, 1], got {self.loss_ratio}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
         if tuple(self.dense_dims)[-1] != 4:
-            raise ConfigError("dense network must end in 4 outputs")
+            raise ConfigError(f"dense_dims must end in 4 outputs, got {self.dense_dims}")
         if not 0 < self.sample_rate_hz < math.inf:
             raise ConfigError(f"sample_rate_hz must be finite and > 0, "
                               f"got {self.sample_rate_hz}")
@@ -102,7 +110,7 @@ class ModelConfig:
             if isinstance(v, tuple):
                 v = ",".join(str(x) for x in v)
             elif isinstance(v, float):
-                v = repr(v)
+                v = repr(float(v))   # a numpy float's repr names its type
             lines.append(f"{f.name}={v}")
         return "\n".join(lines) + "\n"
 
@@ -132,6 +140,11 @@ class ModelConfig:
         if missing and not partial:
             raise ValueError(f"config missing key {missing[0]!r}")
         return cls(**values)
+
+
+def _is_int(value) -> bool:
+    """A Python or numpy integer; a bool would be written as True or False."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 # text -> value for each ModelConfig field type; other fields are strings
@@ -170,7 +183,7 @@ class _Stage(NamedTuple):
         k to x @ B[k] + o[k], its convolution then its batch norm as one map."""
         state = self.bn.state
         scale = self.bn.gamma.value / np.sqrt(state.running_var + state.eps)
-        bands = ad._toeplitz_bands(self.kernels().value, t_len) * scale[:, None, None]
+        bands = dsp.toeplitz_bands(self.kernels().value, t_len) * scale[:, None, None]
         bias = self.bias.value if self.bias is not None else 0.0
         offset = (bias - state.running_mean) * scale + self.bn.beta.value
         return bands, np.repeat(offset[:, None], t_len, axis=1)
@@ -320,12 +333,9 @@ class CCSPNet:
     # training -------------------------------------------------------------
 
     def _discriminant_backward(self, concat: np.ndarray, labels) -> float:
-        """Fit the discriminant on detached features and backprop (1-r) * J."""
+        """Fit the discriminant on detached features and backprop (1-r) * J.
+        With no dense layer (`frn`) J reaches no parameter and is only logged."""
         cfg = self.config
-        if not self.dense:
-            # nothing to train: J of the LDA on the CSP features is logged only
-            model = lda.fit(concat, labels)
-            return lda.fisher_criterion(concat @ model.w, labels)
         out = self._dense_forward(ad.constant(concat), training=True)
         if self.classifier == "softmax":
             ce = ad.scale(ad.binary_cross_entropy(ad.softmax(out),

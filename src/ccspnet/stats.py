@@ -2,37 +2,27 @@
 
 Paired t-test on raw per-subject values, unpaired t-test and one-way ANOVA
 from summary statistics (mean, sd, n), and the descriptive summary used for
-per-subject accuracy tables. Tail probabilities go through the regularized
-incomplete beta function.
+per-subject accuracy tables. Tail probabilities are scipy's t and F survival
+functions.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
+from scipy.stats import f as f_distribution
+from scipy.stats import t as t_distribution
 
 from . import fixtures
 from .errors import NumericalError
 
 
-def student_t_sf(t: float, df: float) -> float:
-    """One-sided upper-tail probability P(T > t) for Student's t."""
-    if df <= 0:
-        raise NumericalError(f"t degrees of freedom must be positive, got {df}")
-    t = float(t)
-    if t < 0:
-        return 1.0 - student_t_sf(-t, df)
-    return 0.5 * float(special.betainc(df / 2.0, 0.5, df / (df + t * t)))
-
-
-def f_sf(f: float, df1: float, df2: float) -> float:
-    """Upper-tail probability P(F > f) for the F distribution."""
-    if df1 <= 0 or df2 <= 0:
-        raise NumericalError("F degrees of freedom must be positive")
-    f = float(f)
-    if f <= 0:
-        return 1.0
-    return float(special.betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * f)))
+def _t_p_value(t: float, df: int, tail: str) -> float:
+    """P(T > t) for a one-sided `tail`, P(|T| > |t|) for a two-sided one."""
+    if tail == "one":
+        return float(t_distribution.sf(t, df))
+    if tail == "two":
+        return float(2.0 * t_distribution.sf(abs(t), df))
+    raise NumericalError(f"tail must be 'one' or 'two', got {tail!r}")
 
 
 def paired_t(a, b, tail: str = "two") -> tuple[float, float]:
@@ -41,21 +31,17 @@ def paired_t(a, b, tail: str = "two") -> tuple[float, float]:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise NumericalError("paired t-test needs two equal-length vectors")
-    if tail not in ("one", "two"):
-        raise NumericalError(f"tail must be 'one' or 'two', got {tail!r}")
     n = len(a)
     if n < 2:
         raise NumericalError("paired t-test needs at least 2 pairs")
     d = a - b
     if np.array_equal(a, b):
-        return 0.0, 0.5 if tail == "one" else 1.0
+        return 0.0, _t_p_value(0.0, n - 1, tail)
     sd = d.std(ddof=1)
     if sd == 0:
         raise NumericalError("zero variance of paired differences")
     t = float(d.mean() / (sd / np.sqrt(n)))
-    if tail == "one":
-        return t, student_t_sf(t, n - 1)
-    return t, 2.0 * student_t_sf(abs(t), n - 1)
+    return t, _t_p_value(t, n - 1, tail)
 
 
 def unpaired_t_from_summary(m1, s1, n1, m2, s2, n2,
@@ -67,18 +53,14 @@ def unpaired_t_from_summary(m1, s1, n1, m2, s2, n2,
     """
     if n1 < 2 or n2 < 2:
         raise NumericalError("each group needs n >= 2")
-    if tail not in ("one", "two"):
-        raise NumericalError(f"tail must be 'one' or 'two', got {tail!r}")
     se = np.sqrt(s1 ** 2 / n1 + s2 ** 2 / n2)
     df = n1 + n2 - 2
     if se == 0:
         if m1 == m2:
-            return 0.0, 0.5 if tail == "one" else 1.0
+            return 0.0, _t_p_value(0.0, df, tail)
         raise NumericalError("zero combined variance with unequal means")
     t = float((m1 - m2) / se)
-    if tail == "one":
-        return t, student_t_sf(t, df)
-    return t, 2.0 * student_t_sf(abs(t), df)
+    return t, _t_p_value(t, df, tail)
 
 
 def anova_from_summary(groups) -> tuple[float, float, int, int]:
@@ -105,7 +87,7 @@ def anova_from_summary(groups) -> tuple[float, float, int, int]:
             return 0.0, 1.0, df_between, df_within
         raise NumericalError("zero within-group sum of squares")
     f = float((ss_between / df_between) / (ss_within / df_within))
-    return f, f_sf(f, df_between, df_within), df_between, df_within
+    return f, float(f_distribution.sf(f, df_between, df_within)), df_between, df_within
 
 
 def summarize(values) -> tuple[float, float, float, tuple[float, float, float]]:

@@ -572,6 +572,17 @@ class TestAdam:
         with pytest.raises(NumericalError, match="wavelet_f_1"):
             opt.step()
 
+    @pytest.mark.parametrize("factor", ["l1", "l2"])
+    def test_overflowing_update_names_parameter_before_numpy_warns(self, factor):
+        # a 1e300 penalty overflows grad ** 2; tier-1 turns numpy's warning
+        # into an error, so a warning raised first would fail this test
+        p = ad.Parameter(np.array([0.5, -0.5]), name="dense.0.w")
+        opt = ad.Adam([{"params": [p], "lr": 0.01, factor: 1e300}])
+        p.grad = np.zeros(2)
+        with pytest.raises(NumericalError,
+                           match=f"Adam update for dense.0.w is not finite .*{factor} 1e"):
+            opt.step()
+
 
 class TestRandomizedGradientSuite:
     """Every differentiable op on >= 20 randomized small shapes."""

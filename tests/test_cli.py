@@ -94,6 +94,12 @@ class TestConfigFile:
         assert run("eval-sd", "--config", str(cfg)) == 1
         assert "run.cfg:1" in capsys.readouterr().err
 
+    def test_line_without_colon_reports_line_number(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a comment\n\nepochs: 2\nepochs 3\n")
+        assert run("eval-sd", "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == "error: run.cfg:4: expected 'key: value'\n"
+
     def test_config_file_drives_run(self, dataset_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"epochs: 1\nbatch_size: 300\nseed: 3\n"

@@ -174,6 +174,15 @@ class TestTrialFileRoundTrip:
         with pytest.raises(DataError, match="manifest.txt: sample_rate_hz"):
             data.load_manifest(path)
 
+    def test_line_without_colon_names_manifest_line(self, tmp_path):
+        path = data.save_dataset(tmp_path, small_trialset(np.random.default_rng(0)))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + ["  # comment", "", "n_channels 4"]
+                                   + lines[2:]) + "\n")
+        with pytest.raises(DataError) as info:
+            data.load_manifest(path)
+        assert str(info.value) == "manifest.txt:5: expected 'key: value'"
+
     def test_old_openbmi_flag_still_loads(self, tmp_path):
         ts = small_trialset(np.random.default_rng(8))
         manifest_path = data.save_dataset(tmp_path, ts)
@@ -184,6 +193,21 @@ class TestTrialFileRoundTrip:
         data.load_manifest(manifest_path)
         np.testing.assert_array_equal(data.load_trials(manifest_path).trials,
                                       ts.trials)
+
+
+class TestKeyValueLines:
+    def test_pairs_are_stripped_and_numbered(self, tmp_path):
+        path = tmp_path / "kv.txt"
+        path.write_text("# head\n\n  a :  1 \nurl: http://x:80\n\tempty:\n")
+        assert list(data.key_value_lines(path, DataError)) == [
+            (3, "a", "1"), (4, "url", "http://x:80"), (5, "empty", "")]
+
+    @pytest.mark.parametrize("error", [DataError, NumericalError])
+    def test_line_without_colon_raises_the_callers_error(self, tmp_path, error):
+        path = tmp_path / "kv.txt"
+        path.write_text("a: 1\nno colon\n")
+        with pytest.raises(error, match="^kv.txt:2: expected 'key: value'$"):
+            list(data.key_value_lines(path, error))
 
 
 class TestPreprocess:

@@ -108,6 +108,26 @@ class TestPreprocessBandPass:
             preprocess_rows(np.zeros(shape), 100, (0, 10 * shape[1]))
 
 
+class TestToeplitzBands:
+    @pytest.mark.parametrize("t_len, klen", [(1, 1), (5, 2), (8, 3), (16, 16)])
+    def test_entries_are_the_kernel_taps(self, t_len, klen):
+        kernels = np.random.default_rng(klen).normal(size=(3, klen))
+        s, t = np.indices((t_len, t_len))
+        w = s - t + (klen - 1) // 2
+        inside = (w >= 0) & (w < klen)
+        expected = np.where(inside, kernels[:, np.clip(w, 0, klen - 1)], 0.0)
+        np.testing.assert_array_equal(dsp.toeplitz_bands(kernels, t_len), expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 250, 251])
+    def test_reversed_padded_kernel_gives_the_upper_triangular_block(self, n):
+        # the polyphase blocks of preprocess_operator: block[q, i] = g[i - q], i >= q
+        g = np.random.default_rng(n).normal(size=n)
+        q, i = np.indices((n, n))
+        expected = np.where(i >= q, g[np.abs(i - q)], 0.0)
+        block = dsp.toeplitz_bands(np.concatenate([g[::-1], np.zeros(n - 1)])[None], n)[0]
+        np.testing.assert_array_equal(block, expected)
+
+
 class TestPreprocessDecimation:
     """Window, anti-alias low-pass and decimation of `data.preprocess` at 1 kHz."""
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ccspnet import autodiff as ad
-from ccspnet import csp, data, model
+from ccspnet import csp, data, lda, model
 from ccspnet.errors import CcspError, ConfigError, DataError, ModelStateError, NumericalError
 
 from oracles import (add_nodes, class_covariances_stacked, eval_maps_conv,
@@ -205,6 +205,69 @@ class TestConfigValidation:
 
     def test_kernels_as_long_as_the_trial_accepted(self):
         model.ModelConfig(n_timepoints=64, wavelet_len=64, temporal_len=64).validate()
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(model.ModelConfig)
+                                      if f.type == "int"])
+    @pytest.mark.parametrize("value", [np.nan, 2.5, 2.0, True, "3"])
+    def test_non_integer_in_an_int_field_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer, got "):
+            model.ModelConfig(**{name: value}).validate()
+
+    @pytest.mark.parametrize("dims", [(16, 8.5, 4), (16, np.nan, 4), (4.0,), (True, 4)])
+    def test_non_integer_dense_dims_entry_rejected(self, dims):
+        with pytest.raises(ConfigError, match="dense_dims entries must be integers"):
+            model.ModelConfig(dense_dims=dims).validate()
+
+    def test_numpy_integers_accepted(self):
+        trials, labels = desk_batch(np.random.default_rng(27))
+        cfg = desk_config(seed=np.int64(3), n_channels=np.int32(6), temporal_len=np.uint8(16),
+                          dense_dims=(np.int64(8), 4))
+        model.CCSPNet(cfg).train_step(trials, labels)
+
+
+# edge values of each ModelConfig field; ints and floats as the text codec
+# writes them, plus the non-integers the Python API lets through
+FIELD_EDGES = {"int": (0, -1, 10 ** 6, np.nan, 2.5),
+               "float": (0.0, -1.0, np.nan, np.inf, 1e300),
+               "tuple": ((), (4,), (0, 4), (16, 8, -1), (16, 8, 3), (2, 4), (16, 8.0, 4)),
+               "str": ("", "frn", "wkcnn", "tcnn", "lda", "none", "FRN", " frn",
+                       "frn,lda", "frn\n")}
+
+
+class TestConfigFuzz:
+    def test_each_edge_value_steps_or_raises_a_named_error(self):
+        # one field at a time from the desk config, through validate and one
+        # train_step on a seeded desk batch; a config that passes validate
+        # stays desk-sized (no kernel count of 10**6 alone passes the pairing)
+        trials, labels = desk_batch(np.random.default_rng(28))
+        outcomes = {"clean": 0, "invalid": 0, "error": 0}
+        for f in fields(model.ModelConfig):
+            for value in FIELD_EDGES[f.type]:
+                cfg = desk_config(**{f.name: value})
+                try:
+                    cfg.validate()
+                except ConfigError as exc:
+                    assert f.name in str(exc), (f.name, value, exc)
+                    outcomes["invalid"] += 1
+                    continue
+                try:
+                    losses = model.CCSPNet(cfg).train_step(trials, labels)
+                except CcspError as exc:
+                    assert str(exc), (f.name, value)
+                    outcomes["error"] += 1
+                else:
+                    assert len(losses) == 3, (f.name, value)
+                    outcomes["clean"] += 1
+        assert all(outcomes.values()), outcomes
+
+    @pytest.mark.parametrize("name", ["l1", "l2"])
+    def test_huge_weight_penalty_names_the_parameter(self, name):
+        # 1e300 overflows Adam's second moment; unchecked, the weights would
+        # stop moving and the saved .ccsp would hold an infinite adam.v
+        trials, labels = desk_batch(np.random.default_rng(29))
+        net = model.CCSPNet(desk_config(**{name: 1e300}))
+        with pytest.raises(NumericalError, match="Adam update for temporal.kernels"):
+            net.train_step(trials, labels)
 
 
 class TestTrainStep:
@@ -840,6 +903,27 @@ class TestCcspFuzz:
         assert outcomes["clean"] and outcomes["error"], outcomes
 
 
+class TestFrnFisherCriterion:
+    def test_j_is_the_fisher_criterion_of_the_lda_projection_and_trains_nothing(
+            self, tmp_path):
+        # with no dense layer J is the Fisher criterion of the CSP features
+        # on lda.fit's direction; every gradient is the CSP loss's alone, as
+        # a twin loaded from the model's file before the step computes it
+        trials, labels = desk_batch(np.random.default_rng(30), n=24)
+        net = model.CCSPNet(desk_config(ablate="frn"))
+        for _ in range(3):
+            twin = model.CCSPNet.load(net.save(tmp_path / "m.ccsp"))
+            loss, feats = twin.csp_feedback_loss(trials, labels)
+            loss.backward()
+            concat = feats.value.reshape(len(labels), -1)
+            direction = lda.fit(concat, labels).w
+            expected = lda.fisher_criterion_node(ad.constant(concat @ direction), labels)
+            _, loss_j, _ = net.train_step(trials, labels)
+            assert loss_j == pytest.approx(float(expected.value), rel=1e-12, abs=0)
+            for name, p in net._params.items():
+                assert np.array_equal(p.grad, twin._params[name].grad), name
+
+
 class TestAblations:
     @pytest.mark.parametrize("ablate", model.ABLATIONS)
     def test_each_variant_trains_and_predicts(self, ablate):
@@ -1111,6 +1195,14 @@ class TestConfigText:
     def test_partial_text_keeps_defaults(self):
         cfg = model.ModelConfig.from_text("epochs=3\n", partial=True)
         assert cfg == model.ModelConfig(epochs=3)
+
+    def test_numpy_values_are_written_as_python_values(self, tmp_path):
+        cfg = desk_config(loss_ratio=np.float64(0.25), seed=np.int64(3),
+                          dense_dims=(np.int64(8), 4))
+        assert cfg.to_text() == desk_config(loss_ratio=0.25, seed=3,
+                                            dense_dims=(8, 4)).to_text()
+        path = model.CCSPNet(cfg).save(tmp_path / "m.ccsp")
+        assert model.CCSPNet.load(path).config == cfg
 
 
 # .ccsp layout of the desk config trained for two epochs on 20 trials and

@@ -7,25 +7,69 @@ from ccspnet.errors import NumericalError
 from oracles import anova_f_range, f_sf_quadrature, student_t_sf_quadrature
 
 
+def paired_at(t, df):
+    """Two vectors of df + 1 pairs whose paired t-test gives about t."""
+    z = np.resize([1.0, -1.0, 2.0, -2.0], df + 1)
+    z = (z - z.mean()) / z.std(ddof=1)
+    return t / np.sqrt(df + 1) + z, np.zeros(df + 1)
+
+
+def unpaired_at(t, df):
+    """Group summaries (m1, s1, n1, m2, s2, n2) whose unpaired t-test gives
+    about t with df degrees of freedom."""
+    n1 = (df + 2) // 2
+    n2 = df + 2 - n1
+    return t * np.sqrt(1 / n1 + 1 / n2), 1.0, n1, 0.0, 1.0, n2
+
+
+def anova_at(f, d1, d2):
+    """d1 + 1 groups of d1 + d2 + 1 values in all, each with sd 1, so the
+    within-group mean square is 1, whose one-way ANOVA gives about F = f."""
+    k, total = d1 + 1, d1 + d2 + 1
+    sizes = np.array([total // k + (i < total % k) for i in range(k)])
+    means = np.arange(k, dtype=np.float64)
+    between = sizes @ (means - means @ sizes / total) ** 2
+    return [(m, 1.0, n) for m, n in zip(means * np.sqrt(f * d1 / between), sizes)]
+
+
 class TestTailProbabilities:
+    """The p-values of the three tests against the quadrature oracles."""
+
     @pytest.mark.parametrize("t,df", [(0.5, 5), (1.7679, 106), (2.6621, 106),
                                       (3.2, 20), (0.0, 10)])
     def test_t_sf_matches_quadrature(self, t, df):
-        assert stats.student_t_sf(t, df) == pytest.approx(
-            student_t_sf_quadrature(t, df), abs=1e-6)
+        for sign in (1.0, -1.0):
+            t_out, p = stats.unpaired_t_from_summary(*unpaired_at(sign * t, df))
+            assert t_out == pytest.approx(sign * t)
+            assert p == pytest.approx(student_t_sf_quadrature(t_out, df), abs=1e-6)
+            _, p = stats.unpaired_t_from_summary(*unpaired_at(sign * t, df), tail="two")
+            assert p == pytest.approx(2 * student_t_sf_quadrature(abs(t_out), df), abs=1e-6)
+            t_out, p = stats.paired_t(*paired_at(sign * t, df), tail="one")
+            assert t_out == pytest.approx(sign * t, abs=1e-9)
+            assert p == pytest.approx(student_t_sf_quadrature(t_out, df), abs=1e-6)
 
     def test_t_sf_negative_argument_symmetry(self):
-        assert stats.student_t_sf(-1.3, 8) == pytest.approx(
-            1.0 - stats.student_t_sf(1.3, 8), abs=1e-12)
+        _, p_minus = stats.unpaired_t_from_summary(*unpaired_at(-1.3, 8))
+        _, p_plus = stats.unpaired_t_from_summary(*unpaired_at(1.3, 8))
+        assert p_minus == pytest.approx(1.0 - p_plus, abs=1e-12)
 
     @pytest.mark.parametrize("f,d1,d2", [(1.6945, 8, 477), (2.97, 5, 318),
                                          (1.0, 3, 10), (4.2, 2, 40)])
     def test_f_sf_matches_quadrature(self, f, d1, d2):
-        assert stats.f_sf(f, d1, d2) == pytest.approx(
-            f_sf_quadrature(f, d1, d2), abs=1e-6)
+        f_out, p, dfb, dfw = stats.anova_from_summary(anova_at(f, d1, d2))
+        assert (dfb, dfw) == (d1, d2)
+        assert f_out == pytest.approx(f)
+        assert p == pytest.approx(f_sf_quadrature(f_out, d1, d2), abs=1e-6)
 
     def test_f_sf_at_zero_is_one(self):
-        assert stats.f_sf(0.0, 4, 30) == 1.0
+        assert stats.anova_from_summary(anova_at(0.0, 4, 30))[:2] == (0.0, 1.0)
+
+    @pytest.mark.parametrize("tail", ["both", "One", ""])
+    def test_unknown_tail_rejected(self, tail):
+        with pytest.raises(NumericalError, match="tail must be 'one' or 'two'"):
+            stats.paired_t([1.0, 2.0, 4.0], [0.0, 1.0, 1.0], tail=tail)
+        with pytest.raises(NumericalError, match="tail must be 'one' or 'two'"):
+            stats.unpaired_t_from_summary(74, 16, 54, 68, 17, 54, tail=tail)
 
 
 class TestPairedT:
