@@ -33,12 +33,15 @@ _EXTRA_CONFIG_DEFAULTS = {"manifest": None, "out_dir": None, "phase": "offline",
 
 
 def parse_config_file(path) -> dict:
-    """Key: value config file; unknown keys rejected with line numbers."""
+    """Key: value config file; unknown and repeated keys rejected with line
+    numbers."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     out = {}
     for lineno, key, raw in data.key_value_lines(path, ConfigError):
+        if key in out:
+            raise ConfigError(f"{path.name}:{lineno}: repeated key {key!r}")
         try:
             if key == "jobs":
                 out[key] = int(raw)
@@ -47,9 +50,7 @@ def parse_config_file(path) -> dict:
             elif key in _EXTRA_CONFIG_DEFAULTS:
                 out[key] = raw
             else:
-                # the line as a one-field config text for ModelConfig's codec
-                parsed = ModelConfig.from_text(f"{key}={raw}", partial=True)
-                out[key] = getattr(parsed, key)
+                out[key] = ModelConfig.read_field(key, raw)
         except ValueError as exc:
             why = f"bad value for {key!r}: {exc}" if key in _EXTRA_CONFIG_DEFAULTS else exc
             raise ConfigError(f"{path.name}:{lineno}: {why}") from None
@@ -70,7 +71,7 @@ def build_model_config(args) -> ModelConfig:
     env_seed = os.environ.get("CCSP_SEED")
     if env_seed is not None:
         try:
-            values["seed"] = int(env_seed)
+            values["seed"] = ModelConfig.read_field("seed", env_seed)
         except ValueError:
             raise ConfigError(f"CCSP_SEED must be an integer, got {env_seed!r}")
     cfg = ModelConfig(**values)

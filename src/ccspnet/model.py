@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import csp, dsp, lda
-from .errors import ConfigError, DataError, ModelStateError
+from .errors import ConfigError, DataError, ModelStateError, NumericalError
 
 MODEL_MAGIC = b"CCSP"
 MODEL_VERSION = 1
@@ -61,11 +61,9 @@ class ModelConfig:
 
     def validate(self):
         for f in fields(self):
-            v = getattr(self, f.name)
-            if f.type == "int" and not _is_int(v):
-                raise ConfigError(f"{f.name} must be an integer, got {v!r}")
-        if not all(map(_is_int, self.dense_dims)):
-            raise ConfigError(f"dense_dims entries must be integers, got {self.dense_dims}")
+            v, kind = getattr(self, f.name), _FIELD_TYPES[f.type]
+            if not kind.check(v):
+                raise ConfigError(f"{f.name} {kind.must_be}, got {v!r}")
         for name in ("n_timepoints", "n_wavelet_kernels", "wavelet_len", "temporal_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -88,7 +86,7 @@ class ModelConfig:
             raise ConfigError(f"loss_ratio must be in [0, 1], got {self.loss_ratio}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
-        if tuple(self.dense_dims)[-1] != 4:
+        if self.dense_dims[-1] != 4:
             raise ConfigError(f"dense_dims must end in 4 outputs, got {self.dense_dims}")
         if not 0 < self.sample_rate_hz < math.inf:
             raise ConfigError(f"sample_rate_hz must be finite and > 0, "
@@ -104,25 +102,28 @@ class ModelConfig:
     def to_text(self) -> str:
         """One `name=value` line per field, sorted by name: the config header
         of a .ccsp file."""
-        lines = []
-        for f in sorted(fields(self), key=lambda f: f.name):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(str(x) for x in v)
-            elif isinstance(v, float):
-                v = repr(float(v))   # a numpy float's repr names its type
-            lines.append(f"{f.name}={v}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{f.name}={_FIELD_TYPES[f.type].write(getattr(self, f.name))}\n"
+                       for f in sorted(fields(self), key=lambda f: f.name))
 
     @classmethod
-    def from_text(cls, text: str, partial: bool = False) -> "ModelConfig":
-        """Parse `name=value` lines as `to_text` writes them.
-
-        Every field must appear unless `partial`, when an absent field keeps
-        its default. Raises ValueError on a malformed line, an unknown name or
-        a value that does not parse as the field's type.
-        """
+    def read_field(cls, name: str, raw: str):
+        """The value of field `name` from its text `raw`, as `to_text` writes
+        it. Raises ValueError on an unknown name or a value that does not
+        parse as the field's type."""
         types = {f.name: f.type for f in fields(cls)}
+        if name not in types:
+            raise ValueError(f"unknown key {name!r}")
+        try:
+            return _FIELD_TYPES[types[name]].read(raw)
+        except ValueError as exc:
+            raise ValueError(f"bad value for {name!r}: {exc}") from None
+
+    @classmethod
+    def from_text(cls, text: str) -> "ModelConfig":
+        """Parse `name=value` lines as `to_text` writes them; every field must
+        appear exactly once. Raises ValueError on a malformed line, a missing
+        or repeated name, or a line `read_field` rejects. The values are not
+        validated."""
         values = {}
         for line in text.splitlines():
             if not line.strip():
@@ -130,16 +131,22 @@ class ModelConfig:
             name, sep, raw = line.partition("=")
             if not sep:
                 raise ValueError(f"malformed config line {line!r}")
-            if name not in types:
-                raise ValueError(f"unknown key {name!r}")
-            try:
-                values[name] = _FIELD_PARSERS.get(types[name], str)(raw)
-            except ValueError as exc:
-                raise ValueError(f"bad value for {name!r}: {exc}") from None
-        missing = [name for name in types if name not in values]
-        if missing and not partial:
+            if name in values:
+                raise ValueError(f"repeated key {name!r}")
+            values[name] = cls.read_field(name, raw)
+        missing = [f.name for f in fields(cls) if f.name not in values]
+        if missing:
             raise ValueError(f"config missing key {missing[0]!r}")
         return cls(**values)
+
+
+class _FieldType(NamedTuple):
+    """How a ModelConfig field of one annotated type is checked, read and written."""
+
+    must_be: str                     # what a value must be, for the error message
+    check: Callable[[object], bool]
+    read: Callable[[str], object]    # text -> value
+    write: Callable[[object], str]   # value -> text
 
 
 def _is_int(value) -> bool:
@@ -147,9 +154,19 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-# text -> value for each ModelConfig field type; other fields are strings
-_FIELD_PARSERS = {"int": int, "float": float,
-                  "tuple": lambda raw: tuple(int(x) for x in raw.split(","))}
+# each ModelConfig field type by its annotation; a float is written as a
+# Python float, whose repr, unlike a numpy float's, is the number alone
+_FIELD_TYPES = {
+    "int": _FieldType("must be an integer", _is_int, int, lambda v: str(int(v))),
+    "float": _FieldType("must be a real number",
+                        lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+                        float, lambda v: repr(float(v))),
+    "tuple": _FieldType("entries must be integers, in a tuple",
+                        lambda v: isinstance(v, tuple) and all(map(_is_int, v)),
+                        lambda raw: tuple(int(x) for x in raw.split(",")),
+                        lambda v: ",".join(str(int(x)) for x in v)),
+    "str": _FieldType("must be a string", lambda v: isinstance(v, str), str, str),
+}
 
 
 class _BnLayer(NamedTuple):
@@ -361,11 +378,21 @@ class CCSPNet:
         batch = self._checked_batch(batch)
         labels = self._checked_labels(labels, len(batch))
         self.optimizer.zero_grad()
-        loss_node, feats = self.csp_feedback_loss(batch, labels)
-        loss_node.backward()
-        loss_l = float(loss_node.value)
-        concat = feats.value.reshape(len(labels), -1)
-        loss_j = self._discriminant_backward(concat, labels)
+        try:
+            # raise, not warn: weights an Adam step threw too far overflow here
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                loss_node, feats = self.csp_feedback_loss(batch, labels)
+                loss_node.backward()
+                loss_l = float(loss_node.value)
+                concat = feats.value.reshape(len(labels), -1)
+                loss_j = self._discriminant_backward(concat, labels)
+        except FloatingPointError as exc:
+            p = max(self._params.values(), key=lambda p: np.abs(p.value).max())
+            lr = "lr_wavelet" if p.name.startswith("wavelet.") else "lr_main"
+            raise NumericalError(
+                f"training step is not finite ({exc}); the largest parameter is "
+                f"{p.name} at {np.abs(p.value).max():.3g}, in the Adam group of "
+                f"{lr}={getattr(self.config, lr)}") from None
         self.optimizer.step()
         self._clamp_wavelets()
         return loss_l, loss_j, lda.combined_loss(loss_l, loss_j,
@@ -538,8 +565,7 @@ class CCSPNet:
             raise DataError(f"{path}: unsupported container version {version}")
         config_text = reader.take(reader.u32())
         try:
-            config = ModelConfig.from_text(config_text.decode("utf-8"))
-            config.validate()
+            model = cls(ModelConfig.from_text(config_text.decode("utf-8")))
         except (ValueError, ConfigError) as exc:
             raise DataError(f"{path}: bad config text: {exc}") from None
         arrays = {}
@@ -557,7 +583,6 @@ class CCSPNet:
             except ValueError:   # an empty array whose other axes are too long
                 raise DataError(f"{path}: impossible shape {shape} "
                                 f"for array {name!r}") from None
-        model = cls(config)
         model._restore(arrays, bool(finalized), path)
         return model
 

@@ -100,6 +100,13 @@ class TestConfigFile:
         assert run("eval-sd", "--config", str(cfg)) == 1
         assert capsys.readouterr().err == "error: run.cfg:4: expected 'key: value'\n"
 
+    @pytest.mark.parametrize("key", ["epochs", "jobs"])
+    def test_repeated_key_reports_line_number(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}: 1\n# later\n{key}: 5\n")
+        assert run("eval-sd", "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == f"error: run.cfg:3: repeated key '{key}'\n"
+
     def test_config_file_drives_run(self, dataset_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"epochs: 1\nbatch_size: 300\nseed: 3\n"

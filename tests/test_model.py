@@ -213,6 +213,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"{name} must be an integer, got "):
             model.ModelConfig(**{name: value}).validate()
 
+    # one wrong-typed value per field type; every field is checked against its type
+    @pytest.mark.parametrize("name, kind", [(f.name, f.type)
+                                            for f in fields(model.ModelConfig)])
+    def test_wrong_type_rejected_with_the_field_named(self, name, kind):
+        for value in {"int": (None, [3]), "float": ("0.3", None, True),
+                      "tuple": ([16, 8, 4], 4, None), "str": (None, 1)}[kind]:
+            cfg = model.ModelConfig(**{name: value})
+            with pytest.raises(ConfigError, match=f"^{name} .*must be"):
+                cfg.validate()
+            with pytest.raises(ConfigError, match=f"^{name} "):
+                model.CCSPNet(cfg)
+
     @pytest.mark.parametrize("dims", [(16, 8.5, 4), (16, np.nan, 4), (4.0,), (True, 4)])
     def test_non_integer_dense_dims_entry_rejected(self, dims):
         with pytest.raises(ConfigError, match="dense_dims entries must be integers"):
@@ -226,19 +238,22 @@ class TestConfigValidation:
 
 
 # edge values of each ModelConfig field; ints and floats as the text codec
-# writes them, plus the non-integers the Python API lets through
+# writes them, plus wrong-typed values the Python API lets through
 FIELD_EDGES = {"int": (0, -1, 10 ** 6, np.nan, 2.5),
-               "float": (0.0, -1.0, np.nan, np.inf, 1e300),
-               "tuple": ((), (4,), (0, 4), (16, 8, -1), (16, 8, 3), (2, 4), (16, 8.0, 4)),
+               "float": (0.0, -1.0, np.nan, np.inf, 1e300, "0.3"),
+               "tuple": ((), (4,), (0, 4), (16, 8, -1), (16, 8, 3), (2, 4), (16, 8.0, 4),
+                         [16, 8, 4], 4),
                "str": ("", "frn", "wkcnn", "tcnn", "lda", "none", "FRN", " frn",
-                       "frn,lda", "frn\n")}
+                       "frn,lda", "frn\n", None)}
 
 
 class TestConfigFuzz:
-    def test_each_edge_value_steps_or_raises_a_named_error(self):
-        # one field at a time from the desk config, through validate and one
-        # train_step on a seeded desk batch; a config that passes validate
-        # stays desk-sized (no kernel count of 10**6 alone passes the pairing)
+    def test_each_edge_value_steps_or_raises_a_named_error(self, tmp_path):
+        # one field at a time from the desk config, through validate, two
+        # train_steps and finalize on a seeded desk batch, then save and load;
+        # a config that passes validate stays desk-sized (no kernel count of
+        # 10**6 alone passes the pairing), and a model that trains and
+        # finalizes must load with the same config and predictions
         trials, labels = desk_batch(np.random.default_rng(28))
         outcomes = {"clean": 0, "invalid": 0, "error": 0}
         for f in fields(model.ModelConfig):
@@ -250,14 +265,20 @@ class TestConfigFuzz:
                     assert f.name in str(exc), (f.name, value, exc)
                     outcomes["invalid"] += 1
                     continue
+                net = model.CCSPNet(cfg)
                 try:
-                    losses = model.CCSPNet(cfg).train_step(trials, labels)
+                    for _ in range(2):
+                        net.train_step(trials, labels)
+                    net.finalize(trials, labels)
                 except CcspError as exc:
                     assert str(exc), (f.name, value)
                     outcomes["error"] += 1
-                else:
-                    assert len(losses) == 3, (f.name, value)
-                    outcomes["clean"] += 1
+                    continue
+                loaded = model.CCSPNet.load(net.save(tmp_path / "m.ccsp"))
+                assert loaded.config == cfg, (f.name, value)
+                assert np.array_equal(loaded.predict(trials), net.predict(trials)), \
+                    (f.name, value)
+                outcomes["clean"] += 1
         assert all(outcomes.values()), outcomes
 
     @pytest.mark.parametrize("name", ["l1", "l2"])
@@ -267,6 +288,15 @@ class TestConfigFuzz:
         trials, labels = desk_batch(np.random.default_rng(29))
         net = model.CCSPNet(desk_config(**{name: 1e300}))
         with pytest.raises(NumericalError, match="Adam update for temporal.kernels"):
+            net.train_step(trials, labels)
+
+    def test_huge_learning_rate_names_its_group(self):
+        # 1e300 throws the lr_main group's weights so far that the second
+        # step's forward pass overflows; it must stop before numpy warns
+        trials, labels = desk_batch(np.random.default_rng(29))
+        net = model.CCSPNet(desk_config(lr_main=1e300))
+        net.train_step(trials, labels)
+        with pytest.raises(NumericalError, match="not finite.*lr_main=1e[+]300"):
             net.train_step(trials, labels)
 
 
@@ -1047,7 +1077,8 @@ class TestSerialization:
                                           ("sample_rate_hz=100.0\n", "sample_rate_hz=0.0\n"),
                                           ("lr_main=0.01\n", "lr_main=-1.0\n"),
                                           ("l2=0.1\n", "l2=nan\n"),
-                                          ("seed=0\n", "seed=-1\n")])
+                                          ("seed=0\n", "seed=-1\n"),
+                                          ("epochs=2\n", "epochs=2\nepochs=5\n")])
     def test_bad_config_text_is_a_data_error(self, tmp_path, old, new):
         net, _ = self.trained(tmp_path)
         path = net.save(tmp_path / "m.ccsp")
@@ -1187,14 +1218,12 @@ class TestConfigText:
         ("epochs\n", "malformed"),
         ("bogus=1\n", "unknown key 'bogus'"),
         ("dense_dims=16,8,x\n", "bad value for 'dense_dims'"),
+        pytest.param(model.ModelConfig().to_text() + "epochs=5\n",
+                     "repeated key 'epochs'", id="repeated-key"),
     ])
     def test_bad_text_rejected(self, text, error):
         with pytest.raises(ValueError, match=error):
             model.ModelConfig.from_text(text)
-
-    def test_partial_text_keeps_defaults(self):
-        cfg = model.ModelConfig.from_text("epochs=3\n", partial=True)
-        assert cfg == model.ModelConfig(epochs=3)
 
     def test_numpy_values_are_written_as_python_values(self, tmp_path):
         cfg = desk_config(loss_ratio=np.float64(0.25), seed=np.int64(3),
