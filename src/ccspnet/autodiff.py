@@ -12,14 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dsp
-from .errors import NumericalError
-
-
-def _as_f64(x):
-    a = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise NumericalError("non-finite value entering the computation graph")
-    return a
+from .errors import NumericalError, numpy_faults
 
 
 class Node:
@@ -28,7 +21,7 @@ class Node:
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, value, parents=(), backward=None, requires_grad=False):
-        self.value = _as_f64(value)
+        self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = tuple(parents)
@@ -356,6 +349,10 @@ def log_variance(x: Node) -> Node:
         raise NumericalError("variance needs at least two time points")
     centered = x.value - x.value.mean(axis=-1, keepdims=True)
     var = (centered ** 2).mean(axis=-1)
+    # a backstop to numpy_faults, which misses an overflow in a BLAS thread
+    if not np.isfinite(var).all():
+        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(var))[0])
+        raise NumericalError(f"non-finite variance of row at index {idx}")
     if np.any(var <= 0):
         idx = tuple(int(i) for i in np.argwhere(var <= 0)[0])
         raise NumericalError(f"zero-variance row at index {idx}")
@@ -429,23 +426,19 @@ class Adam:
                 name = getattr(p, "name", "") or f"group param {i}"
                 if not np.all(np.isfinite(grad)):
                     raise NumericalError(f"non-finite gradient for {name}")
-                try:
-                    # raise, not warn: an infinite second moment would freeze the parameter
-                    with np.errstate(over="raise", divide="raise", invalid="raise"):
-                        if g["l2"]:
-                            grad = grad + g["l2"] * p.value
-                        if g["l1"]:
-                            grad = grad + g["l1"] * np.sign(p.value)
-                        # numpy arithmetic on a 0-d array returns a scalar; asarray
-                        # keeps every parameter and moment an array that can be
-                        # written in place
-                        m = g["m"][i] = np.asarray(self.beta1 * g["m"][i]
-                                                   + (1 - self.beta1) * grad)
-                        v = g["v"][i] = np.asarray(self.beta2 * g["v"][i]
-                                                   + (1 - self.beta2) * grad ** 2)
-                        step = g["lr"] * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-                        p.value = np.asarray(p.value - step)
-                except FloatingPointError:
-                    raise NumericalError(
-                        f"Adam update for {name} is not finite (lr {g['lr']}, "
-                        f"l1 {g['l1']}, l2 {g['l2']})") from None
+                # raise, not warn: an infinite second moment would freeze the parameter
+                with numpy_faults(f"Adam update for {name} is not finite (lr {g['lr']}, "
+                                  f"l1 {g['l1']}, l2 {g['l2']})"):
+                    if g["l2"]:
+                        grad = grad + g["l2"] * p.value
+                    if g["l1"]:
+                        grad = grad + g["l1"] * np.sign(p.value)
+                    # numpy arithmetic on a 0-d array returns a scalar; asarray
+                    # keeps every parameter and moment an array that can be
+                    # written in place
+                    m = g["m"][i] = np.asarray(self.beta1 * g["m"][i]
+                                               + (1 - self.beta1) * grad)
+                    v = g["v"][i] = np.asarray(self.beta2 * g["v"][i]
+                                               + (1 - self.beta2) * grad ** 2)
+                    step = g["lr"] * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                    p.value = np.asarray(p.value - step)

@@ -40,8 +40,6 @@ def parse_config_file(path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     out = {}
     for lineno, key, raw in data.key_value_lines(path, ConfigError):
-        if key in out:
-            raise ConfigError(f"{path.name}:{lineno}: repeated key {key!r}")
         try:
             if key == "jobs":
                 out[key] = int(raw)

@@ -50,6 +50,9 @@ def class_covariances(trials: np.ndarray | Iterable[np.ndarray],
             raise NumericalError("covariance needs at least two time points")
         covs = np.matmul(block, block.transpose(0, 2, 1))
         traces = np.trace(covs, axis1=1, axis2=2)
+        # a backstop to numpy_faults, which misses an overflow in a BLAS thread
+        if not np.isfinite(traces).all():
+            raise NumericalError("non-finite trial power in covariance estimation")
         if np.any(traces <= 0):
             raise NumericalError("zero-power trial in covariance estimation")
         covs /= traces[:, None, None]

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, check_finite_trials
 
 TRIAL_MAGIC = b"EEGT"
 TRIAL_FORMAT_VERSION = 1
@@ -173,7 +173,9 @@ def write_manifest(path, manifest: DatasetManifest):
 def key_value_lines(path: Path, error: type[Exception]):
     """(lineno, key, value) for each `key: value` line of a text file, both
     stripped; blank and `#` lines are skipped, and any other line without a
-    colon raises `error` naming the file and line."""
+    colon, or with a key an earlier line has, raises `error` naming the file
+    and line."""
+    seen = set()
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -181,7 +183,11 @@ def key_value_lines(path: Path, error: type[Exception]):
         if ":" not in line:
             raise error(f"{path.name}:{lineno}: expected 'key: value'")
         key, _, value = line.partition(":")
-        yield lineno, key.strip(), value.strip()
+        key = key.strip()
+        if key in seen:
+            raise error(f"{path.name}:{lineno}: repeated key {key!r}")
+        seen.add(key)
+        yield lineno, key, value.strip()
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -196,6 +202,8 @@ def load_manifest(path) -> DatasetManifest:
         if key.startswith("subject "):
             try:
                 sid = int(key.split()[1])
+                if sid in subjects:   # "subject 02" after "subject 2"
+                    raise DataError(f"{path.name}:{lineno}: repeated subject {sid}")
                 kv = dict(item.split("=", 1) for item in value.split())
                 subjects[sid] = (kv["file"], int(kv["trials"]), int(kv["bytes"]))
             except (ValueError, KeyError, IndexError) as exc:
@@ -295,15 +303,11 @@ def preprocess(raw: TrialSet, window_ms=(1000, 3500), target_hz=100,
                                               tuple(band), order)
     if raw.n_channels == 0:
         raise NumericalError("empty input signal")
+    check_finite_trials(raw.trials[:, :, start:stop], first_sample=start)
     window = np.empty((raw.n_channels, stop - start))
     out = np.empty((len(raw), raw.n_channels, op.shape[1]))
     for i, trial in enumerate(raw.trials):
         window[...] = trial[:, start:stop]
-        finite = np.isfinite(window)
-        if not finite.all():
-            channel, sample = np.argwhere(~finite)[0]
-            raise NumericalError(f"trial {i}: non-finite sample at channel {channel}, "
-                                 f"sample {start + sample}")
         np.matmul(window, op, out=out[i])
     return replace(raw, trials=out, sample_rate_hz=float(target_hz))
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import functools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as sps
 
-from .errors import FilterDesignError, NumericalError
+from .errors import FilterDesignError, NumericalError, numpy_faults
 
 WAVELET_FREQ_MIN = 8.0
 WAVELET_FREQ_MAX = 30.0
@@ -140,23 +139,12 @@ def _width_power(h: float, n: int) -> float:
         return math.inf
 
 
-@contextmanager
-def _finite(params: MorletParams, what: str):
-    """Numpy's overflow, division and invalid-value errors in the block, as a
-    NumericalError naming `what`, raised before numpy warns of them."""
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            yield
-    except FloatingPointError:
-        raise NumericalError(f"wavelet {what} is not finite for {params}") from None
-
-
 def build_morlet(params: MorletParams) -> np.ndarray:
     """w[n] = cos(2 pi f t[n]) * exp(-c t[n]^2 / h^2) on the centered grid."""
     if params.h <= 0:
         raise NumericalError(f"wavelet width must be positive, got {params.h}")
     t = params.time_grid()
-    with _finite(params, "kernel"):
+    with numpy_faults(f"wavelet kernel is not finite for {params}"):
         return np.cos(2 * np.pi * params.f * t) * np.exp(
             -params.c * t ** 2 / _width_power(params.h, 2))
 
@@ -168,12 +156,12 @@ def morlet_gradients(params: MorletParams,
     upstream = np.asarray(upstream, dtype=np.float64)
     t = params.time_grid()
     h2 = _width_power(params.h, 2)
-    with _finite(params, "gradient in f"):
+    with numpy_faults(f"wavelet gradient in f is not finite for {params}"):
         dw_df = -2 * np.pi * t * np.sin(2 * np.pi * params.f * t) * np.exp(
             -params.c * t ** 2 / h2)
-    with _finite(params, "gradient in h"):
+    with numpy_faults(f"wavelet gradient in h is not finite for {params}"):
         dw_dh = kernel * (2 * params.c * t ** 2 / _width_power(params.h, 3))
-    with _finite(params, "gradient in c"):
+    with numpy_faults(f"wavelet gradient in c is not finite for {params}"):
         dw_dc = kernel * (-t ** 2 / h2)
     return (float(upstream @ dw_df), float(upstream @ dw_dh), float(upstream @ dw_dc))
 

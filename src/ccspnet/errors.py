@@ -1,8 +1,13 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and its one floating-point
+rule: each model entry checks its batch, and numpy's faults inside raise.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
 NumericalError -> 3.
 """
+
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class CcspError(Exception):
@@ -27,3 +32,31 @@ class FilterDesignError(NumericalError):
 
 class ModelStateError(CcspError):
     """Model used in the wrong lifecycle state (e.g. predict before finalize)."""
+
+
+@contextmanager
+def numpy_faults(message):
+    """Numpy's overflow, division and invalid-value faults in the block as a
+    NumericalError of `message`, or of `message(fault)` when it is callable.
+
+    A product that BLAS splits over threads can overflow in a worker whose
+    fault flag never reaches this thread, and return inf silently; so the
+    reductions every map passes through, `csp.class_covariances` and
+    `autodiff.log_variance`, reject a non-finite result too."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalError(message(exc) if callable(message) else message) from None
+
+
+def check_finite_trials(trials, first_sample=0):
+    """Raise a NumericalError naming the trial, channel and sample (counted
+    from `first_sample`) of the first non-finite value of N x C x T `trials`,
+    read 64 trials at a time so that no mask of the whole is made."""
+    for start in range(0, len(trials), 64):
+        finite = np.isfinite(trials[start:start + 64])
+        if not finite.all():
+            trial, channel, sample = np.argwhere(~finite)[0]
+            raise NumericalError(f"trial {start + trial}: non-finite sample at "
+                                 f"channel {channel}, sample {first_sample + sample}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import csp, dsp, lda
-from .errors import ConfigError, DataError, ModelStateError, NumericalError
+from .errors import ConfigError, DataError, ModelStateError, check_finite_trials, numpy_faults
 
 MODEL_MAGIC = b"CCSP"
 MODEL_VERSION = 1
@@ -298,7 +298,7 @@ class CCSPNet:
     # forward passes -------------------------------------------------------
 
     def _checked_batch(self, batch) -> np.ndarray:
-        """`batch` as float64, which must be N x C x T for the model's C and T."""
+        """`batch` as float64: finite, and N x C x T for the model's C and T."""
         cfg = self.config
         batch = np.asarray(batch, dtype=np.float64)
         if batch.ndim != 3 or batch.shape[1] != cfg.n_channels \
@@ -306,6 +306,7 @@ class CCSPNet:
             raise DataError(
                 f"batch shape {batch.shape} does not match model input "
                 f"(N, {cfg.n_channels}, {cfg.n_timepoints})")
+        check_finite_trials(batch)
         return batch
 
     @staticmethod
@@ -378,21 +379,22 @@ class CCSPNet:
         batch = self._checked_batch(batch)
         labels = self._checked_labels(labels, len(batch))
         self.optimizer.zero_grad()
-        try:
-            # raise, not warn: weights an Adam step threw too far overflow here
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                loss_node, feats = self.csp_feedback_loss(batch, labels)
-                loss_node.backward()
-                loss_l = float(loss_node.value)
-                concat = feats.value.reshape(len(labels), -1)
-                loss_j = self._discriminant_backward(concat, labels)
-        except FloatingPointError as exc:
+
+        def blame(exc):
             p = max(self._params.values(), key=lambda p: np.abs(p.value).max())
             lr = "lr_wavelet" if p.name.startswith("wavelet.") else "lr_main"
-            raise NumericalError(
-                f"training step is not finite ({exc}); the largest parameter is "
-                f"{p.name} at {np.abs(p.value).max():.3g}, in the Adam group of "
-                f"{lr}={getattr(self.config, lr)}") from None
+            return (f"training step is not finite ({exc}); the batch's largest "
+                    f"magnitude is {np.abs(batch).max():.3g}, and the largest parameter "
+                    f"is {p.name} at {np.abs(p.value).max():.3g}, in the Adam group "
+                    f"of {lr}={getattr(self.config, lr)}")
+
+        # raise, not warn: weights an Adam step threw too far overflow here
+        with numpy_faults(blame):
+            loss_node, feats = self.csp_feedback_loss(batch, labels)
+            loss_node.backward()
+            loss_l = float(loss_node.value)
+            concat = feats.value.reshape(len(labels), -1)
+            loss_j = self._discriminant_backward(concat, labels)
         self.optimizer.step()
         self._clamp_wavelets()
         return loss_l, loss_j, lda.combined_loss(loss_l, loss_j,
@@ -400,7 +402,7 @@ class CCSPNet:
 
     def train(self, trials, labels):
         """Epoch/batch loop over a training set; appends to the history log."""
-        trials = np.asarray(trials, dtype=np.float64)
+        trials = self._checked_batch(trials)
         n = len(trials)
         if n == 0:
             raise DataError("empty training set")
@@ -422,8 +424,9 @@ class CCSPNet:
         trials = self._checked_batch(trials)
         labels = self._checked_labels(labels, len(trials))
         # all the sums before any solve: scipy's LAPACK waits on numpy's spinning BLAS threads
-        covariances = [csp.class_covariances(_branch_maps(trials, m, c), labels)
-                       for m, c in zip(*self._eval_operator())]
+        with numpy_faults(lambda exc: f"CSP class covariances are not finite ({exc})"):
+            covariances = [csp.class_covariances(_branch_maps(trials, m, c), labels)
+                           for m, c in zip(*self._eval_operator())]
         self.frozen_branches = [csp.fit_branch(*pair) for pair in covariances]
         self.frozen_lda = None
         if self.classifier == "lda":
@@ -443,16 +446,21 @@ class CCSPNet:
         under the frozen projections, projected before the cached operator of
         `_eval_operator` applies, so no map is made."""
         batch = self._checked_batch(batch)
-        return csp.spatial_filter_features(ad.constant(batch), self.frozen_projection(),
-                                           self._eval_operator())
+        if not self.finalized:
+            raise ModelStateError("model is not finalized; call finalize first")
+        with numpy_faults(lambda exc: f"frozen CSP features are not finite ({exc})"):
+            return csp.spatial_filter_features(ad.constant(batch),
+                                               self.frozen_projection(),
+                                               self._eval_operator())
 
     def _frozen_head(self, batch) -> ad.Node:
         """Eval-mode dense head over the frozen features, the K branches' four
         features side by side."""
         feats = self.frozen_features(batch).value
         width = 4 * self.config.n_wavelet_kernels
-        return self._dense_forward(ad.constant(feats.reshape(len(feats), width)),
-                                   training=False)
+        with numpy_faults(lambda exc: f"eval-mode dense head is not finite ({exc})"):
+            return self._dense_forward(ad.constant(feats.reshape(len(feats), width)),
+                                       training=False)
 
     def stage_operators(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
         """(name, M, c) after each spectral stage: in eval mode the stages up to
@@ -479,8 +487,6 @@ class CCSPNet:
         return self._eval_operator_cache[1:]
 
     def predict(self, batch) -> np.ndarray:
-        if not self.finalized:
-            raise ModelStateError("model is not finalized; call finalize first")
         out = self._frozen_head(batch)
         if self.classifier == "softmax":
             probs = ad.softmax(out).value

@@ -12,7 +12,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from . import dsp
-from .errors import DataError, ModelStateError
+from .errors import DataError
 from .model import CCSPNet
 
 
@@ -122,8 +122,6 @@ def csp_scatter_points(net: CCSPNet, trials, labels) -> list[dict]:
     Coordinates are the first and last log-variance features of each branch
     (the most discriminative pair). Rows: branch, trial, x, y, label.
     """
-    if not net.finalized:
-        raise ModelStateError("CSP scatter needs a finalized model")
     labels = np.asarray(labels)
     feats = net.frozen_features(trials).value
     return [{"branch": i + 1, "trial": n,

@@ -44,6 +44,13 @@ class TestClassCovariances:
             # oracle: eigensolver confirms positive semi-definiteness
             assert np.linalg.eigvalsh(s).min() >= -1e-10
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_trial_rejected(self, value):
+        batch = np.random.default_rng(6).normal(size=(4, 3, 20))
+        batch[2, 1, 5] = value
+        with pytest.raises(NumericalError, match="^non-finite trial power"):
+            csp.class_covariances(batch, np.array([0, 1, 0, 1]))
+
     def test_single_class_rejected(self):
         batch = np.random.default_rng(2).normal(size=(4, 3, 20))
         with pytest.raises(NumericalError):

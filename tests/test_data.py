@@ -183,6 +183,19 @@ class TestTrialFileRoundTrip:
             data.load_manifest(path)
         assert str(info.value) == "manifest.txt:5: expected 'key: value'"
 
+    @pytest.mark.parametrize("repeat, message", [
+        ("sample_rate_hz: 500", "repeated key 'sample_rate_hz'"),
+        ("subject 2: file=other.eegt trials=8 bytes=1", "repeated key 'subject 2'"),
+        ("subject 02: file=other.eegt trials=8 bytes=1", "repeated subject 2")],
+        ids=["rate", "subject", "subject-respelled"])
+    def test_repeated_key_names_manifest_line(self, tmp_path, repeat, message):
+        path = data.save_dataset(tmp_path, small_trialset(np.random.default_rng(0)))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [repeat]) + "\n")
+        with pytest.raises(DataError) as info:
+            data.load_manifest(path)
+        assert str(info.value) == f"manifest.txt:{len(lines) + 1}: {message}"
+
     def test_old_openbmi_flag_still_loads(self, tmp_path):
         ts = small_trialset(np.random.default_rng(8))
         manifest_path = data.save_dataset(tmp_path, ts)
@@ -207,6 +220,13 @@ class TestKeyValueLines:
         path = tmp_path / "kv.txt"
         path.write_text("a: 1\nno colon\n")
         with pytest.raises(error, match="^kv.txt:2: expected 'key: value'$"):
+            list(data.key_value_lines(path, error))
+
+    @pytest.mark.parametrize("error", [DataError, NumericalError])
+    def test_repeated_key_raises_the_callers_error(self, tmp_path, error):
+        path = tmp_path / "kv.txt"
+        path.write_text("a: 1\nb: 2\n a : 3\n")
+        with pytest.raises(error, match="^kv.txt:3: repeated key 'a'$"):
             list(data.key_value_lines(path, error))
 
 

@@ -560,6 +560,11 @@ class TestPredict:
         with pytest.raises(ModelStateError):
             net.predict(np.zeros((1, 6, 40)))
 
+    def test_unfinalized_frozen_features_rejected(self):
+        net = model.CCSPNet(desk_config())
+        with pytest.raises(ModelStateError, match="not finalized"):
+            net.frozen_features(np.zeros((1, 6, 40)))
+
     def test_deterministic_and_batch_size_independent(self):
         net, _, _ = fitted_desk_model()
         fresh, _ = desk_batch(np.random.default_rng(10), n=6)
@@ -567,6 +572,56 @@ class TestPredict:
         assert np.array_equal(batch_pred, net.predict(fresh))
         singles = np.concatenate([net.predict(fresh[i:i + 1]) for i in range(6)])
         assert np.array_equal(batch_pred, singles)
+
+
+# each model entry on a batch, from a fresh model for the two that fit one
+# and a finalized one for the two that need one
+ENTRIES = {
+    "train_step": lambda net, trials, labels: net.train_step(trials, labels),
+    "finalize": lambda net, trials, labels: net.finalize(trials, labels),
+    "predict": lambda net, trials, labels: net.predict(trials),
+    "frozen_features": lambda net, trials, labels: net.frozen_features(trials),
+}
+
+
+def poisoned(trials, case):
+    """`trials` with a NaN or an inf at trial 3, channel 2, sample 7, or all
+    of it times 1e200 ("huge")."""
+    if case == "huge":
+        return trials * 1e200
+    trials = trials.copy()
+    trials[3, 2, 7] = {"nan": np.nan, "inf": np.inf}[case]
+    return trials
+
+
+class TestNonFiniteBatch:
+    # tier-1 turns a numpy RuntimeWarning into an error, so a case that warns
+    # before it raises fails here, as does scipy's ValueError
+    @pytest.mark.parametrize("case", ["nan", "inf", "huge"])
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_each_entry_raises_a_numerical_error(self, entry, case):
+        net, trials, labels = fitted_desk_model()
+        if entry in ("train_step", "finalize"):
+            net = model.CCSPNet(net.config)
+        with pytest.raises(NumericalError) as info:
+            ENTRIES[entry](net, poisoned(trials, case), labels)
+        if case != "huge":
+            assert str(info.value) == "trial 3: non-finite sample at channel 2, sample 7"
+
+    def test_train_names_the_trial_of_the_whole_set(self):
+        trials, labels = desk_batch(np.random.default_rng(30), n=40)
+        trials[37, 1, 0] = np.nan
+        with pytest.raises(NumericalError,
+                           match="^trial 37: non-finite sample at channel 1, sample 0$"):
+            model.CCSPNet(desk_config()).train(trials, labels)
+
+    def test_huge_batch_is_named_beside_the_largest_parameter(self):
+        # a fresh model's largest parameter is its initial value, which is
+        # not what threw the step
+        trials, labels = desk_batch(np.random.default_rng(31))
+        with pytest.raises(NumericalError, match="the batch's largest magnitude is "
+                                                 r"\d\.?\d*e\+200, and the largest parameter"):
+            model.CCSPNet(desk_config()).train_step(trials * 1e200, labels)
 
 
 @pytest.fixture(scope="module")
