@@ -14,6 +14,12 @@ import numpy as np
 from . import dsp
 from .errors import NumericalError, numpy_faults
 
+BN_MOMENTUM = 0.1     # batch norm's running-statistics update rate
+BN_EPS = 1e-5         # batch norm's variance floor
+_ADAM_BETA1 = 0.9     # Adam's first-moment decay rate
+_ADAM_BETA2 = 0.999   # Adam's second-moment decay rate
+_ADAM_EPS = 1e-8      # Adam's step denominator floor
+
 
 class Node:
     """A value in the computation graph with an accumulated adjoint."""
@@ -222,11 +228,9 @@ def project_channels(x: Node, w: np.ndarray) -> Node:
 class BatchNormState:
     """Running statistics for one batch-norm layer (not part of the graph)."""
 
-    def __init__(self, n_features, momentum=0.1, eps=1e-5):
+    def __init__(self, n_features):
         self.running_mean = np.zeros(n_features)
         self.running_var = np.ones(n_features)
-        self.momentum = momentum
-        self.eps = eps
 
 
 def _per_feature(a: np.ndarray) -> np.ndarray:
@@ -270,7 +274,7 @@ def batch_norm(x: Node, gamma: Node, beta: Node, state: BatchNormState,
         mean = _feature_sums(x.value) / count
         out = x.value - mean.reshape(feat_shape)
         var = _feature_dots(out, out) / count
-        m = state.momentum
+        m = BN_MOMENTUM
         state.running_mean = (1 - m) * state.running_mean + m * mean
         state.running_var = (1 - m) * state.running_var + m * var
     else:
@@ -279,7 +283,7 @@ def batch_norm(x: Node, gamma: Node, beta: Node, state: BatchNormState,
         var = state.running_var
         out = x.value - mean.reshape(feat_shape)
 
-    istd = 1.0 / np.sqrt(var + state.eps)
+    istd = 1.0 / np.sqrt(var + BN_EPS)
     out *= istd.reshape(feat_shape)
     out *= gamma.value.reshape(feat_shape)
     out += beta.value.reshape(feat_shape)
@@ -390,7 +394,7 @@ class Adam:
     optional l1 / l2 factors applied to every parameter in the group.
     """
 
-    def __init__(self, groups, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, groups):
         self.groups = []
         for g in groups:
             params = list(g["params"])
@@ -402,9 +406,6 @@ class Adam:
                 "m": [np.zeros_like(p.value) for p in params],
                 "v": [np.zeros_like(p.value) for p in params],
             })
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
 
     def zero_grad(self):
@@ -415,8 +416,8 @@ class Adam:
     def step(self):
         self.step_count += 1
         t = self.step_count
-        bc1 = 1 - self.beta1 ** t
-        bc2 = 1 - self.beta2 ** t
+        bc1 = 1 - _ADAM_BETA1 ** t
+        bc2 = 1 - _ADAM_BETA2 ** t
         for g in self.groups:
             for i, p in enumerate(g["params"]):
                 grad = p.grad
@@ -436,9 +437,9 @@ class Adam:
                     # numpy arithmetic on a 0-d array returns a scalar; asarray
                     # keeps every parameter and moment an array that can be
                     # written in place
-                    m = g["m"][i] = np.asarray(self.beta1 * g["m"][i]
-                                               + (1 - self.beta1) * grad)
-                    v = g["v"][i] = np.asarray(self.beta2 * g["v"][i]
-                                               + (1 - self.beta2) * grad ** 2)
-                    step = g["lr"] * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                    m = g["m"][i] = np.asarray(_ADAM_BETA1 * g["m"][i]
+                                               + (1 - _ADAM_BETA1) * grad)
+                    v = g["v"][i] = np.asarray(_ADAM_BETA2 * g["v"][i]
+                                               + (1 - _ADAM_BETA2) * grad ** 2)
+                    step = g["lr"] * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
                     p.value = np.asarray(p.value - step)

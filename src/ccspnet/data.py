@@ -144,12 +144,12 @@ def read_trial_file(path):
         raise DataError(f"{path.name}: inconsistent trial shapes {shapes}")
     if rest:
         raise DataError(f"{path.name}: truncated record at byte {end}")
-    bad_labels = np.setdiff1d(records["label"], (0, 1))
-    if bad_labels.size:
-        raise DataError(f"{path.name}: label {bad_labels[0]} not in {{0, 1}}")
-    bad_phases = np.setdiff1d(records["phase"], list(PHASE_NAMES))
-    if bad_phases.size:
-        raise DataError(f"{path.name}: unknown phase tag {bad_phases[0]}")
+    for tag, allowed, message in (("label", (0, 1), "label {} not in {{0, 1}}"),
+                                  ("session", (1, 2), "unknown session tag {}"),
+                                  ("phase", list(PHASE_NAMES), "unknown phase tag {}")):
+        bad = np.setdiff1d(records[tag], allowed)
+        if bad.size:
+            raise DataError(f"{path.name}: " + message.format(bad[0]))
     return (records["samples"], records["label"], records["subject"].astype(np.int_),
             records["session"], records["phase"])
 
@@ -321,15 +321,17 @@ class SynthConfig:
     n_channels: int = 16
     snr: float = 4.0
     erd: float = 0.5             # class-conditional mu-power ratio at the source
-    subject_variability: float = 0.1
     seed: int = 0
     sample_rate_hz: int = 1000
     n_timepoints: int = 4000
-    mu_hz: float = 10.0
-    beta_hz: float = 20.0
-    mu_amplitude: float = 2.0
-    beta_amplitude: float = 1.5
-    background_scale: float = 0.4
+
+
+_MU_HZ = 10.0                 # the mu rhythm, on source 0
+_BETA_HZ = 20.0               # the beta rhythm, on source 1
+_MU_AMPLITUDE = 2.0
+_BETA_AMPLITUDE = 1.5
+_BACKGROUND_SCALE = 0.4       # of the unit-variance pink noise under every source
+_SUBJECT_VARIABILITY = 0.1    # a subject's spread of mixing matrix and ERD ratio
 
 
 def _pink_noise(rng, shape, fs):
@@ -345,8 +347,8 @@ def _pink_noise(rng, shape, fs):
     return pink / pink.std(axis=-1, keepdims=True)
 
 
-def _mixing_matrix(rng, base, variability):
-    perturbed = base + variability * rng.normal(size=base.shape)
+def _mixing_matrix(rng, base):
+    perturbed = base + _SUBJECT_VARIABILITY * rng.normal(size=base.shape)
     q, _ = np.linalg.qr(perturbed)
     scales = rng.uniform(0.8, 1.25, size=base.shape[0])
     return q * scales
@@ -361,13 +363,13 @@ def synth_sources(rng, config: SynthConfig, label: int, erd: float):
     """
     c, n = config.n_channels, config.n_timepoints
     t = np.arange(n) / config.sample_rate_hz
-    sources = config.background_scale * _pink_noise(rng, (c, n), config.sample_rate_hz)
+    sources = _BACKGROUND_SCALE * _pink_noise(rng, (c, n), config.sample_rate_hz)
     mu_scale = np.sqrt(erd) if label == 0 else 1.0
     beta_scale = np.sqrt(erd) if label == 1 else 1.0
-    sources[0] += mu_scale * config.mu_amplitude * np.sin(
-        2 * np.pi * config.mu_hz * t + rng.uniform(0, 2 * np.pi))
-    sources[1] += beta_scale * config.beta_amplitude * np.sin(
-        2 * np.pi * config.beta_hz * t + rng.uniform(0, 2 * np.pi))
+    sources[0] += mu_scale * _MU_AMPLITUDE * np.sin(
+        2 * np.pi * _MU_HZ * t + rng.uniform(0, 2 * np.pi))
+    sources[1] += beta_scale * _BETA_AMPLITUDE * np.sin(
+        2 * np.pi * _BETA_HZ * t + rng.uniform(0, 2 * np.pi))
     return sources
 
 
@@ -394,12 +396,12 @@ def synthesize(config: SynthConfig) -> TrialSet:
     blocks = [(1, PHASE_OFFLINE), (1, PHASE_ONLINE), (2, PHASE_OFFLINE), (2, PHASE_ONLINE)]
     trials, labels, sids, sessions, phases = [], [], [], [], []
     for sid in range(1, config.n_subjects + 1):
-        mixing = _mixing_matrix(rng, base_mixing, config.subject_variability)
+        mixing = _mixing_matrix(rng, base_mixing)
         if config.erd >= 1.0:
             erd = 1.0  # no modulation: classes identical in distribution
         else:
             erd = config.erd * float(
-                np.clip(1.0 + config.subject_variability * rng.uniform(-1, 1), 0.05, None))
+                np.clip(1.0 + _SUBJECT_VARIABILITY * rng.uniform(-1, 1), 0.05, None))
             erd = min(erd, 1.0)
         # fill blocks in turn, alternating labels within each block with a
         # per-block offset so every block holds both classes and the subject

@@ -21,6 +21,7 @@ from .errors import FilterDesignError, NumericalError, numpy_faults
 WAVELET_FREQ_MIN = 8.0
 WAVELET_FREQ_MAX = 30.0
 WAVELET_WIDTH_MIN = 1e-3
+_ANTIALIAS_ORDER = 12   # Butterworth order of the decimation guard filter
 
 
 def design_bandpass(low_hz: float, high_hz: float, order: int,
@@ -39,7 +40,7 @@ def design_bandpass(low_hz: float, high_hz: float, order: int,
     return sos
 
 
-def design_antialias(target_hz: float, fs: float, order: int = 12) -> np.ndarray:
+def design_antialias(target_hz: float, fs: float) -> np.ndarray:
     """Low-pass guard filter for decimation.
 
     Cut at 0.36 * target rate, order 12: steep enough to suppress the first
@@ -48,7 +49,7 @@ def design_antialias(target_hz: float, fs: float, order: int = 12) -> np.ndarray
     cutoff = 0.36 * target_hz
     if cutoff >= fs / 2:
         raise FilterDesignError("anti-alias cutoff at or beyond Nyquist")
-    return sps.butter(order, cutoff, btype="lowpass", fs=fs, output="sos")
+    return sps.butter(_ANTIALIAS_ORDER, cutoff, btype="lowpass", fs=fs, output="sos")
 
 
 def _impulse_response(sos: np.ndarray, n: int) -> np.ndarray:

@@ -184,22 +184,14 @@ class _Stage(NamedTuple):
 
     name: str                        # names its partial operator in stage_operators
     kernels: Callable[[], ad.Node]   # builds the K x len kernel node
-    kernel_params: tuple             # the parameters `kernels` reads
     bias: ad.Parameter | None
     bn: _BnLayer
-
-    def eval_arrays(self) -> list:
-        """Every array the stage reads in eval mode."""
-        params = self.kernel_params + (self.bn.gamma, self.bn.beta) \
-            + ((self.bias,) if self.bias is not None else ())
-        return [p.value for p in params] + [self.bn.state.running_mean,
-                                            self.bn.state.running_var]
 
     def operator(self, t_len: int) -> tuple[np.ndarray, np.ndarray]:
         """(B, o), K x T x T and K x T: in eval mode the stage sends row x of map
         k to x @ B[k] + o[k], its convolution then its batch norm as one map."""
         state = self.bn.state
-        scale = self.bn.gamma.value / np.sqrt(state.running_var + state.eps)
+        scale = self.bn.gamma.value / np.sqrt(state.running_var + ad.BN_EPS)
         bands = dsp.toeplitz_bands(self.kernels().value, t_len) * scale[:, None, None]
         bias = self.bias.value if self.bias is not None else 0.0
         offset = (bias - state.running_mean) * scale + self.bn.beta.value
@@ -255,8 +247,7 @@ class CCSPNet:
                 ))
             wavelet = self.wavelet
             self.spectral_stages.append(_Stage(
-                "wkcnn", lambda: _wavelet_kernels(wavelet, cfg),
-                tuple(p for triple in wavelet for p in triple), None,
+                "wkcnn", lambda: _wavelet_kernels(wavelet, cfg), None,
                 self._register_bn("bn_wk", k)))
 
         if cfg.ablate != "tcnn":
@@ -267,8 +258,7 @@ class CCSPNet:
                 "weight")
             bias = self._register("temporal.bias", np.zeros(k), "bias")
             self.spectral_stages.append(_Stage(
-                "tcnn", lambda: kernels, (kernels,), bias,
-                self._register_bn("bn_tc", k)))
+                "tcnn", lambda: kernels, bias, self._register_bn("bn_tc", k)))
 
         # (weight, bias, batch norm or None) per dense layer
         self.dense = []
@@ -298,8 +288,10 @@ class CCSPNet:
     # forward passes -------------------------------------------------------
 
     def _checked_batch(self, batch) -> np.ndarray:
-        """`batch` as float64: finite, and N x C x T for the model's C and T."""
+        """`batch` as float64: real, finite, and N x C x T for the model's C and T."""
         cfg = self.config
+        if np.iscomplexobj(batch):
+            raise DataError(f"batch samples must be real, not {np.asarray(batch).dtype}")
         batch = np.asarray(batch, dtype=np.float64)
         if batch.ndim != 3 or batch.shape[1] != cfg.n_channels \
                 or batch.shape[2] != cfg.n_timepoints:
@@ -311,10 +303,11 @@ class CCSPNet:
 
     @staticmethod
     def _checked_labels(labels, n_trials: int) -> np.ndarray:
-        """`labels` as an array, which must hold one label, 0 or 1, per trial."""
+        """`labels` as a 1-d array, which must hold one label, 0 or 1, per trial."""
         labels = np.asarray(labels)
-        if labels.shape[:1] != (n_trials,):
-            raise DataError(f"{labels.size} labels for {n_trials} trials")
+        if labels.shape != (n_trials,):
+            raise DataError(f"{labels.size} labels for {n_trials} trials, of shape "
+                            f"{labels.shape}; expected a 1-d array of one label per trial")
         bad = labels[~np.isin(labels, (0, 1))]
         if bad.size:
             raise DataError(f"label {bad.flat[0].item()!r} is not 0 or 1")
@@ -478,10 +471,12 @@ class CCSPNet:
 
     def _eval_operator(self) -> tuple[np.ndarray, np.ndarray]:
         """(M, c) of the whole spectral stack, cached under the values of every
-        array the stack reads: a training step, an in-place write or a load
-        makes the next call rebuild it."""
+        parameter and running statistic: a training step, an in-place write or
+        a load makes the next call rebuild it."""
+        stats = [a for layer in self._bn_layers.values()
+                 for a in (layer.state.running_mean, layer.state.running_var)]
         key = b"".join(np.ascontiguousarray(a).tobytes()
-                       for stage in self.spectral_stages for a in stage.eval_arrays())
+                       for a in [p.value for p in self._params.values()] + stats)
         if self._eval_operator_cache is None or self._eval_operator_cache[0] != key:
             self._eval_operator_cache = (key,) + self.stage_operators()[-1][1:]
         return self._eval_operator_cache[1:]

@@ -42,9 +42,9 @@ class SvgCanvas:
         self._parts.append(
             f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{r:.2f}" fill="{fill}"/>')
 
-    def text(self, x, y, content, size=12):
+    def text(self, x, y, content):
         self._parts.append(
-            f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" '
+            f'<text x="{x:.2f}" y="{y:.2f}" font-size="12" '
             f'font-family="sans-serif">{escape(content)}</text>')
 
     def render(self) -> str:
@@ -59,8 +59,7 @@ class SvgCanvas:
             fh.write(self.render())
 
 
-def stft_stage_grids(net: CCSPNet, trial: np.ndarray, channel: int,
-                     window_len: int = 32, hop: int = 4) -> dict:
+def stft_stage_grids(net: CCSPNet, trial: np.ndarray, channel: int) -> dict:
     """Time-frequency grids per pipeline stage for one trial and channel.
 
     Returns stage -> list of (magnitudes, freqs_hz, times_s), one entry per
@@ -73,6 +72,7 @@ def stft_stage_grids(net: CCSPNet, trial: np.ndarray, channel: int,
         raise DataError(f"channel {channel} outside 0..{trial.shape[0] - 1}")
     fs = net.config.sample_rate_hz
     row = net._checked_batch(trial[None])[0, channel]
+    window_len, hop = 32, 4   # samples per STFT window, and between windows
     grids = {"raw": [dsp.stft(row, window_len, hop, fs)]}
     for name, operator, offset in net.stage_operators():   # the channel's K maps
         grids[name] = [dsp.stft(m, window_len, hop, fs)
@@ -93,9 +93,9 @@ def write_stft_csv(path, grids: dict) -> None:
                                          f"{mags[fi, ti]:.6g}"])
 
 
-def render_stft_svg(path, grids: dict, cell: int = 4) -> None:
+def render_stft_svg(path, grids: dict) -> None:
     """One heat-map panel per (stage, map), tiled top to bottom."""
-    pad, label_h = 10, 16
+    pad, label_h, cell = 10, 16, 4
     panels = [(stage, k, entry)
               for stage, entries in grids.items()
               for k, entry in enumerate(entries)]
@@ -138,9 +138,9 @@ def write_scatter_csv(path, rows) -> None:
         writer.writerows(rows)
 
 
-def render_scatter_svg(path, rows, size: int = 220) -> None:
+def render_scatter_svg(path, rows) -> None:
     """One panel per branch, class 0 blue and class 1 orange."""
-    pad, label_h = 10, 16
+    pad, label_h, size = 10, 16, 220
     branches = sorted({r["branch"] for r in rows})
     canvas = SvgCanvas(size + 2 * pad, len(branches) * (size + label_h + pad) + pad)
     y0 = pad

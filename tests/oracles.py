@@ -244,14 +244,14 @@ def batch_norm_stored_xhat(x, gamma, beta, state, training):
         mean = ad._feature_sums(x.value) / count
         xhat = x.value - mean.reshape(feat_shape)
         var = ad._feature_dots(xhat, xhat) / count
-        m = state.momentum
+        m = ad.BN_MOMENTUM
         state.running_mean = (1 - m) * state.running_mean + m * mean
         state.running_var = (1 - m) * state.running_var + m * var
     else:
         var = state.running_var
         xhat = x.value - state.running_mean.reshape(feat_shape)
 
-    istd = 1.0 / np.sqrt(var + state.eps)
+    istd = 1.0 / np.sqrt(var + ad.BN_EPS)
     xhat *= istd.reshape(feat_shape)
     out = xhat * gamma.value.reshape(feat_shape)
     out += beta.value.reshape(feat_shape)

@@ -50,7 +50,7 @@ def redeclare_size(manifest_path, sid):
 
 # expected error message -> corruption of a well-formed trial file; a record
 # header is 13 bytes after the 5-byte magic and version: channels, time
-# points, label (byte 8), subject, session, phase (byte 12)
+# points, label (byte 8), subject, session (byte 11), phase (byte 12)
 CORRUPTIONS = {
     "bad magic": lambda b: b"XXXX" + b[4:],
     "version missing": lambda b: b[:4],
@@ -60,6 +60,7 @@ CORRUPTIONS = {
     "truncated samples": lambda b: b[:5 + 13 + 20],
     "truncated record at": lambda b: b[:-7],
     "label 7 not in": lambda b: b[:5 + 8] + b"\x07" + b[5 + 9:],
+    "unknown session tag 7": lambda b: b[:5 + 11] + b"\x07" + b[5 + 12:],
     "unknown phase tag 5": lambda b: b[:5 + 12] + b"\x05" + b[5 + 13:],
 }
 

@@ -1,5 +1,7 @@
 import copy
 import gc
+import math
+import re
 import struct
 import tracemalloc
 import weakref
@@ -149,6 +151,16 @@ class TestForwardSpectral:
         net = model.CCSPNet(desk_config())
         with pytest.raises(DataError):
             getattr(net, entry)(np.zeros((2, 7, 40)))
+
+    @pytest.mark.parametrize("entry", ("forward_spectral", "frozen_features", "predict",
+                                       "train", "train_step", "finalize"))
+    def test_complex_batch_rejected(self, entry):
+        # a cast to float64 would drop the imaginary part with a ComplexWarning
+        net = model.CCSPNet(desk_config())
+        trials, labels = desk_batch(np.random.default_rng(24))
+        args = (labels,) if entry in ("train", "train_step", "finalize") else ()
+        with pytest.raises(DataError, match="batch samples must be real, not complex128"):
+            getattr(net, entry)(trials + 1j, *args)
 
 
 class TestConfigValidation:
@@ -881,13 +893,19 @@ class TestLabelValues:
 
 
 class TestLabelCount:
-    @pytest.mark.parametrize("n_labels", (15, 17))
+    # a count of labels in a 1-d array, or the shape of labels that are not
+    # one: a column, a pair per trial, or a scalar for a single trial
+    @pytest.mark.parametrize("n_labels", (15, 17, (16, 1), (16, 2), ()))
     @pytest.mark.parametrize("entry", ("train", "train_step", "finalize"))
     def test_label_count_must_match_the_trials(self, entry, n_labels):
         net = model.CCSPNet(desk_config())
         trials, _ = desk_batch(np.random.default_rng(24))
-        labels = np.arange(n_labels) % 2
-        with pytest.raises(DataError, match=f"{n_labels} labels for 16 trials"):
+        shape = n_labels if isinstance(n_labels, tuple) else (n_labels,)
+        if shape == ():
+            trials = trials[:1]
+        labels = np.arange(math.prod(shape)).reshape(shape) % 2
+        with pytest.raises(DataError, match=f"{labels.size} labels for {len(trials)} trials, "
+                                            + re.escape(f"of shape {shape}")):
             getattr(net, entry)(trials, labels)
 
 

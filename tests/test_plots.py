@@ -34,8 +34,7 @@ class TestStftGrids:
 
     def test_grid_shapes_consistent(self, fitted):
         net, train, _ = fitted
-        grids = plots.stft_stage_grids(net, train.trials[0], channel=0,
-                                       window_len=32, hop=4)
+        grids = plots.stft_stage_grids(net, train.trials[0], channel=0)
         mags, freqs, times = grids["raw"][0]
         assert mags.shape == (len(freqs), len(times))
         assert freqs[-1] == pytest.approx(50.0)  # Nyquist at 100 Hz
