@@ -15,7 +15,7 @@ import numpy as np
 from scipy import linalg
 
 from . import autodiff as ad
-from .errors import NumericalError
+from .errors import DataError, NumericalError, check_labels
 
 RIDGE_SCALE = 1e-6
 
@@ -38,12 +38,10 @@ def class_covariances(trials: np.ndarray | Iterable[np.ndarray],
     `trials` is an N x C x T array or an iterable of such blocks of
     consecutive trials, one label per trial; a generator may refill one
     buffer, as a block is read before the next is taken. Each covariance joins
-    its class's running sum in trial order: over the count, numpy's mean exactly."""
-    labels = np.asarray(labels)
-    bad = labels[~np.isin(labels, (0, 1))]
-    if bad.size:
-        raise NumericalError(f"CSP label {bad.flat[0].item()!r} is not 0 or 1")
-    classes, sums, n = labels.astype(int).tolist(), [None, None], 0
+    its class's running sum in trial order: over the count, numpy's mean exactly.
+    The label count is checked against the trials once the last block is read."""
+    classes = check_labels(labels, np.size(labels)).astype(int).tolist()
+    sums, n = [None, None], 0
     for block in [trials] if isinstance(trials, np.ndarray) else trials:
         block = np.asarray(block, dtype=np.float64)
         if block.shape[-1] < 2:
@@ -60,10 +58,10 @@ def class_covariances(trials: np.ndarray | Iterable[np.ndarray],
             sums[cls] = cov if sums[cls] is None else sums[cls] + cov
         n += len(covs)
     if n != len(classes):
-        raise NumericalError(f"{len(classes)} CSP labels for {n} trials")
+        raise DataError(f"{len(classes)} CSP labels for {n} trials")
     counts = np.bincount(classes, minlength=2)
     if not counts.all():
-        raise NumericalError(f"class {counts.argmin()} missing from batch; CSP undefined")
+        raise DataError(f"class {counts.argmin()} missing from batch; CSP undefined")
     return tuple(0.5 * (mean + mean.T) for mean in map(np.divide, sums, counts))
 
 
@@ -142,9 +140,7 @@ def spatial_filter_features(x: ad.Node, w_reduced: np.ndarray,
 
 def target_vectors(labels: np.ndarray) -> np.ndarray:
     """Per-trial 4-vector targets: label 1 -> [1,1,0,0], label 0 -> [0,0,1,1]."""
-    labels = np.asarray(labels)
-    if not np.isin(labels, (0, 1)).all():
-        raise NumericalError("labels must be binary")
+    labels = check_labels(labels, np.size(labels))
     y = np.zeros((len(labels), 4))
     y[labels == 1, :2] = 1.0
     y[labels == 0, 2:] = 1.0
@@ -157,10 +153,9 @@ def csp_loss(features: ad.Node, labels: np.ndarray) -> ad.Node:
     features: N x K x 4, the K branches' log-variance features. The BCE is
     summed over branches and averaged over the batch.
     """
-    targets = target_vectors(labels)
-    n = targets.shape[0]
-    if features.value.ndim != 3 or features.shape[0] != n or features.shape[2] != 4:
-        raise NumericalError(f"CSP features of shape {features.shape} do not "
-                             f"match (N={n}, K, 4)")
+    if features.value.ndim != 3 or features.shape[2] != 4:
+        raise NumericalError(f"CSP features of shape {features.shape} are not (N, K, 4)")
+    n = features.shape[0]
+    targets = target_vectors(check_labels(labels, n))
     loss = ad.binary_cross_entropy(ad.softmax(features), targets[:, None])
     return ad.scale(loss, 1.0 / n)

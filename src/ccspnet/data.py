@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .errors import DataError, NumericalError, check_finite_trials
+from .errors import DataError, NumericalError, check_finite_trials, check_labels
 
 TRIAL_MAGIC = b"EEGT"
 TRIAL_FORMAT_VERSION = 1
@@ -51,11 +51,10 @@ class TrialSet:
 
     def __post_init__(self):
         n = len(self.trials)
-        for name in ("labels", "subject_ids", "sessions", "phases"):
+        self.labels = check_labels(self.labels, n)
+        for name in ("subject_ids", "sessions", "phases"):
             if len(getattr(self, name)) != n:
                 raise DataError(f"{name} length does not match trial count {n}")
-        if not np.isin(self.labels, (0, 1)).all():
-            raise DataError("labels must be binary")
 
     def __len__(self):
         return len(self.trials)
@@ -95,6 +94,17 @@ def _record_dtype(n_channels, n_timepoints) -> np.dtype:
     return np.dtype([*_TAG_FIELDS, ("samples", "<f4", (n_channels, n_timepoints))])
 
 
+def _check_tags(path, records):
+    """Raise a DataError naming file `path` at the first label, session or
+    phase tag of EEGT `records` that the format does not allow."""
+    for tag, allowed, message in (("label", (0, 1), "label {} not in {{0, 1}}"),
+                                  ("session", (1, 2), "unknown session tag {}"),
+                                  ("phase", list(PHASE_NAMES), "unknown phase tag {}")):
+        bad = np.setdiff1d(records[tag], allowed)
+        if bad.size:
+            raise DataError(f"{Path(path).name}: " + message.format(bad[0]))
+
+
 def write_trial_file(path, trialset: TrialSet):
     """Write one EEGT binary file holding all trials in `trialset`."""
     n, c, t = trialset.trials.shape
@@ -107,6 +117,7 @@ def write_trial_file(path, trialset: TrialSet):
         if np.any(records[name] != values):
             raise DataError(f"{Path(path).name}: {name} values do not fit the "
                             f"record field {records.dtype[name]}")
+    _check_tags(path, records)
     records["samples"] = trialset.trials
     with open(path, "wb") as fh:
         fh.write(TRIAL_MAGIC + bytes([TRIAL_FORMAT_VERSION]))
@@ -144,12 +155,7 @@ def read_trial_file(path):
         raise DataError(f"{path.name}: inconsistent trial shapes {shapes}")
     if rest:
         raise DataError(f"{path.name}: truncated record at byte {end}")
-    for tag, allowed, message in (("label", (0, 1), "label {} not in {{0, 1}}"),
-                                  ("session", (1, 2), "unknown session tag {}"),
-                                  ("phase", list(PHASE_NAMES), "unknown phase tag {}")):
-        bad = np.setdiff1d(records[tag], allowed)
-        if bad.size:
-            raise DataError(f"{path.name}: " + message.format(bad[0]))
+    _check_tags(path, records)
     return (records["samples"], records["label"], records["subject"].astype(np.int_),
             records["session"], records["phase"])
 

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the toolkit, and its one floating-point
-rule: each model entry checks its batch, and numpy's faults inside raise.
+"""Exception hierarchy shared across the toolkit, its one floating-point
+rule (each model entry checks its batch, and numpy's faults inside raise) and
+its one label rule (`check_labels`).
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
 NumericalError -> 3.
@@ -60,3 +61,16 @@ def check_finite_trials(trials, first_sample=0):
             trial, channel, sample = np.argwhere(~finite)[0]
             raise NumericalError(f"trial {start + trial}: non-finite sample at "
                                  f"channel {channel}, sample {first_sample + sample}")
+
+
+def check_labels(labels, n_trials):
+    """`labels` as an array, which must hold one label, 0 or 1, per trial:
+    a DataError unless its shape is (n_trials,) and every value is 0 or 1."""
+    labels = np.asarray(labels)
+    if labels.shape != (n_trials,):
+        raise DataError(f"{labels.size} labels for {n_trials} trials, of shape "
+                        f"{labels.shape}; expected a 1-d array of one label per trial")
+    bad = labels[~np.isin(labels, (0, 1))]
+    if bad.size:
+        raise DataError(f"label {bad.flat[0].item()!r} is not 0 or 1")
+    return labels

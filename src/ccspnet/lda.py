@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import NumericalError
+from .errors import DataError, NumericalError, check_labels
 
 RIDGE_SCALE = 1e-6
 
@@ -31,13 +31,13 @@ def fit(features: np.ndarray, labels: np.ndarray) -> LdaModel:
     class-1 mean exceeds the class-0 mean.
     """
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
+    labels = check_labels(labels, len(features))
     d = features.shape[1]
     groups = []
     for cls in (0, 1):
         g = features[labels == cls]
         if len(g) == 0:
-            raise NumericalError(f"class {cls} missing; LDA undefined")
+            raise DataError(f"class {cls} missing; LDA undefined")
         groups.append(g)
     m0 = groups[0].mean(axis=0)
     m1 = groups[1].mean(axis=0)
@@ -64,13 +64,13 @@ def fit(features: np.ndarray, labels: np.ndarray) -> LdaModel:
 def fisher_criterion_node(projected: ad.Node, labels: np.ndarray) -> ad.Node:
     """Fisher criterion J = (var0 + var1) / (mean0 - mean1)^2, population
     variances, as a differentiable node over a length-N (or N x 1) projection."""
-    labels = np.asarray(labels)
     g = projected.value.reshape(-1)
+    labels = check_labels(labels, len(g))
     mask0 = labels == 0
     mask1 = labels == 1
     n0, n1 = int(mask0.sum()), int(mask1.sum())
     if n0 == 0 or n1 == 0:
-        raise NumericalError("Fisher criterion needs both classes")
+        raise DataError("Fisher criterion needs both classes")
     mu0 = g[mask0].mean()
     mu1 = g[mask1].mean()
     gap = mu0 - mu1

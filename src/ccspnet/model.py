@@ -21,7 +21,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import csp, dsp, lda
-from .errors import ConfigError, DataError, ModelStateError, check_finite_trials, numpy_faults
+from .errors import (ConfigError, DataError, ModelStateError, check_finite_trials,
+                     check_labels, numpy_faults)
 
 MODEL_MAGIC = b"CCSP"
 MODEL_VERSION = 1
@@ -64,9 +65,12 @@ class ModelConfig:
             v, kind = getattr(self, f.name), _FIELD_TYPES[f.type]
             if not kind.check(v):
                 raise ConfigError(f"{f.name} {kind.must_be}, got {v!r}")
-        for name in ("n_timepoints", "n_wavelet_kernels", "wavelet_len", "temporal_len"):
+        for name in ("n_wavelet_kernels", "wavelet_len", "temporal_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.n_timepoints < 2:
+            raise ConfigError(f"n_timepoints must be at least 2 for a covariance, "
+                              f"got {self.n_timepoints}")
         for name in ("wavelet_len", "temporal_len"):
             if getattr(self, name) > self.n_timepoints:
                 raise ConfigError(f"{name} {getattr(self, name)} is longer than the "
@@ -301,18 +305,6 @@ class CCSPNet:
         check_finite_trials(batch)
         return batch
 
-    @staticmethod
-    def _checked_labels(labels, n_trials: int) -> np.ndarray:
-        """`labels` as a 1-d array, which must hold one label, 0 or 1, per trial."""
-        labels = np.asarray(labels)
-        if labels.shape != (n_trials,):
-            raise DataError(f"{labels.size} labels for {n_trials} trials, of shape "
-                            f"{labels.shape}; expected a 1-d array of one label per trial")
-        bad = labels[~np.isin(labels, (0, 1))]
-        if bad.size:
-            raise DataError(f"label {bad.flat[0].item()!r} is not 0 or 1")
-        return labels
-
     def forward_spectral(self, batch: np.ndarray) -> ad.Node:
         """The spectral stages in training mode: N x C x T in, node with
         N x K x C x T out. Eval mode goes through `stage_operators`."""
@@ -334,7 +326,8 @@ class CCSPNet:
     def csp_feedback_loss(self, batch, labels):
         """Training-mode spectral forward + per-branch CSP refit + cross-entropy
         loss; returns (loss node, N x K x 4 feature node)."""
-        labels = np.asarray(labels)
+        batch = self._checked_batch(batch)
+        labels = check_labels(labels, len(batch))
         spectral = self.forward_spectral(batch)
         wrs = np.stack([csp.fit_branch(*csp.class_covariances(maps, labels)).w_reduced
                         for maps in np.moveaxis(spectral.value, 1, 0)])
@@ -370,7 +363,7 @@ class CCSPNet:
     def train_step(self, batch, labels):
         """One optimizer step; returns (L, J, combined loss)."""
         batch = self._checked_batch(batch)
-        labels = self._checked_labels(labels, len(batch))
+        labels = check_labels(labels, len(batch))
         self.optimizer.zero_grad()
 
         def blame(exc):
@@ -399,7 +392,7 @@ class CCSPNet:
         n = len(trials)
         if n == 0:
             raise DataError("empty training set")
-        labels = self._checked_labels(labels, n)
+        labels = check_labels(labels, n)
         for epoch in range(self.config.epochs):
             order = self._rng.permutation(n)
             for bi, idx in enumerate(_train_batches(order, labels,
@@ -415,7 +408,7 @@ class CCSPNet:
         """Refit and freeze CSP + LDA on the full training set: the CSP class
         covariances streamed from its eval-mode maps, the LDA on its features."""
         trials = self._checked_batch(trials)
-        labels = self._checked_labels(labels, len(trials))
+        labels = check_labels(labels, len(trials))
         # all the sums before any solve: scipy's LAPACK waits on numpy's spinning BLAS threads
         with numpy_faults(lambda exc: f"CSP class covariances are not finite ({exc})"):
             covariances = [csp.class_covariances(_branch_maps(trials, m, c), labels)

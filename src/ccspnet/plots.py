@@ -12,7 +12,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from . import dsp
-from .errors import DataError
+from .errors import DataError, check_labels
 from .model import CCSPNet
 
 
@@ -122,8 +122,8 @@ def csp_scatter_points(net: CCSPNet, trials, labels) -> list[dict]:
     Coordinates are the first and last log-variance features of each branch
     (the most discriminative pair). Rows: branch, trial, x, y, label.
     """
-    labels = np.asarray(labels)
     feats = net.frozen_features(trials).value
+    labels = check_labels(labels, len(feats))
     return [{"branch": i + 1, "trial": n,
              "x": float(feats[n, i, 0]), "y": float(feats[n, i, -1]),
              "label": int(labels[n])}

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import xml.etree.ElementTree as ET
@@ -79,6 +80,17 @@ class TestExitCodes:
 
     def test_stats_without_inputs_is_config_error(self):
         assert run("stats") == 1
+
+    def test_one_class_subject_is_data_error(self, dataset_dir, tmp_path, capsys):
+        trialset = data.load_trials(dataset_dir / "manifest.txt")
+        labels = trialset.labels.copy()
+        labels[trialset.subject_ids == 1] = 0
+        manifest = data.save_dataset(tmp_path / "one_class",
+                                     dataclasses.replace(trialset, labels=labels))
+        assert run("eval-sd", "--manifest", str(manifest), "--epochs", "1",
+                   "--jobs", "1", "--out-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: class 1 missing") and "Traceback" not in err
 
 
 class TestConfigFile:

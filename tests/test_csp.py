@@ -3,7 +3,7 @@ import pytest
 
 from ccspnet import autodiff as ad
 from ccspnet import csp
-from ccspnet.errors import NumericalError
+from ccspnet.errors import DataError, NumericalError
 
 from oracles import (central_difference, class_covariances_einsum,
                      class_covariances_stacked, project_channels_einsum, rel_err)
@@ -53,14 +53,14 @@ class TestClassCovariances:
 
     def test_single_class_rejected(self):
         batch = np.random.default_rng(2).normal(size=(4, 3, 20))
-        with pytest.raises(NumericalError):
+        with pytest.raises(DataError):
             csp.class_covariances(batch, np.zeros(4, dtype=int))
 
     @pytest.mark.parametrize("label", [2, -1])
     def test_label_other_than_0_and_1_rejected(self, label):
         # a running sum indexed by label would drop a 2 and count a -1 as class 1
         batch = np.random.default_rng(3).normal(size=(4, 3, 20))
-        with pytest.raises(NumericalError, match=f"CSP label {label} is not 0 or 1"):
+        with pytest.raises(DataError, match=f"label {label} is not 0 or 1"):
             csp.class_covariances(batch, np.array([0, 1, label, 1]))
 
     @pytest.mark.parametrize("n_labels", [3, 5])
@@ -68,7 +68,7 @@ class TestClassCovariances:
     def test_label_count_other_than_trial_count_rejected(self, n_labels, stream):
         batch = np.random.default_rng(4).normal(size=(4, 3, 20))
         trials = (batch[i:i + 3] for i in range(0, 4, 3)) if stream else batch
-        with pytest.raises(NumericalError, match=f"{n_labels} CSP labels for 4 trials"):
+        with pytest.raises(DataError, match=f"{n_labels} CSP labels for 4 trials"):
             csp.class_covariances(trials, np.arange(n_labels) % 2)
 
     @pytest.mark.parametrize("n", [2, 300])
@@ -296,7 +296,7 @@ class TestCspLoss:
             csp.csp_loss(ad.constant(np.zeros((3, 4))), np.array([0, 1, 0]))
 
     def test_nonbinary_labels_rejected(self):
-        with pytest.raises(NumericalError):
+        with pytest.raises(DataError):
             csp.target_vectors(np.array([0, 2]))
 
 

@@ -131,6 +131,17 @@ class TestTrialFileRoundTrip:
         with pytest.raises(DataError, match="t.eegt: subject"):
             data.write_trial_file(tmp_path / "t.eegt", ts)
 
+    @pytest.mark.parametrize("tag, value, message", [
+        ("sessions", 7, "subject_001.eegt: unknown session tag 7"),
+        ("phases", 5, "subject_001.eegt: unknown phase tag 5")])
+    def test_writer_rejects_the_tags_its_reader_rejects(self, tmp_path, tag, value,
+                                                        message):
+        ts = small_trialset(np.random.default_rng(13), n_subjects=1)
+        getattr(ts, tag)[:3] = value
+        with pytest.raises(DataError, match=message):
+            data.save_dataset(tmp_path, ts)
+        assert not list(tmp_path.glob("*.eegt"))
+
     def test_mixed_shapes_rejected(self, tmp_path):
         rng = np.random.default_rng(10)
         first, second = tmp_path / "a.eegt", tmp_path / "b.eegt"

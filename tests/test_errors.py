@@ -1,10 +1,14 @@
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ccspnet import errors
-from ccspnet.errors import NumericalError, check_finite_trials, numpy_faults
+from ccspnet import autodiff as ad
+from ccspnet import csp, data, errors, lda, plots
+from ccspnet.errors import DataError, NumericalError, check_finite_trials, numpy_faults
+
+from test_model import fitted_desk_model
 
 
 class TestNumpyFaults:
@@ -50,3 +54,66 @@ def test_errstate_is_written_only_in_the_guard():
             for line in path.read_text().splitlines() if "errstate" in line]
     assert hits == [("errors.py", 'with np.errstate(over="raise", divide="raise", '
                                   'invalid="raise"):')]
+
+
+N_TRIALS = 16
+
+
+@pytest.fixture(scope="module")
+def label_entries():
+    """Every function that takes labels, as a call on labels for 16 trials."""
+    rng = np.random.default_rng(0)
+    trials = rng.normal(size=(N_TRIALS, 4, 20))
+    net, desk_trials, _ = fitted_desk_model()
+    ones = np.ones(N_TRIALS, dtype=np.uint8)
+    return {
+        "TrialSet": lambda y: data.TrialSet(trials, y, ones, ones, 0 * ones, 1000.0),
+        "class_covariances": lambda y: csp.class_covariances(trials, y),
+        "class_covariances_stream": lambda y: csp.class_covariances(
+            (trials[i:i + 6] for i in range(0, N_TRIALS, 6)), y),
+        "target_vectors": csp.target_vectors,
+        "csp_loss": lambda y: csp.csp_loss(ad.constant(rng.normal(size=(N_TRIALS, 2, 4))), y),
+        "lda.fit": lambda y: lda.fit(rng.normal(size=(N_TRIALS, 3)), y),
+        "fisher_criterion_node": lambda y: lda.fisher_criterion_node(
+            ad.constant(rng.normal(size=(N_TRIALS, 1))), y),
+        "csp_scatter_points": lambda y: plots.csp_scatter_points(net, desk_trials[:N_TRIALS], y),
+    }
+
+
+LABEL_FAULTS = {
+    "label 2": (lambda y: np.where(np.arange(N_TRIALS) == 3, 2, y),
+                "label 2 is not 0 or 1"),
+    "column": (lambda y: y[:, None],
+               re.escape(f"{N_TRIALS} labels for {N_TRIALS} trials, of shape ({N_TRIALS}, 1); "
+                         "expected a 1-d array of one label per trial")),
+    "one too few": (lambda y: y[:-1],
+                    re.escape(f"{N_TRIALS - 1} labels for {N_TRIALS} trials, "
+                              f"of shape ({N_TRIALS - 1},)")),
+}
+
+
+LABEL_ENTRIES = ("TrialSet", "class_covariances", "class_covariances_stream",
+                 "target_vectors", "csp_loss", "lda.fit", "fisher_criterion_node",
+                 "csp_scatter_points")
+
+
+class TestCheckLabels:
+    # target_vectors takes no trial count, so no count of labels is a fault
+    # there; class_covariances counts a stream's trials at its end, in its own words
+    @pytest.mark.parametrize("entry, fault", [
+        (entry, fault) for entry in LABEL_ENTRIES for fault in LABEL_FAULTS
+        if (entry, fault) != ("target_vectors", "one too few")])
+    def test_every_label_fault_is_a_data_error(self, label_entries, entry, fault):
+        corrupt, message = LABEL_FAULTS[fault]
+        if entry.startswith("class_covariances") and fault == "one too few":
+            message = f"{N_TRIALS - 1} CSP labels for {N_TRIALS} trials"
+        with pytest.raises(DataError, match=message):
+            label_entries[entry](corrupt(np.arange(N_TRIALS) % 2))
+
+
+def test_label_values_are_checked_only_in_the_rule():
+    # one label rule: no other module tests a label's value with isin
+    package = Path(errors.__file__).parent
+    hits = [path.name for path in sorted(package.glob("*.py"))
+            if "np.isin(" in path.read_text()]
+    assert hits == ["errors.py"]

@@ -3,7 +3,7 @@ import pytest
 
 from ccspnet import autodiff as ad
 from ccspnet import lda
-from ccspnet.errors import NumericalError
+from ccspnet.errors import DataError, NumericalError
 
 from oracles import central_difference, rel_err
 
@@ -74,7 +74,7 @@ class TestFit:
         assert (a.mu0, a.mu1) == (b.mu0, b.mu1)
 
     def test_single_class_rejected(self):
-        with pytest.raises(NumericalError):
+        with pytest.raises(DataError):
             lda.fit(np.random.default_rng(3).normal(size=(5, 4)), np.zeros(5, dtype=int))
 
 

@@ -183,6 +183,8 @@ class TestConfigValidation:
         (dict(temporal_len=0), "temporal_len"),
         (dict(dense_dims=(0, 4)), "dense_dims"),
         (dict(dense_dims=(-2, 4)), "dense_dims"),
+        # a covariance needs two time points
+        (dict(n_timepoints=1, wavelet_len=1, temporal_len=1), "n_timepoints"),
     ])
     def test_sizes_below_one_rejected(self, overrides, name):
         with pytest.raises(ConfigError, match=name):
@@ -884,7 +886,8 @@ class TestTrainStepMemory:
 
 
 class TestLabelValues:
-    @pytest.mark.parametrize("entry", ("train", "train_step", "finalize"))
+    @pytest.mark.parametrize("entry", ("train", "train_step", "finalize",
+                                       "csp_feedback_loss"))
     def test_labels_other_than_0_and_1_are_a_data_error(self, entry):
         net = model.CCSPNet(desk_config())
         trials, labels = desk_batch(np.random.default_rng(24))
@@ -896,7 +899,8 @@ class TestLabelCount:
     # a count of labels in a 1-d array, or the shape of labels that are not
     # one: a column, a pair per trial, or a scalar for a single trial
     @pytest.mark.parametrize("n_labels", (15, 17, (16, 1), (16, 2), ()))
-    @pytest.mark.parametrize("entry", ("train", "train_step", "finalize"))
+    @pytest.mark.parametrize("entry", ("train", "train_step", "finalize",
+                                       "csp_feedback_loss"))
     def test_label_count_must_match_the_trials(self, entry, n_labels):
         net = model.CCSPNet(desk_config())
         trials, _ = desk_batch(np.random.default_rng(24))
