@@ -212,6 +212,9 @@ def cmd_plot(args) -> int:
     if not Path(args.model).exists():
         raise DataError(f"model file not found: {args.model}")
     net = CCSPNet.load(args.model)
+    if args.csp_scatter and not net.finalized:
+        raise DataError(f"{args.model}: model is not finalized, so it has no CSP "
+                        "projections to scatter")
     proc = _load_preprocessed(args.manifest)
     subject = args.subject if args.subject is not None else proc.subjects()[0]
     subset = proc.for_subject(subject)

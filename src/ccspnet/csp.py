@@ -15,7 +15,7 @@ import numpy as np
 from scipy import linalg
 
 from . import autodiff as ad
-from .errors import DataError, NumericalError, check_labels
+from .errors import DataError, NumericalError, check_both_classes, check_labels
 
 RIDGE_SCALE = 1e-6
 
@@ -40,7 +40,9 @@ def class_covariances(trials: np.ndarray | Iterable[np.ndarray],
     buffer, as a block is read before the next is taken. Each covariance joins
     its class's running sum in trial order: over the count, numpy's mean exactly.
     The label count is checked against the trials once the last block is read."""
-    classes = check_labels(labels, np.size(labels)).astype(int).tolist()
+    labels = check_labels(labels, np.size(labels))
+    counts = check_both_classes(labels)
+    classes = labels.astype(int).tolist()
     sums, n = [None, None], 0
     for block in [trials] if isinstance(trials, np.ndarray) else trials:
         block = np.asarray(block, dtype=np.float64)
@@ -59,9 +61,6 @@ def class_covariances(trials: np.ndarray | Iterable[np.ndarray],
         n += len(covs)
     if n != len(classes):
         raise DataError(f"{len(classes)} CSP labels for {n} trials")
-    counts = np.bincount(classes, minlength=2)
-    if not counts.all():
-        raise DataError(f"class {counts.argmin()} missing from batch; CSP undefined")
     return tuple(0.5 * (mean + mean.T) for mean in map(np.divide, sums, counts))
 
 

@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the toolkit, its one floating-point
 rule (each model entry checks its batch, and numpy's faults inside raise) and
-its one label rule (`check_labels`).
+its one label rule (`check_labels`, then `check_both_classes` where a batch fits).
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
 NumericalError -> 3.
@@ -74,3 +74,13 @@ def check_labels(labels, n_trials):
     if bad.size:
         raise DataError(f"label {bad.flat[0].item()!r} is not 0 or 1")
     return labels
+
+
+def check_both_classes(labels):
+    """(n0, n1), the class counts of `labels` that `check_labels` passed: a
+    DataError unless both are present, as CSP, LDA and the Fisher criterion need."""
+    counts = np.bincount(labels.astype(int), minlength=2)
+    if not counts.all():
+        raise DataError(f"class {counts.argmin()} missing from batch; "
+                        "CSP, LDA and the Fisher criterion need both classes")
+    return counts

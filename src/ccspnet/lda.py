@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataError, NumericalError, check_labels
+from .errors import NumericalError, check_both_classes, check_labels
 
 RIDGE_SCALE = 1e-6
 
@@ -32,15 +32,10 @@ def fit(features: np.ndarray, labels: np.ndarray) -> LdaModel:
     """
     features = np.asarray(features, dtype=np.float64)
     labels = check_labels(labels, len(features))
+    check_both_classes(labels)
     d = features.shape[1]
-    groups = []
-    for cls in (0, 1):
-        g = features[labels == cls]
-        if len(g) == 0:
-            raise DataError(f"class {cls} missing; LDA undefined")
-        groups.append(g)
-    m0 = groups[0].mean(axis=0)
-    m1 = groups[1].mean(axis=0)
+    groups = [features[labels == cls] for cls in (0, 1)]
+    m0, m1 = (g.mean(axis=0) for g in groups)
     sw = np.zeros((d, d))
     for g, m in zip(groups, (m0, m1)):
         centered = g - m
@@ -66,11 +61,9 @@ def fisher_criterion_node(projected: ad.Node, labels: np.ndarray) -> ad.Node:
     variances, as a differentiable node over a length-N (or N x 1) projection."""
     g = projected.value.reshape(-1)
     labels = check_labels(labels, len(g))
+    n0, n1 = check_both_classes(labels)
     mask0 = labels == 0
     mask1 = labels == 1
-    n0, n1 = int(mask0.sum()), int(mask1.sum())
-    if n0 == 0 or n1 == 0:
-        raise DataError("Fisher criterion needs both classes")
     mu0 = g[mask0].mean()
     mu1 = g[mask1].mean()
     gap = mu0 - mu1

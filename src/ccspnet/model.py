@@ -21,8 +21,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import csp, dsp, lda
-from .errors import (ConfigError, DataError, ModelStateError, check_finite_trials,
-                     check_labels, numpy_faults)
+from .errors import (ConfigError, DataError, ModelStateError, check_both_classes,
+                     check_finite_trials, check_labels, numpy_faults)
 
 MODEL_MAGIC = b"CCSP"
 MODEL_VERSION = 1
@@ -325,9 +325,10 @@ class CCSPNet:
 
     def csp_feedback_loss(self, batch, labels):
         """Training-mode spectral forward + per-branch CSP refit + cross-entropy
-        loss; returns (loss node, N x K x 4 feature node)."""
-        batch = self._checked_batch(batch)
-        labels = check_labels(labels, len(batch))
+        loss; returns (loss node, N x K x 4 feature node). Labels and classes
+        are checked before any layer; a batch with no trial axis has no trial."""
+        labels = check_labels(labels, len(batch) if np.ndim(batch) else 0)
+        check_both_classes(labels)
         spectral = self.forward_spectral(batch)
         wrs = np.stack([csp.fit_branch(*csp.class_covariances(maps, labels)).w_reduced
                         for maps in np.moveaxis(spectral.value, 1, 0)])
@@ -362,8 +363,6 @@ class CCSPNet:
 
     def train_step(self, batch, labels):
         """One optimizer step; returns (L, J, combined loss)."""
-        batch = self._checked_batch(batch)
-        labels = check_labels(labels, len(batch))
         self.optimizer.zero_grad()
 
         def blame(exc):
@@ -379,7 +378,7 @@ class CCSPNet:
             loss_node, feats = self.csp_feedback_loss(batch, labels)
             loss_node.backward()
             loss_l = float(loss_node.value)
-            concat = feats.value.reshape(len(labels), -1)
+            concat = feats.value.reshape(len(feats.value), -1)
             loss_j = self._discriminant_backward(concat, labels)
         self.optimizer.step()
         self._clamp_wavelets()
@@ -389,12 +388,10 @@ class CCSPNet:
     def train(self, trials, labels):
         """Epoch/batch loop over a training set; appends to the history log."""
         trials = self._checked_batch(trials)
-        n = len(trials)
-        if n == 0:
-            raise DataError("empty training set")
-        labels = check_labels(labels, n)
+        labels = check_labels(labels, len(trials))
+        check_both_classes(labels)
         for epoch in range(self.config.epochs):
-            order = self._rng.permutation(n)
+            order = self._rng.permutation(len(trials))
             for bi, idx in enumerate(_train_batches(order, labels,
                                                     self.config.batch_size)):
                 loss_l, loss_j, combined = self.train_step(trials[idx], labels[idx])
@@ -409,6 +406,7 @@ class CCSPNet:
         covariances streamed from its eval-mode maps, the LDA on its features."""
         trials = self._checked_batch(trials)
         labels = check_labels(labels, len(trials))
+        check_both_classes(labels)
         # all the sums before any solve: scipy's LAPACK waits on numpy's spinning BLAS threads
         with numpy_faults(lambda exc: f"CSP class covariances are not finite ({exc})"):
             covariances = [csp.class_covariances(_branch_maps(trials, m, c), labels)
@@ -416,7 +414,8 @@ class CCSPNet:
         self.frozen_branches = [csp.fit_branch(*pair) for pair in covariances]
         self.frozen_lda = None
         if self.classifier == "lda":
-            self.frozen_lda = lda.fit(self._frozen_head(trials).value, labels)
+            self.frozen_lda = lda.fit(self._frozen_head(self._frozen_features(trials)).value,
+                                      labels)
         return self
 
     @property
@@ -434,18 +433,21 @@ class CCSPNet:
         batch = self._checked_batch(batch)
         if not self.finalized:
             raise ModelStateError("model is not finalized; call finalize first")
+        return self._frozen_features(batch)
+
+    def _frozen_features(self, batch) -> ad.Node:
+        """`frozen_features` of a batch that `_checked_batch` has passed."""
         with numpy_faults(lambda exc: f"frozen CSP features are not finite ({exc})"):
             return csp.spatial_filter_features(ad.constant(batch),
                                                self.frozen_projection(),
                                                self._eval_operator())
 
-    def _frozen_head(self, batch) -> ad.Node:
-        """Eval-mode dense head over the frozen features, the K branches' four
-        features side by side."""
-        feats = self.frozen_features(batch).value
+    def _frozen_head(self, feats: ad.Node) -> ad.Node:
+        """Eval-mode dense head over N x K x 4 frozen features, the K branches'
+        four features side by side."""
         width = 4 * self.config.n_wavelet_kernels
         with numpy_faults(lambda exc: f"eval-mode dense head is not finite ({exc})"):
-            return self._dense_forward(ad.constant(feats.reshape(len(feats), width)),
+            return self._dense_forward(ad.constant(feats.value.reshape(-1, width)),
                                        training=False)
 
     def stage_operators(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
@@ -475,7 +477,7 @@ class CCSPNet:
         return self._eval_operator_cache[1:]
 
     def predict(self, batch) -> np.ndarray:
-        out = self._frozen_head(batch)
+        out = self._frozen_head(self.frozen_features(batch))
         if self.classifier == "softmax":
             probs = ad.softmax(out).value
             return (probs[:, :2].sum(axis=1) > probs[:, 2:].sum(axis=1)).astype(np.uint8)
@@ -568,6 +570,8 @@ class CCSPNet:
                 name = reader.take(reader.u16()).decode("utf-8")
             except UnicodeDecodeError:
                 raise DataError(f"{path}: array name is not UTF-8") from None
+            if name in arrays:
+                raise DataError(f"{path}: repeated array {name!r}")
             ndim = struct.unpack("<B", reader.take(1))[0]
             shape = tuple(reader.u32() for _ in range(ndim))
             values = np.frombuffer(
@@ -583,12 +587,13 @@ class CCSPNet:
     def _restore(self, arrays, finalized, path):
         """Copy a file's arrays into this fresh model, walking `_state_arrays`;
         a finalized file first gets zero frozen state of the config's shapes.
-        Every array must be finite, a running variance, an Adam second
-        moment or a CSP class covariance's diagonal non-negative, a wavelet
-        width positive, a spectral stage's batch-norm scale non-zero (a zero
-        makes its map constant in eval mode), the CSP eigenvalues within
-        [0, 1] and non-increasing, and a CSP reduced projection the
-        reduction of its branch's w_full."""
+        It must hold no array that `_state_arrays` does not list. Every array
+        must be finite, a running variance, an Adam second moment or a CSP
+        class covariance's diagonal non-negative, a wavelet width positive, a
+        spectral stage's batch-norm scale non-zero (a zero makes its map
+        constant in eval mode), the CSP eigenvalues within [0, 1] and
+        non-increasing, and a CSP reduced projection the reduction of its
+        branch's w_full."""
         stage_scales = {stage.bn.gamma.name for stage in self.spectral_stages}
         if finalized:
             c = self.config.n_channels
@@ -598,6 +603,12 @@ class CCSPNet:
                 for _ in range(self.config.n_wavelet_kernels)]
             if self.classifier == "lda":
                 self.frozen_lda = lda.LdaModel(np.zeros(self._head_width()), 0.0, 0.0)
+
+        state = self._state_arrays()
+        listed = {name for name, _ in state}
+        for name in arrays:
+            if name not in listed:
+                raise DataError(f"{path}: unexpected array {name!r}")
 
         def fetch(name, shape):
             if name not in arrays:
@@ -632,7 +643,7 @@ class CCSPNet:
                                 "on its diagonal")
             return arr
 
-        for name, live in self._state_arrays():
+        for name, live in state:
             if name == "adam.step":
                 step = float(fetch(name, ()))
                 if not (step.is_integer() and step >= 0):
@@ -674,27 +685,23 @@ def _branch_maps(trials, operator, offset):
         yield maps
 
 
-def _trainable(batch_labels) -> bool:
-    """Batch norm needs two trials and the CSP fit needs both classes."""
-    return len(batch_labels) >= 2 and len(np.unique(batch_labels)) == 2
-
-
 def _train_batches(order, labels, batch_size):
     """Split the epoch's trial order into batches of batch_size trials.
 
-    A batch that cannot train is merged into its neighbour (the previous one,
-    or the next for the first batch) until every batch can, or one is left.
-    When every plain batch can train the split is the plain one.
+    A batch without both classes is merged into its neighbour (the previous
+    one, or the next for the first batch) until every batch has both, or one
+    is left. When every plain batch has both the split is the plain one.
     """
     batches = [order[start:start + batch_size]
                for start in range(0, len(order), batch_size)]
     i = 0
     while i < len(batches) and len(batches) > 1:
-        if _trainable(labels[batches[i]]):
+        try:
+            check_both_classes(labels[batches[i]])
             i += 1
-            continue
-        i = max(i - 1, 0)
-        batches[i:i + 2] = [np.concatenate(batches[i:i + 2])]
+        except DataError:
+            i = max(i - 1, 0)
+            batches[i:i + 2] = [np.concatenate(batches[i:i + 2])]
     return batches
 
 

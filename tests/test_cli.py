@@ -410,6 +410,28 @@ class TestPlotCommand:
                    "--out-dir", str(tmp_path)) == 2
         assert "bad.ccsp: shape mismatch for 'lda.w'" in capsys.readouterr().err
 
+    def test_repeated_array_is_data_error(self, dataset_dir, trained_model, tmp_path,
+                                          capsys):
+        path = tmp_path / "bad.ccsp"
+        path.write_bytes(trained_model.read_bytes())
+        rewrite_arrays(path, lambda items: items + [(n, -a) for n, a in items
+                                                    if n == "lda.w"])
+        assert run("plot", "--stft", "--model", str(path),
+                   "--manifest", str(dataset_dir / "manifest.txt"),
+                   "--out-dir", str(tmp_path)) == 2
+        assert "bad.ccsp: repeated array 'lda.w'" in capsys.readouterr().err
+
+    def test_scatter_of_an_unfinalized_model_is_data_error(self, dataset_dir, trained_model,
+                                                           tmp_path, capsys):
+        path = CCSPNet(CCSPNet.load(trained_model).config).save(tmp_path / "raw.ccsp")
+        manifest = str(dataset_dir / "manifest.txt")
+        assert run("plot", "--csp-scatter", "--model", str(path), "--manifest", manifest,
+                   "--out-dir", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "raw.ccsp: model is not finalized" in err and "Traceback" not in err
+        assert run("plot", "--stft", "--model", str(path), "--manifest", manifest,
+                   "--out-dir", str(tmp_path)) == 0
+
     def test_undecodable_array_name_is_data_error(self, dataset_dir, trained_model,
                                                   tmp_path, capsys):
         path = tmp_path / "bad.ccsp"

@@ -6,7 +6,8 @@ import pytest
 
 from ccspnet import autodiff as ad
 from ccspnet import csp, data, errors, lda, plots
-from ccspnet.errors import DataError, NumericalError, check_finite_trials, numpy_faults
+from ccspnet.errors import (DataError, NumericalError, check_both_classes, check_finite_trials,
+                            numpy_faults)
 
 from test_model import fitted_desk_model
 
@@ -109,6 +110,34 @@ class TestCheckLabels:
             message = f"{N_TRIALS - 1} CSP labels for {N_TRIALS} trials"
         with pytest.raises(DataError, match=message):
             label_entries[entry](corrupt(np.arange(N_TRIALS) % 2))
+
+
+@pytest.mark.parametrize("entry", ("class_covariances", "class_covariances_stream",
+                                   "lda.fit", "fisher_criterion_node"))
+def test_one_class_is_the_same_data_error(label_entries, entry):
+    with pytest.raises(DataError) as info:
+        label_entries[entry](np.zeros(N_TRIALS, dtype=int))
+    assert str(info.value) == ("class 1 missing from batch; "
+                               "CSP, LDA and the Fisher criterion need both classes")
+
+
+class TestCheckBothClasses:
+    def test_returns_the_class_counts(self):
+        assert tuple(check_both_classes(np.array([1, 0, 1, 1]))) == (1, 3)
+
+    @pytest.mark.parametrize("labels, missing", [([], 0), ([1, 1], 0), ([0], 1),
+                                                 ([0.0, 0.0], 1)])
+    def test_a_missing_class_is_named(self, labels, missing):
+        with pytest.raises(DataError, match=f"^class {missing} missing from batch;"):
+            check_both_classes(np.array(labels))
+
+
+def test_both_classes_are_decided_only_in_the_rule():
+    # one class rule: no other module words a missing class
+    package = Path(errors.__file__).parent
+    hits = [path.name for path in sorted(package.glob("*.py"))
+            if "missing from batch" in path.read_text()]
+    assert hits == ["errors.py"]
 
 
 def test_label_values_are_checked_only_in_the_rule():

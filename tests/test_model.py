@@ -372,7 +372,7 @@ def can_train(batch_labels):
 
 class TestTrainBatches:
     @pytest.mark.parametrize("n, seed, error", [
-        (21, 0, "batch size >= 2"),       # a one-trial tail
+        (21, 0, "missing from batch"),    # a one-trial tail
         (22, 9, "missing from batch"),    # a one-class tail of 2
         (24, 23, "missing from batch"),   # a one-class tail of 4
     ])
@@ -895,6 +895,76 @@ class TestLabelValues:
             getattr(net, entry)(trials, 2 * labels)
 
 
+# the model entries that fit on labels, as calls on a batch and its labels
+TRAINING_ENTRIES = ("train", "train_step", "csp_feedback_loss", "finalize")
+
+
+def count_sample_scans(monkeypatch):
+    """A list that grows by one entry per `check_finite_trials` call of the
+    model from now on."""
+    calls = []
+    original = model.check_finite_trials
+
+    def counting(trials):
+        calls.append(len(trials))
+        return original(trials)
+
+    monkeypatch.setattr(model, "check_finite_trials", counting)
+    return calls
+
+
+class TestOneSampleScanPerCall:
+    @pytest.mark.parametrize("entry", ("train_step", "csp_feedback_loss", "finalize",
+                                       "predict", "frozen_features"))
+    def test_each_entry_scans_its_batch_once(self, monkeypatch, entry):
+        net, trials, labels = fitted_desk_model()
+        scans = count_sample_scans(monkeypatch)
+        args = (labels,) if entry in TRAINING_ENTRIES else ()
+        getattr(net, entry)(trials, *args)
+        assert scans == [len(trials)]
+
+    def test_train_scans_the_set_then_each_step_its_batch(self, monkeypatch):
+        trials, labels = desk_batch(np.random.default_rng(26), n=40)
+        net = model.CCSPNet(desk_config(batch_size=16, epochs=2))
+        scans = count_sample_scans(monkeypatch)
+        net.train(trials, labels)
+        assert len(net.history) >= 4
+        assert len(scans) == 1 + len(net.history) and scans[0] == 40
+
+
+def untrainable_batches():
+    """(name, trials, labels): a one-trial, an empty and a one-class batch."""
+    trials, labels = desk_batch(np.random.default_rng(27))
+    return [("one trial", trials[:1], labels[:1]),
+            ("empty", trials[:0], labels[:0]),
+            ("one class", trials, np.zeros(len(trials), dtype=int))]
+
+
+@pytest.fixture
+def no_layers(monkeypatch):
+    """Make the training-mode layers and finalize's maps fail if they run."""
+    def layer(*args):
+        raise AssertionError("a layer ran")
+
+    monkeypatch.setattr(model.CCSPNet, "forward_spectral", layer)
+    monkeypatch.setattr(model, "_branch_maps", layer)
+
+
+class TestBothClassesAtTheDoor:
+    # the class rule is settled before any layer, batch gather or covariance
+    @pytest.mark.parametrize("name, trials, labels", untrainable_batches())
+    @pytest.mark.parametrize("entry", TRAINING_ENTRIES)
+    def test_batch_without_both_classes_is_a_data_error(self, no_layers, entry,
+                                                        name, trials, labels):
+        with pytest.raises(DataError, match="^class [01] missing from batch"):
+            getattr(model.CCSPNet(desk_config()), entry)(trials, labels)
+
+    @pytest.mark.parametrize("entry", TRAINING_ENTRIES)
+    def test_batch_without_a_trial_axis_is_a_data_error(self, no_layers, entry):
+        with pytest.raises(DataError):
+            getattr(model.CCSPNet(desk_config()), entry)(np.float64(1.0), np.array([0, 1]))
+
+
 class TestLabelCount:
     # a count of labels in a 1-d array, or the shape of labels that are not
     # one: a column, a pair per trial, or a scalar for a single trial
@@ -1177,6 +1247,30 @@ class TestSerialization:
         path = net.save(tmp_path / "m.ccsp")
         corrupt_first_array_name(path)
         with pytest.raises(DataError, match="m.ccsp"):
+            model.CCSPNet.load(path)
+
+    def test_repeated_array_is_a_data_error(self, tmp_path):
+        # a second, negated lda.w after the first would otherwise win
+        net, _ = self.trained(tmp_path)
+        path = net.save(tmp_path / "m.ccsp")
+        rewrite_arrays(path, lambda items: items + [("lda.w", -a) for n, a in items
+                                                    if n == "lda.w"])
+        with pytest.raises(DataError, match="m.ccsp: repeated array 'lda.w'"):
+            model.CCSPNet.load(path)
+
+    def test_unexpected_array_is_a_data_error(self, tmp_path):
+        net, _ = self.trained(tmp_path)
+        path = net.save(tmp_path / "m.ccsp")
+        rewrite_arrays(path, lambda items: items + [("bogus", np.zeros(3))])
+        with pytest.raises(DataError, match="m.ccsp: unexpected array 'bogus'"):
+            model.CCSPNet.load(path)
+
+    def test_unfinalized_file_with_csp_arrays_is_a_data_error(self, tmp_path):
+        net, _ = self.trained(tmp_path)
+        csp_arrays = [(n, a) for n, a in net._state_arrays() if n.startswith("csp.")]
+        path = self.trained(tmp_path, finalized=False)[0].save(tmp_path / "m.ccsp")
+        rewrite_arrays(path, lambda items: items + csp_arrays)
+        with pytest.raises(DataError, match="m.ccsp: unexpected array 'csp.0.sigma0'"):
             model.CCSPNet.load(path)
 
     def test_array_rewrite_keeps_the_file(self, tmp_path):
