@@ -120,6 +120,11 @@ def expand_maps(x: Node, k: int) -> Node:
 # kernel, 127 for 64 taps), instead of every column of the T x T matrix
 _BLOCK = 64
 
+# bytes of whole trials per block of the map-sized passes (at least one
+# trial): a block stays in cache between the passes over it, and a block
+# buffer stands in for an array of the size of the map
+_TRIAL_BLOCK_BYTES = 1 << 20
+
 
 def _blocks(t_len: int, lead: int, trail: int):
     """(a, b, lo, hi) for each block [a, b) of _BLOCK output columns, with
@@ -130,14 +135,27 @@ def _blocks(t_len: int, lead: int, trail: int):
         yield a, b, max(0, a - lead), min(t_len, b + trail)
 
 
-def _banded_matmul(x: np.ndarray, bands: np.ndarray, lead: int, trail: int) -> np.ndarray:
-    """x @ bands for N x K x C x T `x` and K x T x T `bands` whose entry
-    [k, s, t] is zero unless t - lead <= s <= t + trail: one product per
-    block of output columns, over only the input columns its band reaches,
-    written into one output array."""
+def _trial_blocks(x: np.ndarray) -> list[slice]:
+    """Slices of `x`'s first axis, each of as many whole trials as fit in
+    _TRIAL_BLOCK_BYTES (at least one), in order."""
+    n = x.shape[0]
+    step = max(1, _TRIAL_BLOCK_BYTES // max(1, x[:1].nbytes))
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
+def _banded_matmul(x: np.ndarray, bands: np.ndarray, lead: int, trail: int,
+                   bias: np.ndarray | None = None) -> np.ndarray:
+    """x @ bands (+ bias[k] on map k) for N x K x C x T `x` and K x T x T
+    `bands` whose entry [k, s, t] is zero unless t - lead <= s <= t + trail:
+    per block of trials, one product per block of output columns over only
+    the input columns its band reaches, written into one output array."""
     out = np.empty(x.shape)
-    for a, b, lo, hi in _blocks(x.shape[3], lead, trail):
-        np.matmul(x[..., lo:hi], bands[:, lo:hi, a:b], out=out[..., a:b])
+    for trials in _trial_blocks(x):
+        for a, b, lo, hi in _blocks(x.shape[3], lead, trail):
+            np.matmul(x[trials, ..., lo:hi], bands[:, lo:hi, a:b],
+                      out=out[trials, ..., a:b])
+        if bias is not None:
+            out[trials] += bias[:, None, None]
     return out
 
 
@@ -194,11 +212,9 @@ def conv_same_temporal(x: Node, kernels: Node, bias: Node | None = None) -> Node
     pad_l = (klen - 1) // 2
     pad_r = klen - 1 - pad_l
     bands = dsp.toeplitz_bands(kernels.value, t_len)
-    out = _banded_matmul(x.value, bands, pad_l, pad_r)
-    parents = [x, kernels]
-    if bias is not None:
-        out += bias.value[None, :, None, None]
-        parents.append(bias)
+    out = _banded_matmul(x.value, bands, pad_l, pad_r,
+                         None if bias is None else bias.value)
+    parents = [x, kernels] + ([bias] if bias is not None else [])
 
     def backward(g):
         if kernels.requires_grad:
@@ -238,16 +254,11 @@ def _per_feature(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[0], a.shape[1], -1)
 
 
-def _feature_sums(a: np.ndarray) -> np.ndarray:
-    """Sum of a over every axis but axis 1."""
-    return _per_feature(a).sum(axis=2).sum(axis=0)
-
-
-def _feature_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum of a * b over every axis but axis 1, as one BLAS dot per
-    (sample, feature) pair, so no array of the size of a is made."""
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """N x F x 1 x 1: the sum of a * b over each (sample, feature)'s entries,
+    one BLAS dot per pair, so no array of the size of a is made."""
     rows_a, rows_b = _per_feature(a), _per_feature(b)
-    return np.matmul(rows_a[:, :, None, :], rows_b[:, :, :, None]).sum(axis=(0, 2, 3))
+    return np.matmul(rows_a[:, :, None, :], rows_b[:, :, :, None])
 
 
 def batch_norm(x: Node, gamma: Node, beta: Node, state: BatchNormState,
@@ -256,61 +267,88 @@ def batch_norm(x: Node, gamma: Node, beta: Node, state: BatchNormState,
 
     2D flavour: x is N x K x C x T, features are the K maps. 1D flavour:
     x is N x F, features are the F columns. Feature axis is axis 1 in both.
-    The forward normalizes into its output, the one array of the size of x it
-    makes, and keeps only the per-feature mean and 1/std: the backward
-    rebuilds x-hat from x with the same float operations, so its gradients
-    are those of a stored x-hat bit for bit. The backward makes at most two
-    arrays of the size of x: x-hat and the x gradient in training, which
-    scales x-hat in place for its x-hat term; in eval mode x-hat is freed
-    before the x gradient is made.
+    The passes over x, its output and its gradient run one block of trials at
+    a time (`_trial_blocks`), and each per-feature statistic sums the N x F
+    per-(sample, feature) sums or dots that the blocks made. The forward
+    normalizes into its output, the one array of the size of x it makes, and
+    keeps only the per-feature mean and 1/std. The backward makes the x
+    gradient and no other array of the size of x: it rebuilds x-hat one block
+    at a time into one block buffer, with the same float operations as the
+    forward, so its gradients are those of a stored x-hat bit for bit.
     """
     feat_shape = [1] * x.value.ndim
     feat_shape[1] = x.shape[1]
     count = x.value.size // x.shape[1]
+    blocks = _trial_blocks(x.value)
+    # per-(sample, feature) sums and dots, which each statistic sums over N
+    sums = np.empty(x.shape[:2])
+    dots = np.empty(x.shape[:2] + (1, 1))
+    out = np.empty(x.shape)
 
     if training:
         if x.shape[0] < 2:
             raise NumericalError("batch norm in train mode requires batch size >= 2")
-        mean = _feature_sums(x.value) / count
-        out = x.value - mean.reshape(feat_shape)
-        var = _feature_dots(out, out) / count
+        for s in blocks:
+            sums[s] = _per_feature(x.value[s]).sum(axis=2)
+        mean = sums.sum(axis=0) / count
+        mean_b = mean.reshape(feat_shape)
+        for s in blocks:
+            np.subtract(x.value[s], mean_b, out=out[s])
+            dots[s] = _row_dots(out[s], out[s])
+        var = dots.sum(axis=(0, 2, 3)) / count
         m = BN_MOMENTUM
         state.running_mean = (1 - m) * state.running_mean + m * mean
         state.running_var = (1 - m) * state.running_var + m * var
     else:
         # a copy: a load writes the running statistics in place
-        mean = state.running_mean.copy()
+        mean_b = state.running_mean.copy().reshape(feat_shape)
         var = state.running_var
-        out = x.value - mean.reshape(feat_shape)
 
     istd = 1.0 / np.sqrt(var + BN_EPS)
-    out *= istd.reshape(feat_shape)
-    out *= gamma.value.reshape(feat_shape)
-    out += beta.value.reshape(feat_shape)
+    istd_b = istd.reshape(feat_shape)
+    gamma_b, beta_b = gamma.value.reshape(feat_shape), beta.value.reshape(feat_shape)
+    for s in blocks:
+        if not training:
+            np.subtract(x.value[s], mean_b, out=out[s])
+        out[s] *= istd_b
+        out[s] *= gamma_b
+        out[s] += beta_b
 
     def backward(g):
-        sum_g = _feature_sums(g)
-        xhat = x.value - mean.reshape(feat_shape)
-        xhat *= istd.reshape(feat_shape)
-        sum_g_xhat = _feature_dots(g, xhat)
+        buffer = np.empty((blocks[0].stop,) + x.shape[1:]) if blocks else None
+
+        def xhat(s):
+            # the forward's x-hat of block s, in the block buffer
+            block = buffer[:s.stop - s.start]
+            np.subtract(x.value[s], mean_b, out=block)
+            block *= istd_b
+            return block
+
+        for s in blocks:
+            sums[s] = _per_feature(g[s]).sum(axis=2)
+            dots[s] = _row_dots(g[s], xhat(s))
+        sum_g, sum_g_xhat = sums.sum(axis=0), dots.sum(axis=(0, 2, 3))
         if gamma.requires_grad:
             gamma._accumulate(sum_g_xhat)
         if beta.requires_grad:
             beta._accumulate(sum_g)
         if not x.requires_grad:
             return
-        scale_g = gamma.value * istd
-        if training:
-            # batch statistics depend on x:
-            # dx = gamma istd (g - sum_g / count - xhat sum_g_xhat / count),
-            # its x-hat term made in x-hat's own array
-            xhat *= (scale_g * sum_g_xhat / count).reshape(feat_shape)
-            dx = g * scale_g.reshape(feat_shape)
-            dx -= xhat
-            dx -= (scale_g * sum_g / count).reshape(feat_shape)
-        else:
-            del xhat
-            dx = g * scale_g.reshape(feat_shape)
+        scale_g = (gamma.value * istd).reshape(feat_shape)
+        if not training:
+            x._accumulate(g * scale_g)
+            return
+        # batch statistics depend on x:
+        # dx = gamma istd (g - sum_g / count - xhat sum_g_xhat / count)
+        xhat_scale = (gamma.value * istd * sum_g_xhat / count).reshape(feat_shape)
+        shift = (gamma.value * istd * sum_g / count).reshape(feat_shape)
+        dx = np.empty(x.shape)
+        for s in blocks:
+            block = xhat(s)
+            block *= xhat_scale
+            np.multiply(g[s], scale_g, out=dx[s])
+            dx[s] -= block
+            dx[s] -= shift
         x._accumulate(dx)
 
     return Node(out, (x, gamma, beta), backward)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import data, stats
-from .errors import ConfigError, DataError
+from .errors import CcspError, ConfigError, DataError
 from .model import CCSPNet, ModelConfig
 
 
@@ -123,7 +123,9 @@ def _blas_threads(n):
 
 def _run_folds(dataset, folds, config, approach, jobs):
     """folds: list of (subject_id, train indices, test indices) into
-    `dataset`; a fold's sets are made only when the fold runs."""
+    `dataset`; a fold's sets are made only when the fold runs. An error a
+    fold raises names the fold's subject: a toolkit error in its message,
+    under its own class, and any other error in a note."""
     start = time.monotonic()
     _shaped(config, dataset).validate()
     if jobs < 1:
@@ -132,8 +134,15 @@ def _run_folds(dataset, folds, config, approach, jobs):
 
     def work(fold):
         sid, train, test = fold
-        return sid, _run_fold(dataset.select(train), dataset.select(test),
-                              replace(config, seed=fold_seed(config.seed, sid)))
+        try:
+            return sid, _run_fold(dataset.select(train), dataset.select(test),
+                                  replace(config, seed=fold_seed(config.seed, sid)))
+        except CcspError as exc:
+            # the same class, so the CLI exits with the same code
+            raise type(exc)(f"{exc} (in the fold of subject {sid})") from exc
+        except Exception as exc:
+            exc.add_note(f"raised in the fold of subject {sid}")
+            raise
 
     if threads <= 1:
         outcomes = [work(f) for f in folds]

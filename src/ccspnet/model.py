@@ -183,13 +183,21 @@ class _BnLayer(NamedTuple):
 
 class _Stage(NamedTuple):
     """One spectral stage: a depthwise temporal convolution of every map, then
-    batch norm over the maps. `kernels` must not hold the model, so that a
-    dropped model is freed at once rather than by the cycle collector."""
+    batch norm over the maps. The stage holds the Parameters its kernels are
+    made from, and `build`, a module-level function of them, makes the kernel
+    node: so a copy or a pickle of the model brings its stages with its own
+    Parameters. A stage must not hold the model, so that a dropped model is
+    freed at once rather than by the cycle collector."""
 
-    name: str                        # names its partial operator in stage_operators
-    kernels: Callable[[], ad.Node]   # builds the K x len kernel node
+    name: str                          # names its partial operator in stage_operators
+    params: tuple                      # the arguments of `build`
+    build: Callable[..., ad.Node]      # build(*params): the K x len kernel node
     bias: ad.Parameter | None
     bn: _BnLayer
+
+    def kernels(self) -> ad.Node:
+        """The K x len kernel node, made from the stage's Parameters."""
+        return self.build(*self.params)
 
     def operator(self, t_len: int) -> tuple[np.ndarray, np.ndarray]:
         """(B, o), K x T x T and K x T: in eval mode the stage sends row x of map
@@ -249,9 +257,8 @@ class CCSPNet:
                     self._register(f"wavelet.h.{i}", 0.25, "wavelet"),
                     self._register(f"wavelet.c.{i}", 4.0 * np.log(2.0), "wavelet"),
                 ))
-            wavelet = self.wavelet
             self.spectral_stages.append(_Stage(
-                "wkcnn", lambda: _wavelet_kernels(wavelet, cfg), None,
+                "wkcnn", (tuple(self.wavelet), cfg), _wavelet_kernels, None,
                 self._register_bn("bn_wk", k)))
 
         if cfg.ablate != "tcnn":
@@ -262,7 +269,8 @@ class CCSPNet:
                 "weight")
             bias = self._register("temporal.bias", np.zeros(k), "bias")
             self.spectral_stages.append(_Stage(
-                "tcnn", lambda: kernels, bias, self._register_bn("bn_tc", k)))
+                "tcnn", (kernels,), _temporal_kernels, bias,
+                self._register_bn("bn_tc", k)))
 
         # (weight, bias, batch norm or None) per dense layer
         self.dense = []
@@ -672,6 +680,11 @@ def _wavelet_kernels(wavelet, cfg: ModelConfig) -> ad.Node:
 
     return ad.Node(np.stack([dsp.build_morlet(mp) for mp in params]),
                    tuple(p for triple in wavelet for p in triple), backward)
+
+
+def _temporal_kernels(kernels: ad.Parameter) -> ad.Node:
+    """The temporal stage's K x temporal_len kernel node: its Parameter."""
+    return kernels
 
 
 def _branch_maps(trials, operator, offset):

@@ -228,12 +228,27 @@ def batch_norm_reference(x, gamma, beta, running_mean, running_var, g,
             (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes))
 
 
+def feature_sums(a):
+    """Sum of a over every axis but axis 1: the sums over each (sample,
+    feature)'s entries, then over the samples."""
+    return a.reshape(a.shape[0], a.shape[1], -1).sum(axis=2).sum(axis=0)
+
+
+def feature_dots(a, b):
+    """Sum of a * b over every axis but axis 1: one BLAS dot per (sample,
+    feature) pair, then the sum over the samples."""
+    rows_a = a.reshape(a.shape[0], a.shape[1], -1)
+    rows_b = b.reshape(b.shape[0], b.shape[1], -1)
+    return np.matmul(rows_a[:, :, None, :], rows_b[:, :, :, None]).sum(axis=(0, 2, 3))
+
+
 def batch_norm_stored_xhat(x, gamma, beta, state, training):
-    """`ad.batch_norm` as it was when its forward kept x-hat for the backward:
-    the same reductions (`ad._feature_sums`, `ad._feature_dots`) and the same
-    float operations in the same order, with x-hat made once in the forward
-    and read again by the backward. The fused op, which rebuilds x-hat in its
-    backward, must match it bit for bit."""
+    """`ad.batch_norm` as it was when its forward kept x-hat for the backward
+    and passed over whole arrays: the reductions `feature_sums` and
+    `feature_dots` and the same float operations in the same order, with
+    x-hat made once in the forward and read again by the backward. The op,
+    which rebuilds x-hat one block of trials at a time in its backward, must
+    match it bit for bit."""
     feat_shape = [1] * x.value.ndim
     feat_shape[1] = x.shape[1]
     count = x.value.size // x.shape[1]
@@ -241,9 +256,9 @@ def batch_norm_stored_xhat(x, gamma, beta, state, training):
     if training:
         if x.shape[0] < 2:
             raise NumericalError("batch norm in train mode requires batch size >= 2")
-        mean = ad._feature_sums(x.value) / count
+        mean = feature_sums(x.value) / count
         xhat = x.value - mean.reshape(feat_shape)
-        var = ad._feature_dots(xhat, xhat) / count
+        var = feature_dots(xhat, xhat) / count
         m = ad.BN_MOMENTUM
         state.running_mean = (1 - m) * state.running_mean + m * mean
         state.running_var = (1 - m) * state.running_var + m * var
@@ -257,8 +272,8 @@ def batch_norm_stored_xhat(x, gamma, beta, state, training):
     out += beta.value.reshape(feat_shape)
 
     def backward(g):
-        sum_g = ad._feature_sums(g)
-        sum_g_xhat = ad._feature_dots(g, xhat)
+        sum_g = feature_sums(g)
+        sum_g_xhat = feature_dots(g, xhat)
         if gamma.requires_grad:
             gamma._accumulate(sum_g_xhat)
         if beta.requires_grad:
@@ -274,6 +289,17 @@ def batch_norm_stored_xhat(x, gamma, beta, state, training):
             x._accumulate(dx)
 
     return ad.Node(out, (x, gamma, beta), backward)
+
+
+def banded_matmul_unblocked(x, bands, lead, trail):
+    """`ad._banded_matmul` as it was before it ran per block of trials: one
+    product per block of output columns over every trial at once, over only
+    the input columns the band reaches. The blocked product must match it bit
+    for bit."""
+    out = np.empty(x.shape)
+    for a, b, lo, hi in ad._blocks(x.shape[3], lead, trail):
+        np.matmul(x[..., lo:hi], bands[:, lo:hi, a:b], out=out[..., a:b])
+    return out
 
 
 def preprocess_sosfilt(raw, window_ms=(1000, 3500), target_hz=100,

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from ccspnet import autodiff as ad
+from ccspnet import dsp
 from ccspnet.errors import NumericalError
 
-from oracles import (add_nodes, batch_norm_reference, batch_norm_stored_xhat,
-                     central_difference, conv_same_temporal_einsum, mean_of,
-                     project_channels_einsum, rel_err)
+from oracles import (add_nodes, banded_matmul_unblocked, batch_norm_reference,
+                     batch_norm_stored_xhat, central_difference,
+                     conv_same_temporal_einsum, mean_of, project_channels_einsum,
+                     rel_err)
 
 
 def grad_check(build_loss, x0, eps=1e-6, tol=1e-5):
@@ -340,14 +342,36 @@ class TestBatchNormMatchesReference:
         grad_check(loss, x0)
 
 
+def trials_per_block(monkeypatch, x, k):
+    """Make `_trial_blocks` cut `x` into blocks of k trials, the last one
+    ragged when k does not divide N; k None keeps the module's size."""
+    if k is not None:
+        monkeypatch.setattr(ad, "_TRIAL_BLOCK_BYTES", k * x[:1].nbytes)
+        blocks = ad._trial_blocks(x)
+        assert [s.stop - s.start for s in blocks[:-1]] == [k] * (len(blocks) - 1)
+        assert len(blocks) == -(-len(x) // k)
+
+
 class TestBatchNormMatchesStoredXhat:
-    """The batch norm that rebuilds x-hat in its backward against the one that
-    stored it (tests/oracles.py): equal bit for bit."""
+    """The batch norm that rebuilds x-hat one block of trials at a time in its
+    backward against the one that stored it and passed over whole arrays
+    (tests/oracles.py): equal bit for bit, for one block and for many."""
 
     @pytest.mark.parametrize("shape", [(2, 3, 4, 5), (40, 4, 6, 50), (2, 5), (300, 16)])
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("offset", [0.0, 1e3])
     def test_outputs_statistics_and_gradients_are_equal(self, shape, training, offset):
+        self.check(shape, training, offset)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 5), (40, 4, 6, 50), (2, 5), (300, 16)])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_equal_over_several_blocks(self, monkeypatch, shape, training, offset, block):
+        self.check(shape, training, offset, lambda x: trials_per_block(monkeypatch, x, block))
+
+    @staticmethod
+    def check(shape, training, offset, cut=lambda x: None):
         rng = np.random.default_rng(sum(shape) + 3 * training + int(offset))
         n_feat = shape[1]
         x0 = rng.normal(offset, 2.0, size=shape)
@@ -356,6 +380,7 @@ class TestBatchNormMatchesStoredXhat:
         mean0 = offset + rng.normal(size=n_feat)
         var0 = rng.uniform(0.5, 2.0, size=n_feat)
         g = rng.normal(size=shape)
+        cut(x0)
         results = []
         for op in (ad.batch_norm, batch_norm_stored_xhat):
             x, gamma, beta = (ad.Parameter(a.copy()) for a in (x0, gamma0, beta0))
@@ -370,6 +395,32 @@ class TestBatchNormMatchesStoredXhat:
             assert np.array_equal(got, want), name
 
 
+class TestBandedMatmulMatchesUnblocked:
+    """The banded product per block of trials, its bias added in the same
+    loop, against the product over every trial at once (tests/oracles.py):
+    equal bit for bit, forward and transposed as the backward uses it."""
+
+    @pytest.mark.parametrize("klen", [32, 64])
+    @pytest.mark.parametrize("block", [None, 1, 3])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_equal_to_one_product_per_column_block(self, monkeypatch, klen, block,
+                                                   with_bias):
+        rng = np.random.default_rng(klen + (block or 0))
+        x = rng.normal(size=(8, 4, 5, 250))
+        bands = dsp.toeplitz_bands(rng.normal(size=(4, klen)), 250)
+        bias = rng.normal(size=4) if with_bias else None
+        pad_l = (klen - 1) // 2
+        pad_r = klen - 1 - pad_l
+        trials_per_block(monkeypatch, x, block)
+        want = banded_matmul_unblocked(x, bands, pad_l, pad_r)
+        if with_bias:
+            want += bias[None, :, None, None]
+        assert np.array_equal(ad._banded_matmul(x, bands, pad_l, pad_r, bias), want)
+        back = bands.transpose(0, 2, 1)
+        assert np.array_equal(ad._banded_matmul(x, back, pad_r, pad_l),
+                              banded_matmul_unblocked(x, back, pad_r, pad_l))
+
+
 def _traced_peak(fn):
     """Peak of traced allocations made while fn runs, above the level at its start."""
     start = tracemalloc.get_traced_memory()[0]
@@ -379,10 +430,10 @@ def _traced_peak(fn):
 
 
 class TestBatchNormAllocations:
-    """The fused batch norm makes few arrays of the size of its input map:
-    the output alone in the forward, which keeps no x-hat; the rebuilt x-hat
-    and the x gradient in the training backward; the x gradient alone in the
-    eval backward, which frees x-hat first."""
+    """The fused batch norm makes one array of the size of its input map in
+    each direction: the output in the forward, which keeps no x-hat, and the
+    x gradient in the backward, which rebuilds x-hat one block of trials at a
+    time into a block buffer."""
 
     SHAPE = (40, 4, 16, 250)
 
@@ -408,7 +459,7 @@ class TestBatchNormAllocations:
     def test_training_mode(self):
         fwd, bwd = self._peaks(training=True)
         assert fwd <= 1.5, f"forward peak {fwd:.2f} map sizes"
-        assert bwd <= 2.5, f"backward peak {bwd:.2f} map sizes"
+        assert bwd <= 1.5, f"backward peak {bwd:.2f} map sizes"
 
     def test_eval_mode_backward(self):
         _, bwd = self._peaks(training=False)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ccspnet import cli, data, harness
-from ccspnet.errors import ConfigError
+from ccspnet.errors import ConfigError, DataError, NumericalError
 from ccspnet.model import CCSPNet, ModelConfig
 
 from test_model import (corrupt_first_array_name, edit_config_text, every_field_changed,
@@ -91,6 +91,23 @@ class TestExitCodes:
                    "--jobs", "1", "--out-dir", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: class 1 missing") and "Traceback" not in err
+        assert "(in the fold of subject 1)" in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("error, code, prefix", [
+        (DataError, 2, "data error"), (NumericalError, 3, "numerical error")])
+    def test_failing_fold_names_its_subject(self, dataset_dir, tmp_path, capsys,
+                                            monkeypatch, jobs, error, code, prefix):
+        def fold(train, test, config):
+            if set(test.subject_ids) == {2}:
+                raise error("fold broke")
+            return 50.0, None
+
+        monkeypatch.setattr(harness, "_run_fold", fold)
+        assert run("eval-sd", "--manifest", str(dataset_dir / "manifest.txt"),
+                   "--jobs", jobs, "--out-dir", str(tmp_path / "out")) == code
+        err = capsys.readouterr().err
+        assert err == f"{prefix}: fold broke (in the fold of subject 2)\n"
 
 
 class TestConfigFile:

@@ -195,6 +195,22 @@ class TestFoldThreads:
         finally:
             set_(before)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("error", [DataError, RuntimeError])
+    def test_failing_fold_names_its_subject(self, small_dataset, monkeypatch, jobs, error):
+        def fold(train, test, config):
+            if set(test.subject_ids) == {3}:
+                raise error("fold broke")
+            return 50.0, None
+
+        monkeypatch.setattr(harness, "_run_fold", fold)
+        with pytest.raises(error) as caught:
+            harness.run_sd(small_dataset, fast_config(), jobs=jobs)
+        # a toolkit error says it in its message, which the CLI prints; any
+        # other error in a note under its traceback
+        said = str(caught.value) + "".join(getattr(caught.value, "__notes__", []))
+        assert said.count("in the fold of subject 3") == 1
+
     def test_one_fold_runs_serially(self, small_dataset, monkeypatch):
         threads = []
 

@@ -1,6 +1,7 @@
 import copy
 import gc
 import math
+import pickle
 import re
 import struct
 import tracemalloc
@@ -865,9 +866,10 @@ class TestFinalizeStreamsTheMaps:
 class TestTrainStepMemory:
     """A training step holds few arrays of the size of one N x K x C x T map:
     each inner node's gradient is freed once its backward has handed it on,
-    and batch norm keeps no x-hat between its forward and backward."""
+    batch norm keeps no x-hat between its forward and backward, and its
+    backward rebuilds x-hat one block of trials at a time."""
 
-    @pytest.mark.parametrize("ablate, bound", [("", 10.0), ("wkcnn", 7.5), ("tcnn", 7.5)])
+    @pytest.mark.parametrize("ablate, bound", [("", 9.0), ("wkcnn", 6.5), ("tcnn", 6.5)])
     def test_peak_in_maps(self, ablate, bound):
         n, c, t = 40, 16, 250
         trials, labels = desk_batch(np.random.default_rng(30), n=n, c=c, t=t)
@@ -1473,3 +1475,48 @@ def test_dropped_model_is_freed_without_the_cycle_collector(ablate):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def kernel_parameters(net):
+    """The Parameters each spectral stage builds its kernel node from."""
+    used = []
+    for stage in net.spectral_stages:
+        node = stage.kernels()
+        used += node._parents or (node,)
+    return used
+
+
+class TestCopiesHoldTheirOwnParameters:
+    """A copied or unpickled model computes with, and trains, its own
+    Parameters: each stage holds them as data, not in a closure."""
+
+    @pytest.mark.parametrize("ablate", ["", "wkcnn", "tcnn"])
+    def test_deepcopy_trains_its_own_parameters(self, tmp_path, ablate):
+        net, trials, labels = fitted_desk_model(ablate)
+        before = net.save(tmp_path / "before.ccsp").read_bytes()
+        predictions = net.predict(trials)
+        net.optimizer.zero_grad()
+        twin = copy.deepcopy(net)
+        own = set(map(id, twin._params.values()))
+        assert kernel_parameters(twin) and {id(p) for p in kernel_parameters(twin)} <= own
+
+        twin.train_step(trials, labels)
+        assert net.save(tmp_path / "after.ccsp").read_bytes() == before
+        np.testing.assert_array_equal(net.predict(trials), predictions)
+        assert all(p.grad is None for p in net._params.values())
+        # the copy took the step the original takes
+        net.train_step(trials, labels)
+        assert twin.save(tmp_path / "twin.ccsp").read_bytes() \
+            == net.save(tmp_path / "net.ccsp").read_bytes()
+
+    @pytest.mark.parametrize("ablate", ["", "wkcnn", "tcnn"])
+    def test_pickle_round_trip(self, tmp_path, ablate):
+        net, trials, labels = fitted_desk_model(ablate)
+        twin = pickle.loads(pickle.dumps(net))
+        np.testing.assert_array_equal(twin.predict(trials), net.predict(trials))
+        assert twin.save(tmp_path / "twin.ccsp").read_bytes() \
+            == net.save(tmp_path / "net.ccsp").read_bytes()
+        for m in (net, twin):
+            m.train_step(trials, labels)
+        assert twin.save(tmp_path / "twin.ccsp").read_bytes() \
+            == net.save(tmp_path / "net.ccsp").read_bytes()
