@@ -1,7 +1,7 @@
 """EEG motor-imagery decoding with trainable spectral filters, CSP, and LDA.
 
 Modules:
-    dsp       Filter design, the preprocessing operator, Morlet kernels, STFT.
+    dsp       The paper's preprocessing as one operator, Morlet kernels, STFT.
     autodiff  Reverse-mode graph, layer primitives, Adam.
     csp       Common spatial patterns and the differentiable feedback loss.
     lda       Two-class LDA and the Fisher criterion.

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .errors import DataError, NumericalError, check_finite_trials, check_labels
+from .errors import DataError, check_finite_trials, check_labels
 
 TRIAL_MAGIC = b"EEGT"
 TRIAL_FORMAT_VERSION = 1
@@ -294,28 +294,28 @@ def load_trials(manifest_path) -> TrialSet:
                     manifest.sample_rate_hz)
 
 
-def preprocess(raw: TrialSet, window_ms=(1000, 3500), target_hz=100,
-               band=(8.0, 30.0), order=5) -> TrialSet:
-    """Trim, anti-alias low-pass, decimate, then causal Butterworth band-pass.
+def preprocess(raw: TrialSet) -> TrialSet:
+    """The paper's preprocessing: trim to the 1000-3500 ms window, anti-alias
+    low-pass, decimate to 100 Hz, then the causal 8-30 Hz Butterworth band-pass.
 
-    The four stages are one cached matrix per setting
-    (`dsp.preprocess_operator`), applied to each trial's used samples.
+    The four stages are one cached matrix per input rate and trial length
+    (`dsp.preprocess_operator`), applied to each trial's used samples. A rate
+    that is not a positive multiple of 100 Hz, trials shorter than the window
+    or trials without channels are a `DataError`.
     """
     rate = float(raw.sample_rate_hz)
-    if not rate.is_integer():
-        raise DataError(f"sample rate {rate:g} Hz is not a whole number of Hz")
-    start, stop, op = dsp.preprocess_operator(int(rate), raw.n_timepoints,
-                                              tuple(window_ms), target_hz,
-                                              tuple(band), order)
+    if not (rate.is_integer() and rate > 0):
+        raise DataError(f"sample rate {rate:g} Hz is not a positive whole number of Hz")
+    start, stop, op = dsp.preprocess_operator(int(rate), raw.n_timepoints)
     if raw.n_channels == 0:
-        raise NumericalError("empty input signal")
+        raise DataError(f"trials of shape {raw.trials.shape} have no channels")
     check_finite_trials(raw.trials[:, :, start:stop], first_sample=start)
     window = np.empty((raw.n_channels, stop - start))
     out = np.empty((len(raw), raw.n_channels, op.shape[1]))
     for i, trial in enumerate(raw.trials):
         window[...] = trial[:, start:stop]
         np.matmul(window, op, out=out[i])
-    return replace(raw, trials=out, sample_rate_hz=float(target_hz))
+    return replace(raw, trials=out, sample_rate_hz=float(dsp.TARGET_HZ))
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """Deterministic signal-processing primitives.
 
-Butterworth band-pass and anti-alias low-pass design (scipy SOS arrays), the
-banded Toeplitz matrices of a kernel set, the cached linear operator that
-composes window, anti-alias low-pass, decimation and band-pass for
-`data.preprocess`, real Morlet wavelet construction with analytic parameter
-gradients, and a Hann-windowed STFT for diagnostics.
+The paper's one preprocessing as module constants (WINDOW_MS, TARGET_HZ,
+BAND_HZ, BAND_ORDER), its Butterworth band-pass and anti-alias low-pass
+(scipy SOS arrays), the banded Toeplitz matrices of a kernel set, the cached
+linear operator that composes window, anti-alias low-pass, decimation and
+band-pass for `data.preprocess`, real Morlet wavelet construction with
+analytic parameter gradients, and a Hann-windowed STFT for diagnostics.
 """
 
 from __future__ import annotations
@@ -16,40 +17,34 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sps
 
-from .errors import FilterDesignError, NumericalError, numpy_faults
+from .errors import DataError, NumericalError, numpy_faults
 
 WAVELET_FREQ_MIN = 8.0
 WAVELET_FREQ_MAX = 30.0
 WAVELET_WIDTH_MIN = 1e-3
+
+# the paper's preprocessing, which every dataset gets alike
+WINDOW_MS = (1000, 3500)
+TARGET_HZ = 100
+BAND_HZ = (8.0, 30.0)
+BAND_ORDER = 5
 _ANTIALIAS_ORDER = 12   # Butterworth order of the decimation guard filter
 
 
-def design_bandpass(low_hz: float, high_hz: float, order: int,
-                    fs: float) -> np.ndarray:
-    """Butterworth band-pass as an n x 6 SOS array (b0 b1 b2 1 a1 a2 per row)."""
-    nyquist = fs / 2.0
-    if not (0 < low_hz < high_hz < nyquist):
-        raise FilterDesignError(
-            f"band edges ({low_hz}, {high_hz}) must satisfy 0 < low < high < {nyquist}")
-    if order < 1:
-        raise FilterDesignError("filter order must be >= 1")
-    sos = sps.butter(order, [low_hz, high_hz], btype="bandpass", fs=fs, output="sos")
-    poles = np.array([np.roots([1.0, a1, a2]) for _, _, _, _, a1, a2 in sos])
-    if np.any(np.abs(poles) >= 1.0):
-        raise FilterDesignError("unstable section in the designed cascade")
-    return sos
+def design_bandpass() -> np.ndarray:
+    """The BAND_ORDER Butterworth band-pass over BAND_HZ at TARGET_HZ as an
+    n x 6 SOS array (b0 b1 b2 1 a1 a2 per row)."""
+    return sps.butter(BAND_ORDER, BAND_HZ, btype="bandpass", fs=TARGET_HZ, output="sos")
 
 
-def design_antialias(target_hz: float, fs: float) -> np.ndarray:
-    """Low-pass guard filter for decimation.
+def design_antialias(fs: int) -> np.ndarray:
+    """Low-pass guard filter for decimation from fs to TARGET_HZ.
 
-    Cut at 0.36 * target rate, order 12: steep enough to suppress the first
+    Cut at 0.36 * TARGET_HZ, order 12: steep enough to suppress the first
     alias region by >90% while keeping a 30 Hz band edge above 99%.
     """
-    cutoff = 0.36 * target_hz
-    if cutoff >= fs / 2:
-        raise FilterDesignError("anti-alias cutoff at or beyond Nyquist")
-    return sps.butter(_ANTIALIAS_ORDER, cutoff, btype="lowpass", fs=fs, output="sos")
+    return sps.butter(_ANTIALIAS_ORDER, 0.36 * TARGET_HZ, btype="lowpass", fs=fs,
+                      output="sos")
 
 
 def _impulse_response(sos: np.ndarray, n: int) -> np.ndarray:
@@ -75,36 +70,33 @@ def toeplitz_bands(kernels: np.ndarray, t_len: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def preprocess_operator(fs: int, n_timepoints: int, window_ms: tuple, target_hz: int,
-                        band: tuple, order: int) -> tuple[int, int, np.ndarray]:
+def preprocess_operator(fs: int, n_timepoints: int) -> tuple[int, int, np.ndarray]:
     """Time window, anti-alias low-pass, decimation and band-pass as one matrix.
 
-    Every stage (the time window, the anti-alias low-pass, decimation by
-    f = fs / target_hz and the order-`order` Butterworth band-pass) is linear
-    and causal with zero initial state, so a channel row x of a trial with
-    `n_timepoints` samples at `fs` maps to x[start:stop] @ P, which equals
-    filtering the window stage by stage with `sosfilt`. The rows of P are
-    the samples that reach an output, [start, start + (T_out - 1) f + 1).
+    Every stage (the WINDOW_MS window, the anti-alias low-pass, decimation by
+    f = fs / TARGET_HZ and the band-pass) is linear and causal with zero
+    initial state, so a channel row x of a trial with `n_timepoints` samples
+    at a positive `fs` maps to x[start:stop] @ P, which equals filtering the
+    window stage by stage with `sosfilt`. The rows of P are the samples that
+    reach an output, [start, start + (T_out - 1) f + 1).
 
     P is built from one impulse response per filter in polyphase form:
     P[q f - r, i] = g_r[i - q] with g_r = h_aa[r::f] * h_bp (convolution).
-    Calls with the same key share one read-only P. A bad band or order is a
-    `FilterDesignError`; a window outside the trial or a rate that is not a
-    multiple of `target_hz` is a `NumericalError`.
+    Calls with the same key share one read-only P. A rate that is not a
+    multiple of TARGET_HZ, or trials too short for the window, is a `DataError`.
     """
-    band_sos = design_bandpass(band[0], band[1], order, target_hz)
-    start, end = (int(round(ms * fs / 1000)) for ms in window_ms)
-    if not (0 <= start < end <= n_timepoints):
-        raise NumericalError(
-            f"window {window_ms} ms exceeds trial length {n_timepoints} samples")
-    if fs % target_hz != 0:
-        raise NumericalError(f"{fs} Hz not divisible by target {target_hz} Hz")
-    factor = fs // target_hz
+    if fs % TARGET_HZ != 0:
+        raise DataError(f"{fs} Hz not divisible by target {TARGET_HZ} Hz")
+    start, end = (int(round(ms * fs / 1000)) for ms in WINDOW_MS)
+    if end > n_timepoints:
+        raise DataError(
+            f"window {WINDOW_MS} ms exceeds trial length {n_timepoints} samples")
+    factor = fs // TARGET_HZ
     n_out = -(-(end - start) // factor)
     # factor 1 has no anti-alias stage: its impulse response is a unit impulse
-    h_aa = (_impulse_response(design_antialias(target_hz, fs), n_out * factor)
+    h_aa = (_impulse_response(design_antialias(fs), n_out * factor)
             if factor > 1 else np.eye(1, n_out)[0])
-    h_bp = _impulse_response(band_sos, n_out)
+    h_bp = _impulse_response(design_bandpass(), n_out)
     op = np.zeros(((n_out - 1) * factor + 1, n_out))
     for r in range(factor):
         g = np.convolve(h_aa[r::factor], h_bp)[:n_out]

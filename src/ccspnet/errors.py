@@ -24,11 +24,7 @@ class DataError(CcspError):
 
 
 class NumericalError(CcspError):
-    """Numerical failure: non-finite values, singular matrices, bad designs."""
-
-
-class FilterDesignError(NumericalError):
-    """Band edges or order make the IIR design infeasible."""
+    """Numerical failure: non-finite values, singular matrices, overflow."""
 
 
 class ModelStateError(CcspError):

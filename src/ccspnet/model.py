@@ -35,10 +35,6 @@ _EIGENVALUE_SLACK = 1e-9
 
 _MAP_CHUNK = 64   # trials per chunk of the eval-mode maps finalize streams
 
-# published total for the original architecture; our itemization differs,
-# see parameter_report and the README
-REFERENCE_PARAMETER_TOTAL = 5036
-
 
 @dataclass
 class ModelConfig:
@@ -589,6 +585,8 @@ class CCSPNet:
             except ValueError:   # an empty array whose other axes are too long
                 raise DataError(f"{path}: impossible shape {shape} "
                                 f"for array {name!r}") from None
+        if reader.pos < len(blob):
+            raise DataError(f"{path}: {len(blob) - reader.pos} bytes after the last array")
         model._restore(arrays, bool(finalized), path)
         return model
 
@@ -738,14 +736,3 @@ class _Reader:
 
     def u32(self):
         return struct.unpack("<I", self.take(4))[0]
-
-
-def parameter_report(model: CCSPNet) -> str:
-    """Human-readable itemized parameter count."""
-    counts = model.count_parameters()
-    lines = [f"{name:<12} {n:>6}" for name, n in counts.items() if name != "total"]
-    lines.append(f"{'total':<12} {counts['total']:>6}")
-    lines.append(f"reference total for the original architecture: "
-                 f"{REFERENCE_PARAMETER_TOTAL} (published figure; no itemization "
-                 f"is available, so the difference cannot be reconciled exactly)")
-    return "\n".join(lines)

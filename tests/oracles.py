@@ -11,7 +11,7 @@ import numpy as np
 from scipy import signal as sps
 
 from ccspnet import autodiff as ad
-from ccspnet import csp, dsp, lda
+from ccspnet import csp, lda
 from ccspnet.errors import NumericalError
 
 
@@ -302,19 +302,21 @@ def banded_matmul_unblocked(x, bands, lead, trail):
     return out
 
 
-def preprocess_sosfilt(raw, window_ms=(1000, 3500), target_hz=100,
-                       band=(8.0, 30.0), order=5):
-    """`data.preprocess` stage by stage with `sosfilt`: trim to the window,
-    anti-alias low-pass and keep every f-th sample (f = input rate / target
-    rate, no low-pass when f = 1), then the causal band-pass. Returns the
-    N x C x T_out array."""
+def preprocess_sosfilt(raw):
+    """`data.preprocess` stage by stage with `sosfilt`, from the paper's
+    settings written out here: trim to the 1000-3500 ms window, an order-12
+    Butterworth low-pass at 36 Hz and every f-th sample (f = input rate /
+    100 Hz, no low-pass when f = 1), then the fifth-order 8-30 Hz Butterworth
+    band-pass at 100 Hz. Returns the N x C x T_out array."""
     fs_in = int(raw.sample_rate_hz)
-    start, end = (int(round(ms * fs_in / 1000)) for ms in window_ms)
+    start, end = (int(round(ms * fs_in / 1000)) for ms in (1000, 3500))
     low = np.asarray(raw.trials, dtype=np.float64)[..., start:end]
-    factor = fs_in // target_hz
+    factor = fs_in // 100
     if factor > 1:
-        low = sps.sosfilt(dsp.design_antialias(target_hz, fs_in), low, axis=-1)[..., ::factor]
-    return sps.sosfilt(dsp.design_bandpass(band[0], band[1], order, target_hz), low, axis=-1)
+        antialias = sps.butter(12, 36.0, btype="lowpass", fs=fs_in, output="sos")
+        low = sps.sosfilt(antialias, low, axis=-1)[..., ::factor]
+    band = sps.butter(5, [8.0, 30.0], btype="bandpass", fs=100, output="sos")
+    return sps.sosfilt(band, low, axis=-1)
 
 
 def stage_maps_conv(net, batch):

@@ -234,7 +234,7 @@ def test_criterion_3_gradient_and_filter_properties():
     whitening_residual = np.abs(w.T @ (s0 + s1) @ w - np.eye(12)).max()
     assert whitening_residual < 1e-8
 
-    edge_mags = sos_magnitude(dsp.design_bandpass(8.0, 30.0, 5, 100.0), [8.0, 30.0], 100.0)
+    edge_mags = sos_magnitude(dsp.design_bandpass(), [8.0, 30.0], 100.0)
     assert np.all(np.abs(edge_mags - 1 / np.sqrt(2)) < 0.05)
 
     elapsed = time.monotonic() - start

@@ -93,6 +93,18 @@ class TestExitCodes:
         assert err.startswith("data error: class 1 missing") and "Traceback" not in err
         assert "(in the fold of subject 1)" in err
 
+    @pytest.mark.parametrize("rate, samples, message", [
+        (250.0, 4000, "250 Hz not divisible by target 100 Hz"),
+        (1000.0, 3000, "window (1000, 3500) ms exceeds trial length 3000 samples")])
+    def test_preprocessing_fault_is_data_error(self, dataset_dir, tmp_path, capsys,
+                                               rate, samples, message):
+        trialset = data.load_trials(dataset_dir / "manifest.txt")
+        manifest = data.save_dataset(tmp_path / "bad", dataclasses.replace(
+            trialset, trials=trialset.trials[..., :samples], sample_rate_hz=rate))
+        assert run("eval-sd", "--manifest", str(manifest), "--epochs", "1",
+                   "--jobs", "1", "--out-dir", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("error, code, prefix", [
         (DataError, 2, "data error"), (NumericalError, 3, "numerical error")])

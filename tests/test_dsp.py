@@ -3,68 +3,62 @@ import pytest
 from scipy import signal as sps
 
 from ccspnet import data, dsp
-from ccspnet.errors import FilterDesignError, NumericalError
+from ccspnet.errors import DataError, NumericalError
 
 from oracles import sos_magnitude, energy_by_quadrature, central_difference, rel_err
 
 
-def preprocess_rows(rows, fs, window_ms, target_hz=100):
+def preprocess_rows(rows, fs):
     """`data.preprocess` of one trial whose channel rows are `rows` (at fs Hz)."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     one = np.ones(1, dtype=np.uint8)
     raw = data.TrialSet(rows[None], one - 1, one, one, one - 1, float(fs))
-    return data.preprocess(raw, window_ms=window_ms, target_hz=target_hz).trials[0]
+    return data.preprocess(raw).trials[0]
 
 
 def band_pass(x):
-    """The 8-30 Hz band-pass alone: a 100 Hz signal preprocessed over its full
-    length, where decimation by 1 has no anti-alias stage."""
-    x = np.asarray(x, dtype=np.float64)
-    return preprocess_rows(x, 100, (0, 10 * x.shape[-1])).reshape(x.shape)
+    """The 8-30 Hz band-pass alone, applied from rest along the last axis."""
+    return sps.sosfilt(dsp.design_bandpass(), x)
 
 
 class TestDesignBandpass:
     def test_passband_center_near_unity(self):
-        sos = dsp.design_bandpass(8, 30, 5, 100)
+        sos = dsp.design_bandpass()
         center = np.sqrt(8 * 30)
         mag = sos_magnitude(sos, center, 100)[0]
         assert 0.99 <= mag <= 1.0
 
     def test_band_edges_at_minus_3db(self):
-        sos = dsp.design_bandpass(8, 30, 5, 100)
+        sos = dsp.design_bandpass()
         for edge in (8, 30):
             assert abs(sos_magnitude(sos, edge, 100)[0] - 1 / np.sqrt(2)) < 0.05
 
     def test_stopband_one_octave_below(self):
-        sos = dsp.design_bandpass(8, 30, 5, 100)
+        sos = dsp.design_bandpass()
         # oracle: independent polynomial evaluation of the cascade on the unit circle
         assert sos_magnitude(sos, 4.0, 100)[0] < 0.03
 
     def test_all_sections_stable(self):
-        sos = dsp.design_bandpass(8, 30, 5, 100)
+        sos = dsp.design_bandpass()
         assert sos.shape == (5, 6)
         for _, _, _, _, a1, a2 in sos:
             assert np.all(np.abs(np.roots([1.0, a1, a2])) < 1.0)
 
     def test_deterministic(self):
-        a = dsp.design_bandpass(8, 30, 5, 100)
-        b = dsp.design_bandpass(8, 30, 5, 100)
+        a = dsp.design_bandpass()
+        b = dsp.design_bandpass()
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("low,high", [(8, 50), (0, 30), (30, 8), (8, 60)])
-    def test_invalid_band_edges(self, low, high):
-        with pytest.raises(FilterDesignError):
-            dsp.design_bandpass(low, high, 5, 100)
-
     def test_oracle_magnitude_matches_scipy(self):
-        sos = dsp.design_bandpass(8, 30, 5, 100)
+        sos = dsp.design_bandpass()
         freqs = np.linspace(0.5, 49.5, 200)
         _, h = sps.sosfreqz(sos, worN=2 * np.pi * freqs / 100)
         assert np.allclose(sos_magnitude(sos, freqs, 100), np.abs(h), atol=1e-10)
 
 
 class TestPreprocessBandPass:
-    """The band-pass stage of `data.preprocess`, seen at decimation factor 1."""
+    """The band-pass stage of `data.preprocess`: its filter alone, and 100 Hz
+    input, where decimation by 1 has no anti-alias stage."""
 
     def test_zeros_stay_zeros(self):
         out = band_pass(np.zeros(250))
@@ -79,14 +73,14 @@ class TestPreprocessBandPass:
         impulse[0] = 1.0
         response = band_pass(impulse)
         energy = float(np.sum(response ** 2))
-        oracle = energy_by_quadrature(dsp.design_bandpass(8, 30, 5, 100), 100)
+        oracle = energy_by_quadrature(dsp.design_bandpass(), 100)
         assert abs(energy - oracle) < 1e-3
 
     def test_sinusoid_steady_state_amplitude(self):
         t = np.arange(1000) / 100
         out = band_pass(np.sin(2 * np.pi * 15 * t))
         steady = np.max(np.abs(out[600:]))
-        expected = sos_magnitude(dsp.design_bandpass(8, 30, 5, 100), 15.0, 100)[0]
+        expected = sos_magnitude(dsp.design_bandpass(), 15.0, 100)[0]
         assert abs(steady - expected) / expected < 0.02
 
     def test_linearity(self):
@@ -97,15 +91,15 @@ class TestPreprocessBandPass:
         assert np.allclose(lhs, rhs, atol=1e-10)
 
     def test_nonfinite_sample_reports_index(self):
-        x = np.zeros(100)
-        x[37] = np.nan
-        with pytest.raises(NumericalError, match="sample 37"):
-            band_pass(x)
+        x = np.zeros(400)
+        x[137] = np.nan
+        with pytest.raises(NumericalError, match="sample 137"):
+            preprocess_rows(x, 100)
 
-    @pytest.mark.parametrize("shape", [(0, 250), (1, 0)])
+    @pytest.mark.parametrize("shape", [(0, 400), (1, 0)])
     def test_empty_input_rejected(self, shape):
-        with pytest.raises(NumericalError):
-            preprocess_rows(np.zeros(shape), 100, (0, 10 * shape[1]))
+        with pytest.raises(DataError):
+            preprocess_rows(np.zeros(shape), 100)
 
 
 class TestToeplitzBands:
@@ -129,40 +123,48 @@ class TestToeplitzBands:
 
 
 class TestPreprocessDecimation:
-    """Window, anti-alias low-pass and decimation of `data.preprocess` at 1 kHz."""
+    """Window, anti-alias low-pass and decimation of `data.preprocess`, over
+    input rates of 100 Hz (factor 1, no anti-alias stage), 200, 500 and 1000 Hz."""
 
     def test_paper_shape(self):
         trial = np.random.default_rng(1).normal(size=(62, 4000))
-        out = preprocess_rows(trial, 1000, (1000, 3500))
+        out = preprocess_rows(trial, 1000)
         assert out.shape == (62, 250)
 
-    def test_full_window_at_input_rate_is_band_pass_alone(self):
-        trial = np.random.default_rng(2).normal(size=(4, 1000))
-        out = preprocess_rows(trial, 1000, (0, 1000), target_hz=1000)
-        expected = sps.sosfilt(dsp.design_bandpass(8, 30, 5, 1000), trial, axis=-1)
-        assert np.abs(out - expected).max() < 1e-10
+    def test_input_at_target_rate_is_band_pass_alone(self):
+        trial = np.random.default_rng(2).normal(size=(4, 400))
+        out = preprocess_rows(trial, 100)
+        assert np.abs(out - band_pass(trial[:, 100:350])).max() < 1e-10
 
     def test_antialias_band_behaviour(self):
         t = np.arange(4000) / 1000
         keep = np.sin(2 * np.pi * 10 * t)
         kill = np.sin(2 * np.pi * 45 * t)
-        out_keep = preprocess_rows(keep, 1000, (0, 4000))[0]
-        out_kill = preprocess_rows(kill, 1000, (0, 4000))[0]
+        out_keep = preprocess_rows(keep, 1000)[0]
+        out_kill = preprocess_rows(kill, 1000)[0]
         # oracle: anti-alias filter response at the two tones
-        sos = dsp.design_antialias(100, 1000)
+        sos = dsp.design_antialias(1000)
         assert abs(np.max(np.abs(out_keep[100:])) - 1.0) < 0.02
         assert sos_magnitude(sos, 45, 1000)[0] < 0.1
         assert np.max(np.abs(out_kill[100:])) < 0.1
 
+    @pytest.mark.parametrize("fs", [200, 500, 1000])
+    def test_antialias_at_every_decimating_rate(self, fs):
+        # the 36 Hz cutoff lies below Nyquist at every rate that decimates
+        sos = dsp.design_antialias(fs)
+        for _, _, _, _, a1, a2 in sos:
+            assert np.all(np.abs(np.roots([1.0, a1, a2])) < 1.0)
+        assert sos_magnitude(sos, 30, fs)[0] > 0.99
+        assert sos_magnitude(sos, 50, fs)[0] < 0.03
+
     def test_output_length_exact(self):
-        trial = np.zeros((3, 4000))
-        for target in (100, 200, 500):
-            out = preprocess_rows(trial, 1000, (500, 3500), target_hz=target)
-            assert out.shape[-1] == 3000 * target // 1000
+        # factors 1, 2, 5 and 10
+        for fs in (100, 200, 500, 1000):
+            assert preprocess_rows(np.zeros((3, 4 * fs)), fs).shape == (3, 250)
 
     def test_window_out_of_range(self):
-        with pytest.raises(NumericalError):
-            preprocess_rows(np.zeros((2, 1000)), 1000, (0, 2000))
+        with pytest.raises(DataError, match="exceeds trial length 3000 samples"):
+            preprocess_rows(np.zeros((2, 3000)), 1000)
 
 
 class TestMorlet:

@@ -1129,11 +1129,6 @@ class TestParameterAccounting:
         assert counts["lda"] == 6
         assert counts["total"] == sum(v for k, v in counts.items() if k != "total")
 
-    def test_report_mentions_reference_total(self):
-        report = model.parameter_report(model.CCSPNet(model.ModelConfig()))
-        assert str(model.REFERENCE_PARAMETER_TOTAL) in report
-        assert "total" in report
-
 
 # one array of each kind in a finalized full-model file
 ARRAY_KINDS = ["temporal.kernels", "bn_wk.running_mean", "adam.m.dense.0.w",
@@ -1218,6 +1213,13 @@ class TestSerialization:
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) - 33])
         with pytest.raises(DataError, match="truncated"):
+            model.CCSPNet.load(path)
+
+    def test_bytes_after_the_last_array_rejected(self, tmp_path):
+        net, _ = self.trained(tmp_path)
+        path = net.save(tmp_path / "m.ccsp")
+        path.write_bytes(path.read_bytes() + b"garbage")
+        with pytest.raises(DataError, match="m.ccsp: 7 bytes after the last array"):
             model.CCSPNet.load(path)
 
     @pytest.mark.parametrize("old, new", [("epochs=2\n", "epochs=x\n"),
