@@ -2,7 +2,8 @@
 
 Subcommands cover synthetic data generation, pooled training, SD/LOSO
 evaluation, ablations, the statistics report, and plot-data emission. Exit
-codes: 0 success, 1 usage or config error, 2 data error, 3 numerical failure.
+codes: 0 success, 1 usage or config error, 2 data error or a file that cannot
+be opened, read or written, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ def parse_config_file(path) -> dict:
     """Key: value config file; unknown and repeated keys rejected with line
     numbers."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     out = {}
     for lineno, key, raw in data.key_value_lines(path, ConfigError):
         try:
@@ -57,6 +56,9 @@ def parse_config_file(path) -> dict:
 
 def build_model_config(args) -> ModelConfig:
     values = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    # the dataset sets these, whatever the file says
+    for key in ("n_channels", "n_timepoints", "sample_rate_hz"):
+        values.pop(key, None)
     # flag > config file > default for the extra keys
     for key, default in _EXTRA_CONFIG_DEFAULTS.items():
         value = values.pop(key, default)
@@ -77,10 +79,11 @@ def build_model_config(args) -> ModelConfig:
     return cfg
 
 
-def _load_preprocessed(manifest):
-    if not manifest:
+def _config_and_data(args):
+    cfg = build_model_config(args)
+    if not args.manifest:
         raise ConfigError("a dataset manifest is required (--manifest)")
-    return data.preprocess(data.load_trials(manifest))
+    return cfg, data.preprocess(data.load_trials(args.manifest))
 
 
 def _out_dir(args) -> Path:
@@ -128,8 +131,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = build_model_config(args)
-    proc = _load_preprocessed(args.manifest)
+    cfg, proc = _config_and_data(args)
     accuracy, net = harness._run_fold(proc, proc, cfg)
     out = _out_dir(args)
     net.save(out / "model.ccsp")
@@ -140,24 +142,21 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval_sd(args) -> int:
-    cfg = build_model_config(args)
-    proc = _load_preprocessed(args.manifest)
+    cfg, proc = _config_and_data(args)
     result = harness.run_sd(proc, cfg, jobs=args.jobs)
     _emit_run(result, _out_dir(args), "sd")
     return 0
 
 
 def cmd_eval_si(args) -> int:
-    cfg = build_model_config(args)
-    proc = _load_preprocessed(args.manifest)
+    cfg, proc = _config_and_data(args)
     result = harness.run_loso(proc, cfg, args.phase, jobs=args.jobs)
     _emit_run(result, _out_dir(args), f"si_{args.phase}")
     return 0
 
 
 def cmd_ablate(args) -> int:
-    cfg = build_model_config(args)
-    proc = _load_preprocessed(args.manifest)
+    cfg, proc = _config_and_data(args)
     components = [args.component] if args.component else list(ABLATIONS)
     out = _out_dir(args)
     results = []
@@ -209,17 +208,16 @@ def _accuracy_by_subject(path, rows) -> dict:
 def cmd_plot(args) -> int:
     if not args.stft and not args.csp_scatter:
         raise ConfigError("cmd_plot needs --stft or --csp-scatter")
-    if not Path(args.model).exists():
-        raise DataError(f"model file not found: {args.model}")
     net = CCSPNet.load(args.model)
     if args.csp_scatter and not net.finalized:
         raise DataError(f"{args.model}: model is not finalized, so it has no CSP "
                         "projections to scatter")
-    proc = _load_preprocessed(args.manifest)
-    subject = args.subject if args.subject is not None else proc.subjects()[0]
-    subset = proc.for_subject(subject)
+    raw = data.load_trials(args.manifest)
+    subject = args.subject if args.subject is not None else raw.subjects()[0]
+    subset = raw.for_subject(subject)
     if len(subset) == 0:
         raise DataError(f"subject {subject} not in dataset")
+    subset = data.preprocess(subset)
     out = _out_dir(args)
     if args.stft:
         grids = plots.stft_stage_grids(net, subset.trials[0], args.channel)
@@ -312,7 +310,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc = f"{exc.filename}: {exc.strerror}"
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -176,13 +176,21 @@ def write_manifest(path, manifest: DatasetManifest):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def read_text(path, error: type[Exception]) -> str:
+    """The UTF-8 text of file `path`; bytes that do not decode raise `error`."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text at byte {exc.start}") from None
+
+
 def key_value_lines(path: Path, error: type[Exception]):
     """(lineno, key, value) for each `key: value` line of a text file, both
     stripped; blank and `#` lines are skipped, and any other line without a
     colon, or with a key an earlier line has, raises `error` naming the file
     and line."""
     seen = set()
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path, error).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -198,8 +206,6 @@ def key_value_lines(path: Path, error: type[Exception]):
 
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"manifest not found: {path}")
     # keys this reader does not use, such as the "openbmi" flag older
     # manifests carry, are read and ignored
     fields = {}
@@ -265,7 +271,8 @@ def save_dataset(out_dir, trialset: TrialSet, non_separable=False) -> Path:
 
 def load_trials(manifest_path) -> TrialSet:
     """Load every trial a manifest indexes, checking each file against its
-    entry."""
+    entry; a file that cannot be read, the manifest included, raises its
+    OSError."""
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
     base = manifest_path.parent
@@ -273,8 +280,6 @@ def load_trials(manifest_path) -> TrialSet:
     for sid in sorted(manifest.subjects):
         fname, n_trials, n_bytes = manifest.subjects[sid]
         fpath = base / fname
-        if not fpath.exists():
-            raise DataError(f"referenced file missing: {fname}")
         actual = fpath.stat().st_size
         if actual != n_bytes:
             raise DataError(f"{fname}: size {actual} != declared {n_bytes}")

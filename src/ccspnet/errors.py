@@ -2,8 +2,8 @@
 rule (each model entry checks its batch, and numpy's faults inside raise) and
 its one label rule (`check_labels`, then `check_both_classes` where a batch fits).
 
-The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
-NumericalError -> 3.
+The CLI maps these onto exit codes: ConfigError -> 1, DataError and OSError
+(a file that cannot be opened, read or written) -> 2, NumericalError -> 3.
 """
 
 from contextlib import contextmanager

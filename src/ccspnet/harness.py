@@ -15,6 +15,7 @@ import contextlib
 import csv
 import ctypes
 import hashlib
+import io
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -194,22 +195,22 @@ def write_results_csv(path, results) -> None:
 
 
 def read_results_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_FIELDS:
-            raise DataError(f"{path}: expected header {','.join(CSV_FIELDS)}")
-        rows = []
-        for row in reader:
-            try:
-                row["subject_id"] = int(row["subject_id"])
-                row["accuracy"] = float(row["accuracy"])
-                row["seed"] = int(row["seed"])
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}: malformed row {row}: {exc}")
-            if not 0.0 <= row["accuracy"] <= 100.0:
-                raise DataError(f"{path}: line {reader.line_num}: accuracy "
-                                f"{row['accuracy']} outside [0, 100]")
-            rows.append(row)
+    reader = csv.DictReader(io.StringIO(data.read_text(path, DataError), newline=""))
+    if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_FIELDS:
+        raise DataError(f"{path}: expected header {','.join(CSV_FIELDS)}")
+    rows = []
+    for row in reader:
+        try:
+            row["subject_id"] = int(row["subject_id"])
+            row["accuracy"] = float(row["accuracy"])
+            row["seed"] = int(row["seed"])
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: line {reader.line_num}: malformed row "
+                            f"{row}: {exc}")
+        if not 0.0 <= row["accuracy"] <= 100.0:
+            raise DataError(f"{path}: line {reader.line_num}: accuracy "
+                            f"{row['accuracy']} outside [0, 100]")
+        rows.append(row)
     if not rows:
         raise DataError(f"{path}: no result rows")
     return rows

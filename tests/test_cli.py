@@ -1,11 +1,16 @@
 import dataclasses
 import hashlib
 import os
+import re
+import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import ccspnet
 from ccspnet import cli, data, harness
 from ccspnet.errors import ConfigError, DataError, NumericalError
 from ccspnet.model import CCSPNet, ModelConfig
@@ -120,6 +125,84 @@ class TestExitCodes:
                    "--jobs", jobs, "--out-dir", str(tmp_path / "out")) == code
         err = capsys.readouterr().err
         assert err == f"{prefix}: fold broke (in the fold of subject 2)\n"
+
+
+NOT_UTF8 = b"subject 1: \xff\xfe\n"
+
+
+def _dataset_copy(dataset_dir, tmp_path, subject_file):
+    """A copy of the dataset whose subject 1 file is missing ("missing") or a
+    directory whose size the manifest declares ("directory")."""
+    copy = tmp_path / "copy"
+    shutil.copytree(dataset_dir, copy)
+    manifest, victim = copy / "manifest.txt", copy / "subject_001.eegt"
+    victim.unlink()
+    if subject_file == "directory":
+        victim.mkdir()
+        manifest.write_text(re.sub(r"(file=subject_001\.eegt trials=\d+) bytes=\d+",
+                                   rf"\1 bytes={victim.stat().st_size}",
+                                   manifest.read_text()))
+    return manifest, victim
+
+
+def _file_fault(case, dataset_dir, model, tmp_path):
+    """(argv, the path its error line must name) of one file fault."""
+    manifest = str(dataset_dir / "manifest.txt")
+    missing, a_dir, a_file, binary = (tmp_path / "no.txt", tmp_path / "dir",
+                                      tmp_path / "file", tmp_path / "binary")
+    a_dir.mkdir()
+    a_file.write_text("")
+    binary.write_bytes(NOT_UTF8)
+    if case.endswith("subject-file"):
+        copy, victim = _dataset_copy(dataset_dir, tmp_path, case.split("-")[0])
+        return ["train", "--manifest", str(copy), "--epochs", "0"], victim
+    argv, path = {
+        "missing-manifest": (["eval-sd", "--manifest"], missing),
+        "missing-model": (["plot", "--stft", "--manifest", manifest, "--model"], missing),
+        "missing-config": (["train", "--manifest", manifest, "--config"], missing),
+        "missing-csv": (["stats", "--csv"], missing),
+        "directory-model": (["plot", "--stft", "--manifest", manifest, "--model"], a_dir),
+        "directory-manifest": (["train", "--manifest"], a_dir),
+        "directory-config": (["train", "--manifest", manifest, "--config"], a_dir),
+        "out-dir-is-a-file": (["plot", "--stft", "--model", str(model), "--manifest",
+                               manifest, "--out-dir"], a_file),
+        "synth-out-is-a-file": (synth_args(a_file)[:-1], a_file),
+        "non-utf8-manifest": (["train", "--manifest"], binary),
+        "non-utf8-config": (["train", "--manifest", manifest, "--config"], binary),
+        "non-utf8-csv": (["stats", "--csv"], binary),
+    }[case]
+    return argv + [str(path)], path
+
+
+class TestFileFaults:
+    """Every file the user names that cannot be opened, read, written or
+    decoded is one error line that names it, and no traceback."""
+
+    @pytest.mark.parametrize("case", [
+        "missing-manifest", "missing-model", "missing-config", "missing-csv",
+        "missing-subject-file", "directory-model", "directory-manifest",
+        "directory-config", "directory-subject-file", "out-dir-is-a-file",
+        "synth-out-is-a-file", "non-utf8-manifest", "non-utf8-config", "non-utf8-csv"])
+    def test_file_fault_is_one_error_line(self, dataset_dir, trained_model, tmp_path,
+                                          capsys, case):
+        argv, path = _file_fault(case, dataset_dir, trained_model, tmp_path)
+        code, prefix = (1, "error: ") if case == "non-utf8-config" else (2, "data error: ")
+        assert run(*argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix + str(path)) and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_process_exit_code(self, tmp_path):
+        missing = tmp_path / "missing.csv"
+        src = os.path.dirname(os.path.dirname(ccspnet.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "ccspnet.cli", "stats",
+                               "--csv", str(missing)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2
+        assert done.stderr == f"data error: {missing}: No such file or directory\n"
+        assert done.stdout == ""
 
 
 class TestConfigFile:
@@ -238,9 +321,20 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_dataset_keys_in_the_file_are_ignored(self, dataset_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_channels: 2\nn_timepoints: 10\nsample_rate_hz: 7\n")
+        out = tmp_path / "out"
+        assert run("train", "--config", str(cfg), "--epochs", "0",
+                   "--manifest", str(dataset_dir / "manifest.txt"),
+                   "--out-dir", str(out)) == 0
+        config = CCSPNet.load(out / "model.ccsp").config
+        assert (config.n_channels, config.n_timepoints, config.sample_rate_hz) \
+            == (8, 250, 100.0)
+
     def test_kernel_longer_than_the_data_is_config_error(self, dataset_dir, tmp_path,
                                                          capsys):
-        # the config's n_timepoints passes; the preprocessed trials have 250
+        # the file's n_timepoints is dropped; the preprocessed trials have 250
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n_timepoints: 400\ntemporal_len: 300\n")
         assert run("train", "--config", str(cfg), "--epochs", "1",
@@ -341,10 +435,11 @@ class TestStatsCommand:
         assert captured.out == ""
         assert "at most two" in captured.err
 
-    def test_malformed_csv_is_data_error(self, tmp_path):
+    def test_malformed_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("subject_id,approach,ablation,accuracy,seed\n1,SD,none,oops,0\n")
         assert run("stats", "--csv", str(bad)) == 2
+        assert f"{bad}: line 2: malformed row" in capsys.readouterr().err
 
     @pytest.mark.parametrize("accuracy", ["nan", "150", "-5", "100.01"])
     def test_impossible_accuracy_is_data_error(self, tmp_path, capsys, accuracy):
@@ -407,6 +502,20 @@ class TestPlotCommand:
             assert (out / name).exists()
         for svg in ("stft.svg", "csp_scatter.svg"):
             assert ET.parse(out / svg).getroot().tag.endswith("svg")
+
+    def test_only_the_drawn_subject_is_preprocessed(self, dataset_dir, trained_model,
+                                                    tmp_path, capsys, monkeypatch):
+        seen = []
+        preprocess = data.preprocess
+        monkeypatch.setattr(data, "preprocess",
+                            lambda raw: seen.append(raw.subjects()) or preprocess(raw))
+        argv = ["plot", "--stft", "--model", str(trained_model),
+                "--manifest", str(dataset_dir / "manifest.txt"), "--out-dir", str(tmp_path)]
+        assert run(*argv, "--subject", "2") == 0
+        assert seen == [[2]]
+        assert run(*argv, "--subject", "9") == 2
+        assert capsys.readouterr().err == "data error: subject 9 not in dataset\n"
+        assert seen == [[2]]
 
     def test_missing_model_is_data_error(self, dataset_dir, tmp_path):
         assert run("plot", "--stft", "--model", str(tmp_path / "no.ccsp"),
