@@ -4,7 +4,9 @@ Values are float64 numpy arrays. Each op returns a Node holding the forward
 value and a closure that scatters the upstream adjoint to its parents.
 Backward visits nodes in reverse topological order exactly once, so adjoints
 of shared subexpressions accumulate additively. An inner node's adjoint is
-dropped once its closure has handed it on; leaves keep theirs.
+dropped once its closure has handed it on, and its value once the closures of
+every node it feeds have run; the root and the leaves keep theirs. So a graph
+is run backward once: a second backward through it raises NumericalError.
 """
 
 from __future__ import annotations
@@ -42,12 +44,14 @@ class Node:
 
         `seed` scales the whole gradient (useful for weighted loss terms).
         Each inner node's gradient is released once its `_backward` has run,
-        so only the leaves, the nodes with no `_backward`, keep one.
+        and its value once every node that has it as a parent has had its
+        turn. The root, the leaves (the nodes with no `_backward`) and the
+        nodes that need no gradient, which are not visited, keep theirs. A
+        graph so runs backward once: a second backward raises NumericalError.
         """
-        if self.value.ndim != 0:
-            raise NumericalError("backward requires a scalar root node")
         order = []
         seen = set()
+        consumers = {}   # id(node) -> its edges to consumers yet to have their turn
         stack = [(self, False)]
         while stack:
             node, expanded = stack.pop()
@@ -56,16 +60,28 @@ class Node:
                 continue
             if id(node) in seen:
                 continue
+            if node.value is None:
+                raise NumericalError("backward through a graph a previous backward "
+                                     "has run through: its inner values are freed")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
-                    stack.append((p, False))
+                if p.requires_grad:
+                    consumers[id(p)] = consumers.get(id(p), 0) + 1
+                    if id(p) not in seen:
+                        stack.append((p, False))
+        if self.value.ndim != 0:
+            raise NumericalError("backward requires a scalar root node")
         self.grad = np.asarray(float(seed))
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
                 node.grad = None
+            for p in node._parents:
+                if p.requires_grad:
+                    consumers[id(p)] -= 1
+                    if consumers[id(p)] == 0 and p._backward is not None:
+                        p.value = None
 
     def _accumulate(self, g):
         # the first gradient is kept as it arrives; later ones make a new sum,

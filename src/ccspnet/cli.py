@@ -132,8 +132,8 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, proc = _config_and_data(args)
-    accuracy, net = harness._run_fold(proc, proc, cfg)
     out = _out_dir(args)
+    accuracy, net = harness._run_fold(proc, proc, cfg)
     net.save(out / "model.ccsp")
     _write_history_csv(out / "history.csv", [("pooled", net)])
     print(f"trained on {len(proc)} trials; training accuracy {accuracy:.1f}%")
@@ -143,15 +143,17 @@ def cmd_train(args) -> int:
 
 def cmd_eval_sd(args) -> int:
     cfg, proc = _config_and_data(args)
+    out = _out_dir(args)
     result = harness.run_sd(proc, cfg, jobs=args.jobs)
-    _emit_run(result, _out_dir(args), "sd")
+    _emit_run(result, out, "sd")
     return 0
 
 
 def cmd_eval_si(args) -> int:
     cfg, proc = _config_and_data(args)
+    out = _out_dir(args)
     result = harness.run_loso(proc, cfg, args.phase, jobs=args.jobs)
-    _emit_run(result, _out_dir(args), f"si_{args.phase}")
+    _emit_run(result, out, f"si_{args.phase}")
     return 0
 
 

@@ -329,15 +329,18 @@ class CCSPNet:
 
     def csp_feedback_loss(self, batch, labels):
         """Training-mode spectral forward + per-branch CSP refit + cross-entropy
-        loss; returns (loss node, N x K x 4 feature node). Labels and classes
-        are checked before any layer; a batch with no trial axis has no trial."""
+        loss; returns (loss node, N x K x 4 feature node). The features are
+        detached, a constant of the loss's feature values, so they outlive the
+        loss's backward, which frees its graph's inner values. Labels and
+        classes are checked before any layer; a batch with no trial axis has
+        no trial."""
         labels = check_labels(labels, len(batch) if np.ndim(batch) else 0)
         check_both_classes(labels)
         spectral = self.forward_spectral(batch)
         wrs = np.stack([csp.fit_branch(*csp.class_covariances(maps, labels)).w_reduced
                         for maps in np.moveaxis(spectral.value, 1, 0)])
         feats = csp.spatial_filter_features(spectral, wrs)
-        return csp.csp_loss(feats, labels), feats
+        return csp.csp_loss(feats, labels), ad.constant(feats.value)
 
     # training -------------------------------------------------------------
 

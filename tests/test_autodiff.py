@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from ccspnet import autodiff as ad
-from ccspnet import dsp
+from ccspnet import dsp, model
 from ccspnet.errors import NumericalError
 
 from oracles import (add_nodes, banded_matmul_unblocked, batch_norm_reference,
                      batch_norm_stored_xhat, central_difference,
                      conv_same_temporal_einsum, mean_of, project_channels_einsum,
                      rel_err)
+from test_model import desk_batch, desk_config
 
 
 def grad_check(build_loss, x0, eps=1e-6, tol=1e-5):
@@ -64,6 +65,58 @@ class TestBackwardReleasesGradients:
         root.backward()
         assert shared.grad is None
         np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+
+def spectral_chain():
+    """(root, inner nodes in forward order, Parameters, constant input) of a
+    conv -> batch norm -> project_channels -> log_variance -> mean graph."""
+    rng = np.random.default_rng(0)
+    x = ad.constant(rng.normal(size=(6, 2, 5, 30)))
+    kernels = ad.Parameter(rng.normal(size=(2, 7)))
+    bias = ad.Parameter(rng.normal(size=2))
+    gamma, beta = ad.Parameter(rng.uniform(0.5, 1.5, size=2)), ad.Parameter(np.zeros(2))
+    conv = ad.conv_same_temporal(x, kernels, bias)
+    norm = ad.batch_norm(conv, gamma, beta, ad.BatchNormState(2), training=True)
+    projected = ad.project_channels(norm, rng.normal(size=(2, 5, 4)))
+    features = ad.log_variance(projected)
+    return (mean_of(features), [conv, norm, projected, features],
+            [kernels, bias, gamma, beta], x)
+
+
+class TestBackwardReleasesValues:
+    def test_inner_values_freed_and_root_leaves_and_constants_kept(self):
+        root, inner, params, x = spectral_chain()
+        kept = [a.value.copy() for a in [root, x] + params]
+        root.backward()
+        assert all(node.value is None for node in inner)
+        for node, value in zip([root, x] + params, kept):
+            np.testing.assert_array_equal(node.value, value)
+
+    def test_gradients_equal_each_backward_called_by_hand(self):
+        root, _, params, _ = spectral_chain()
+        root.backward()
+        by_hand, inner, twins, _ = spectral_chain()
+        by_hand._backward(np.asarray(1.0))
+        for node in reversed(inner):
+            node._backward(node.grad)
+        for p, twin in zip(params, twins):
+            assert np.array_equal(p.grad, twin.grad), p.shape
+
+    def test_second_backward_is_a_numerical_error(self):
+        root, _, params, _ = spectral_chain()
+        root.backward()
+        grads = [p.grad for p in params]
+        with pytest.raises(NumericalError, match="inner values are freed"):
+            root.backward()
+        assert all(p.grad is g for p, g in zip(params, grads))
+
+    def test_feedback_loss_features_are_detached(self):
+        trials, labels = desk_batch(np.random.default_rng(3))
+        loss, feats = model.CCSPNet(desk_config()).csp_feedback_loss(trials, labels)
+        before = feats.value.copy()
+        loss.backward()
+        assert not feats.requires_grad
+        np.testing.assert_array_equal(feats.value, before)
 
 
 class TestConvSameTemporal:

@@ -192,6 +192,19 @@ class TestFileFaults:
         assert err.startswith(prefix + str(path)) and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["train", "eval-sd", "eval-si", "ablate"])
+    def test_out_dir_that_is_a_file_fails_before_any_fold(self, dataset_dir, tmp_path,
+                                                          capsys, monkeypatch, command):
+        folds = []
+        monkeypatch.setattr(harness, "_run_fold", lambda *args: folds.append(args))
+        a_file = tmp_path / "file"
+        a_file.write_text("")
+        assert run(command, "--manifest", str(dataset_dir / "manifest.txt"),
+                   "--jobs", "1", "--out-dir", str(a_file)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {a_file}") and err.count("\n") == 1
+        assert folds == []
+
     def test_process_exit_code(self, tmp_path):
         missing = tmp_path / "missing.csv"
         src = os.path.dirname(os.path.dirname(ccspnet.__file__))
