@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dsp
-from .errors import NumericalError, numpy_faults
+from .errors import NumericalError, numpy_faults, trial_blocks
 
 BN_MOMENTUM = 0.1     # batch norm's running-statistics update rate
 BN_EPS = 1e-5         # batch norm's variance floor
@@ -136,11 +136,6 @@ def expand_maps(x: Node, k: int) -> Node:
 # kernel, 127 for 64 taps), instead of every column of the T x T matrix
 _BLOCK = 64
 
-# bytes of whole trials per block of the map-sized passes (at least one
-# trial): a block stays in cache between the passes over it, and a block
-# buffer stands in for an array of the size of the map
-_TRIAL_BLOCK_BYTES = 1 << 20
-
 
 def _blocks(t_len: int, lead: int, trail: int):
     """(a, b, lo, hi) for each block [a, b) of _BLOCK output columns, with
@@ -151,14 +146,6 @@ def _blocks(t_len: int, lead: int, trail: int):
         yield a, b, max(0, a - lead), min(t_len, b + trail)
 
 
-def _trial_blocks(x: np.ndarray) -> list[slice]:
-    """Slices of `x`'s first axis, each of as many whole trials as fit in
-    _TRIAL_BLOCK_BYTES (at least one), in order."""
-    n = x.shape[0]
-    step = max(1, _TRIAL_BLOCK_BYTES // max(1, x[:1].nbytes))
-    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
-
-
 def _banded_matmul(x: np.ndarray, bands: np.ndarray, lead: int, trail: int,
                    bias: np.ndarray | None = None) -> np.ndarray:
     """x @ bands (+ bias[k] on map k) for N x K x C x T `x` and K x T x T
@@ -166,7 +153,7 @@ def _banded_matmul(x: np.ndarray, bands: np.ndarray, lead: int, trail: int,
     per block of trials, one product per block of output columns over only
     the input columns its band reaches, written into one output array."""
     out = np.empty(x.shape)
-    for trials in _trial_blocks(x):
+    for trials in trial_blocks(x):
         for a, b, lo, hi in _blocks(x.shape[3], lead, trail):
             np.matmul(x[trials, ..., lo:hi], bands[:, lo:hi, a:b],
                       out=out[trials, ..., a:b])
@@ -185,8 +172,8 @@ def _diagonal_sums(x: np.ndarray, g: np.ndarray, klen: int) -> np.ndarray:
     n, n_maps, c, t_len = x.shape
     pad_l = (klen - 1) // 2
     sums = np.zeros((n_maps, klen))
-    # each map's (N*C) x T rows, copied into one pair of buffers that every
-    # map reuses
+    # each map's (N*C) x T rows, in one pair of buffers that every map reuses;
+    # not in trial blocks, which would change the order of the sums over rows
     map_g, map_x = np.empty((n, c, t_len)), np.empty((n, c, t_len))
     rows_g, rows_x = map_g.reshape(-1, t_len), map_x.reshape(-1, t_len)
     for k in range(n_maps):
@@ -284,7 +271,7 @@ def batch_norm(x: Node, gamma: Node, beta: Node, state: BatchNormState,
     2D flavour: x is N x K x C x T, features are the K maps. 1D flavour:
     x is N x F, features are the F columns. Feature axis is axis 1 in both.
     The passes over x, its output and its gradient run one block of trials at
-    a time (`_trial_blocks`), and each per-feature statistic sums the N x F
+    a time (`errors.trial_blocks`), and each per-feature statistic sums the N x F
     per-(sample, feature) sums or dots that the blocks made. The forward
     normalizes into its output, the one array of the size of x it makes, and
     keeps only the per-feature mean and 1/std. The backward makes the x
@@ -295,7 +282,7 @@ def batch_norm(x: Node, gamma: Node, beta: Node, state: BatchNormState,
     feat_shape = [1] * x.value.ndim
     feat_shape[1] = x.shape[1]
     count = x.value.size // x.shape[1]
-    blocks = _trial_blocks(x.value)
+    blocks = trial_blocks(x.value)
     # per-(sample, feature) sums and dots, which each statistic sums over N
     sums = np.empty(x.shape[:2])
     dots = np.empty(x.shape[:2] + (1, 1))

@@ -94,22 +94,17 @@ def _out_dir(args) -> Path:
 
 def _write_history_csv(path, runs):
     """runs: iterable of (tag, model); one row per recorded batch."""
-    import csv as _csv
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["tag", "epoch", "batch", "loss_csp", "loss_fisher",
-                         "loss_combined"])
-        for tag, net in runs:
-            for epoch, batch, l, j, c in net.history:
-                writer.writerow([tag, int(epoch), int(batch),
-                                 f"{l:.6g}", f"{j:.6g}", f"{c:.6g}"])
+    data.write_csv(path, ["tag", "epoch", "batch", "loss_csp", "loss_fisher",
+                          "loss_combined"],
+                   ([tag, int(epoch), int(batch), f"{l:.6g}", f"{j:.6g}", f"{c:.6g}"]
+                    for tag, net in runs for epoch, batch, l, j, c in net.history))
 
 
 def _emit_run(result, out, stem):
     harness.write_results_csv(out / f"{stem}.csv", result)
     summary = harness.summary_text(result,
                                    timestamp=datetime.now().isoformat())
-    (out / f"{stem}_summary.txt").write_text(summary)
+    data.write_text(out / f"{stem}_summary.txt", summary)
     for sid, net in result.models.items():
         net.save(out / f"{stem}_subject_{sid:03d}.ccsp")
     _write_history_csv(out / f"{stem}_history.csv",
@@ -181,10 +176,7 @@ def cmd_stats(args) -> int:
         raise ConfigError("cmd_stats compares at most two result CSVs")
     tables = [harness.read_results_csv(p) for p in args.csv]
     for path, rows in zip(args.csv, tables):
-        mean, sd, median, (width, lo, hi) = stats.summarize(
-            [r["accuracy"] for r in rows])
-        print(f"{path}: n={len(rows)} mean={mean:.2f} sd={sd:.2f} "
-              f"median={median:g} range={width:g} ({lo:g}-{hi:g})")
+        print(f"{path}: n={len(rows)} {stats.summary_line([r['accuracy'] for r in rows])}")
     if len(tables) == 2:
         a, b = (_accuracy_by_subject(path, rows) for path, rows in zip(args.csv, tables))
         shared = sorted(set(a) & set(b))
@@ -285,7 +277,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("stats", help="statistics report "
-                       "(CSV schema: subject_id,approach,ablation,accuracy,seed)")
+                       f"(CSV schema: {','.join(harness.CSV_FIELDS)})")
     p.add_argument("--fixtures", action="store_true",
                    help="use the embedded published summaries")
     p.add_argument("--csv", action="append", default=[],

@@ -129,7 +129,8 @@ def spatial_filter_features(x: ad.Node, w_reduced: np.ndarray,
     k, n_ch, d = w_reduced.shape
     n, t = x.shape[0], x.shape[-1]
     # one C x 4K projection, then each branch's 4N rows through M_k as one
-    # GEMM (twice as fast at N = 100 as N x K products of 4 rows)
+    # GEMM (twice as fast at N = 100 as N x K products of 4 rows); not in
+    # trial blocks, as a GEMM split by rows gives other bits
     rows = ad.project_channels(x, w_reduced.transpose(1, 0, 2).reshape(n_ch, k * d))
     rows = rows.value.reshape(n, k, d, t).transpose(1, 0, 2, 3).reshape(k, n * d, t)
     z = np.matmul(rows, m).reshape(k, n, d, t).transpose(1, 0, 2, 3)

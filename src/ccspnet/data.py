@@ -4,11 +4,14 @@ synthetic ERD/ERS generator used for desk-scale verification.
 Trial files are flat little-endian binaries (magic "EEGT"): per-trial header
 (channels u32, timepoints u32, label u8, subject u16, session u8, phase u8)
 followed by float32 samples channel-major. A structured-text manifest indexes
-the per-subject files.
+the per-subject files. Text files are UTF-8: `read_text` is their one reader
+and `write_text` their one writer.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -125,13 +128,15 @@ def write_trial_file(path, trialset: TrialSet):
 
 
 def read_trial_file(path):
-    """Read one EEGT file into parallel arrays: read-only views of the file's
-    bytes, but for the subject tags, which are widened to int."""
+    """Read one EEGT file into parallel arrays: views of one buffer of the
+    file's bytes, but for the subject tags, which are widened to int."""
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] != TRIAL_MAGIC:
+    # numpy, unlike bytes, asks for huge pages on a large buffer, so a fresh
+    # one takes far fewer page faults than one per 4 KiB page
+    raw = np.fromfile(path, dtype=np.uint8)
+    if raw[:4].tobytes() != TRIAL_MAGIC:
         raise DataError(f"{path.name}: bad magic, not an EEGT trial file")
-    version = raw[4] if len(raw) > 4 else "missing"
+    version = int(raw[4]) if len(raw) > 4 else "missing"
     if version != TRIAL_FORMAT_VERSION:
         raise DataError(f"{path.name}: unsupported trial format version {version}")
     size = len(raw) - _PREAMBLE
@@ -173,7 +178,7 @@ def write_manifest(path, manifest: DatasetManifest):
     for sid in sorted(manifest.subjects):
         fname, n_trials, n_bytes = manifest.subjects[sid]
         lines.append(f"subject {sid}: file={fname} trials={n_trials} bytes={n_bytes}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_text(path, error: type[Exception]) -> str:
@@ -182,6 +187,19 @@ def read_text(path, error: type[Exception]) -> str:
         return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text at byte {exc.start}") from None
+
+
+def write_text(path, text: str) -> None:
+    """Write `text` to file `path` as UTF-8, its line ends as they are."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write `header`, then each of `rows`, as CSV lines ended by CRLF."""
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    write_text(path, text.getvalue())
 
 
 def key_value_lines(path: Path, error: type[Exception]):

@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the toolkit, its one floating-point
-rule (each model entry checks its batch, and numpy's faults inside raise) and
-its one label rule (`check_labels`, then `check_both_classes` where a batch fits).
+rule (each model entry checks its batch, and numpy's faults inside raise), its
+one label rule (`check_labels`, then `check_both_classes` where a batch fits)
+and its one block walk over a trial set, `trial_blocks`.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError and OSError
 (a file that cannot be opened, read or written) -> 2, NumericalError -> 3.
@@ -9,6 +10,10 @@ The CLI maps these onto exit codes: ConfigError -> 1, DataError and OSError
 from contextlib import contextmanager
 
 import numpy as np
+
+# bytes of whole trials per block of a pass over a trial set (at least one trial):
+# a block stays in cache between passes, and a block buffer stands in for the whole
+TRIAL_BLOCK_BYTES = 1 << 20
 
 
 class CcspError(Exception):
@@ -47,15 +52,23 @@ def numpy_faults(message):
         raise NumericalError(message(exc) if callable(message) else message) from None
 
 
+def trial_blocks(trials: np.ndarray) -> list[slice]:
+    """Slices of `trials`' first axis, each of as many whole trials as fit in
+    TRIAL_BLOCK_BYTES (at least one), in order."""
+    n = trials.shape[0]
+    step = max(1, TRIAL_BLOCK_BYTES // max(1, trials[:1].nbytes))
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
 def check_finite_trials(trials, first_sample=0):
     """Raise a NumericalError naming the trial, channel and sample (counted
     from `first_sample`) of the first non-finite value of N x C x T `trials`,
-    read 64 trials at a time so that no mask of the whole is made."""
-    for start in range(0, len(trials), 64):
-        finite = np.isfinite(trials[start:start + 64])
+    read a block of `trial_blocks` at a time so that no mask of the whole is made."""
+    for block in trial_blocks(trials):
+        finite = np.isfinite(trials[block])
         if not finite.all():
             trial, channel, sample = np.argwhere(~finite)[0]
-            raise NumericalError(f"trial {start + trial}: non-finite sample at "
+            raise NumericalError(f"trial {block.start + trial}: non-finite sample at "
                                  f"channel {channel}, sample {first_sample + sample}")
 
 

@@ -185,13 +185,9 @@ def write_results_csv(path, results) -> None:
     """One row per (run, subject); schema given by CSV_FIELDS."""
     if isinstance(results, RunResult):
         results = [results]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
-        for r in results:
-            for sid, acc in zip(r.subject_ids, r.accuracies):
-                writer.writerow([sid, r.approach, r.ablation or "none",
-                                 f"{acc:.4f}", r.seed])
+    data.write_csv(path, CSV_FIELDS,
+                   ([sid, r.approach, r.ablation or "none", f"{acc:.4f}", r.seed]
+                    for r in results for sid, acc in zip(r.subject_ids, r.accuracies)))
 
 
 def read_results_csv(path) -> list[dict]:

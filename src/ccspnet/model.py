@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import csp, dsp, lda
 from .errors import (ConfigError, DataError, ModelStateError, check_both_classes,
-                     check_finite_trials, check_labels, numpy_faults)
+                     check_finite_trials, check_labels, numpy_faults, trial_blocks)
 
 MODEL_MAGIC = b"CCSP"
 MODEL_VERSION = 1
@@ -32,8 +32,6 @@ ABLATIONS = ("wkcnn", "tcnn", "frn", "lda")
 # a CSP eigenvalue solves sigma0 w = lambda (sigma0 + sigma1) w for two
 # covariances, so a fitted one lies in [0, 1] up to rounding
 _EIGENVALUE_SLACK = 1e-9
-
-_MAP_CHUNK = 64   # trials per chunk of the eval-mode maps finalize streams
 
 
 @dataclass
@@ -53,7 +51,7 @@ class ModelConfig:
     epochs: int = 20
     batch_size: int = 300
     seed: int = 0
-    sample_rate_hz: float = 100.0
+    sample_rate_hz: float = float(dsp.TARGET_HZ)
     ablate: str = ""
 
     def validate(self):
@@ -566,6 +564,8 @@ class CCSPNet:
         version, finalized = struct.unpack("<HB", reader.take(3))
         if version != MODEL_VERSION:
             raise DataError(f"{path}: unsupported container version {version}")
+        if finalized not in (0, 1):
+            raise DataError(f"{path}: finalized flag {finalized} is not 0 or 1")
         config_text = reader.take(reader.u32())
         try:
             model = cls(ModelConfig.from_text(config_text.decode("utf-8")))
@@ -689,12 +689,12 @@ def _temporal_kernels(kernels: ad.Parameter) -> ad.Node:
 
 
 def _branch_maps(trials, operator, offset):
-    """One branch's maps X M + c of the trials in blocks of _MAP_CHUNK, each
-    made into one buffer: read a block before taking the next."""
-    buffer = np.empty((min(len(trials), _MAP_CHUNK),) + trials.shape[1:])
-    for start in range(0, len(trials), _MAP_CHUNK):
-        chunk = trials[start:start + _MAP_CHUNK]
-        maps = np.matmul(chunk, operator, out=buffer[:len(chunk)])
+    """One branch's maps X M + c of the trials, one block of `trial_blocks` at
+    a time, each made into one buffer: read a block before taking the next."""
+    blocks = trial_blocks(trials)
+    buffer = np.empty((blocks[0].stop,) + trials.shape[1:]) if blocks else None
+    for block in blocks:
+        maps = np.matmul(trials[block], operator, out=buffer[:block.stop - block.start])
         maps += offset
         yield maps
 

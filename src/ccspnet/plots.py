@@ -6,12 +6,11 @@ plotting dependency is needed.
 
 from __future__ import annotations
 
-import csv
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-from . import dsp
+from . import data, dsp
 from .errors import DataError, check_labels
 from .model import CCSPNet
 
@@ -54,10 +53,6 @@ class SvgCanvas:
                 f'width="{self.width}" height="{self.height}" '
                 f'viewBox="0 0 {self.width} {self.height}">\n{body}\n</svg>\n')
 
-    def write(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.render())
-
 
 def stft_stage_grids(net: CCSPNet, trial: np.ndarray, channel: int) -> dict:
     """Time-frequency grids per pipeline stage for one trial and channel.
@@ -82,15 +77,11 @@ def stft_stage_grids(net: CCSPNet, trial: np.ndarray, channel: int) -> dict:
 
 def write_stft_csv(path, grids: dict) -> None:
     """Long-form rows: stage, map, freq_hz, time_s, magnitude."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "map", "freq_hz", "time_s", "magnitude"])
-        for stage, entries in grids.items():
-            for k, (mags, freqs, times) in enumerate(entries):
-                for fi, f in enumerate(freqs):
-                    for ti, t in enumerate(times):
-                        writer.writerow([stage, k, f"{f:g}", f"{t:g}",
-                                         f"{mags[fi, ti]:.6g}"])
+    data.write_csv(path, ["stage", "map", "freq_hz", "time_s", "magnitude"],
+                   ([stage, k, f"{f:g}", f"{t:g}", f"{mags[fi, ti]:.6g}"]
+                    for stage, entries in grids.items()
+                    for k, (mags, freqs, times) in enumerate(entries)
+                    for fi, f in enumerate(freqs) for ti, t in enumerate(times)))
 
 
 def render_stft_svg(path, grids: dict) -> None:
@@ -113,7 +104,7 @@ def render_stft_svg(path, grids: dict) -> None:
                 canvas.rect(pad + ti * cell, y0 + (mags.shape[0] - 1 - fi) * cell,
                             cell, cell, _heat_color(mags[fi, ti] / top))
         y0 += h + pad
-    canvas.write(path)
+    data.write_text(path, canvas.render())
 
 
 def csp_scatter_points(net: CCSPNet, trials, labels) -> list[dict]:
@@ -131,11 +122,8 @@ def csp_scatter_points(net: CCSPNet, trials, labels) -> list[dict]:
 
 
 def write_scatter_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["branch", "trial", "x", "y",
-                                                "label"])
-        writer.writeheader()
-        writer.writerows(rows)
+    fields = ["branch", "trial", "x", "y", "label"]
+    data.write_csv(path, fields, ([row[f] for f in fields] for row in rows))
 
 
 def render_scatter_svg(path, rows) -> None:
@@ -158,4 +146,4 @@ def render_scatter_svg(path, rows) -> None:
             py = y0 + size - ((r["y"] - ys.min()) / y_span * (size - 8) + 4)
             canvas.circle(px, py, 3, "#1f77b4" if r["label"] == 0 else "#ff7f0e")
         y0 += size + pad
-    canvas.write(path)
+    data.write_text(path, canvas.render())

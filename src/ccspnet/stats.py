@@ -103,6 +103,12 @@ def summarize(values) -> tuple[float, float, float, tuple[float, float, float]]:
             float(np.median(values)), (hi - lo, lo, hi))
 
 
+def summary_line(values) -> str:
+    """`summarize(values)` as one line: mean, sd, median and range."""
+    mean, sd, median, (width, lo, hi) = summarize(values)
+    return f"mean={mean:.2f} sd={sd:.2f} median={median:g} range={width:g} ({lo:g}-{hi:g})"
+
+
 def reference_report() -> str:
     """Reproduce the published comparison table from the embedded fixtures."""
     lines = ["unpaired t-tests vs CCSPNet (one-sided, df = 106)"]
@@ -124,7 +130,5 @@ def reference_report() -> str:
                  f"t={t:.4f} p={p:.2f}")
     for column, values in (("SD", fixtures.SUBJECT_ACCURACY_SD),
                            ("SI", fixtures.SUBJECT_ACCURACY_SI)):
-        mean, sd, median, (width, lo, hi) = summarize(values)
-        lines.append(f"per-subject {column}: mean={mean:.2f} sd={sd:.2f} "
-                     f"median={median:g} range={width:g} ({lo:g}-{hi:g})")
+        lines.append(f"per-subject {column}: {summary_line(values)}")
     return "\n".join(lines)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ccspnet import autodiff as ad
-from ccspnet import dsp, model
+from ccspnet import dsp, errors, model
 from ccspnet.errors import NumericalError
 
 from oracles import (add_nodes, banded_matmul_unblocked, batch_norm_reference,
@@ -396,11 +396,11 @@ class TestBatchNormMatchesReference:
 
 
 def trials_per_block(monkeypatch, x, k):
-    """Make `_trial_blocks` cut `x` into blocks of k trials, the last one
-    ragged when k does not divide N; k None keeps the module's size."""
+    """Make `errors.trial_blocks` cut `x` into blocks of k trials, the last
+    one ragged when k does not divide N; k None keeps the module's size."""
     if k is not None:
-        monkeypatch.setattr(ad, "_TRIAL_BLOCK_BYTES", k * x[:1].nbytes)
-        blocks = ad._trial_blocks(x)
+        monkeypatch.setattr(errors, "TRIAL_BLOCK_BYTES", k * x[:1].nbytes)
+        blocks = errors.trial_blocks(x)
         assert [s.stop - s.start for s in blocks[:-1]] == [k] * (len(blocks) - 1)
         assert len(blocks) == -(-len(x) // k)
 

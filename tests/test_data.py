@@ -1,5 +1,6 @@
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +221,30 @@ class TestTrialFileRoundTrip:
         data.load_manifest(manifest_path)
         np.testing.assert_array_equal(data.load_trials(manifest_path).trials,
                                       ts.trials)
+
+
+class TestTextWriters:
+    def test_write_csv_ends_each_row_with_crlf_in_utf8(self, tmp_path):
+        path = tmp_path / "t.csv"
+        data.write_csv(path, ("name", "value"), [["µV", 1.5], ["a,b", 2]])
+        assert path.read_bytes() == 'name,value\r\nµV,1.5\r\n"a,b",2\r\n'.encode("utf-8")
+
+    def test_write_text_keeps_lf_in_utf8(self, tmp_path):
+        path = tmp_path / "t.txt"
+        data.write_text(path, "α: 1\nβ: 2\n")
+        assert path.read_bytes() == "α: 1\nβ: 2\n".encode("utf-8")
+        assert data.read_text(path, DataError) == "α: 1\nβ: 2\n"
+
+    def test_text_files_are_written_only_by_the_two_writers(self):
+        # one writer of text files: no other module opens one for writing or
+        # makes a csv writer
+        package = Path(data.__file__).parent
+        hits = [(path.name, line.strip()) for path in sorted(package.glob("*.py"))
+                for line in path.read_text(encoding="utf-8").splitlines()
+                if re.search(r'open\([^)]*"[wax]\+?"|(?<!data)\.write_text\(|csv\.\w*[Ww]riter',
+                             line)]
+        assert hits == [("data.py", 'with open(path, "w", encoding="utf-8", newline="") as fh:'),
+                        ("data.py", "csv.writer(text).writerows([header, *rows])")]
 
 
 class TestKeyValueLines:

@@ -36,13 +36,25 @@ class TestNumpyFaults:
 
 class TestCheckFiniteTrials:
     @pytest.mark.parametrize("trial", [0, 63, 64, 98])
-    def test_first_bad_sample_named_across_blocks(self, trial):
+    def test_first_bad_sample_named_across_blocks(self, monkeypatch, trial):
         trials = np.zeros((100, 3, 5))
+        monkeypatch.setattr(errors, "TRIAL_BLOCK_BYTES", 64 * trials[:1].nbytes)
         trials[trial, 2, 4] = np.inf
         trials[-1, 0, 0] = np.nan
         with pytest.raises(NumericalError) as info:
             check_finite_trials(trials, first_sample=10)
         assert str(info.value) == f"trial {trial}: non-finite sample at channel 2, sample 14"
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_bad_sample_in_the_last_block_named_by_its_absolute_trial(self, monkeypatch,
+                                                                      block):
+        trials = np.zeros((10, 2, 4), dtype=np.float32)
+        monkeypatch.setattr(errors, "TRIAL_BLOCK_BYTES", block * trials[:1].nbytes)
+        assert errors.trial_blocks(trials)[-1].stop == 10
+        trials[9, 1, 3] = np.nan
+        with pytest.raises(NumericalError, match="^trial 9: non-finite sample at "
+                                                 "channel 1, sample 3$"):
+            check_finite_trials(trials)
 
     def test_finite_trials_pass(self):
         check_finite_trials(np.full((3, 2, 4), 1e308))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ccspnet import autodiff as ad
-from ccspnet import csp, data, lda, model
+from ccspnet import csp, data, errors, lda, model
 from ccspnet.errors import CcspError, ConfigError, DataError, ModelStateError, NumericalError
 
 from oracles import (add_nodes, class_covariances_stacked, eval_maps_conv,
@@ -830,7 +830,7 @@ class TestFinalizeStreamsTheMaps:
     @pytest.mark.parametrize("n", (200, 800))
     def test_peak_is_below_the_input_size_and_a_half(self, n):
         # no N x K x C x T maps (four inputs): the CSP sums read one
-        # _MAP_CHUNK-trial buffer of maps at a time
+        # buffer of maps, a block of `errors.trial_blocks`, at a time
         trials, labels = desk_batch(np.random.default_rng(20), n=n, c=62, t=250)
         net = model.CCSPNet(model.ModelConfig(epochs=1, batch_size=40, seed=1))
         net.train_step(trials[:40], labels[:40])
@@ -844,15 +844,18 @@ class TestFinalizeStreamsTheMaps:
         assert peak / trials.nbytes <= 1.5, peak / trials.nbytes
 
     @pytest.mark.parametrize("ablate", ("",) + model.ABLATIONS)
-    def test_class_only_in_the_last_chunk(self, ablate):
-        # class 1 first appears in the third chunk; the frozen covariances
-        # are the stacked mean over the maps of the cached operator, bit for bit
-        n = 2 * model._MAP_CHUNK + 9
+    def test_class_only_in_the_last_chunk(self, monkeypatch, ablate):
+        # blocks of 16 trials; class 1 first appears in the third block, and
+        # the frozen covariances are the stacked mean over the maps of the
+        # cached operator, bit for bit
+        block = 16
+        n = 2 * block + 9
         rng = np.random.default_rng(25)
         trials = rng.normal(size=(n, 6, 40))
-        labels = (np.arange(n) >= 2 * model._MAP_CHUNK).astype(int)
+        labels = (np.arange(n) >= 2 * block).astype(int)
         net = model.CCSPNet(desk_config(ablate=ablate))
         net.train_step(*desk_batch(rng))
+        monkeypatch.setattr(errors, "TRIAL_BLOCK_BYTES", block * trials[:1].nbytes)
         net.finalize(trials, labels)
         operator, offset = net._eval_operator()
         maps = np.matmul(trials[:, None], operator)
@@ -861,6 +864,32 @@ class TestFinalizeStreamsTheMaps:
             sigma0, sigma1 = class_covariances_stacked(maps[:, k], labels)
             np.testing.assert_array_equal(branch.sigma0, sigma0)
             np.testing.assert_array_equal(branch.sigma1, sigma1)
+
+
+class TestBlockSizeKeepsTheBytes:
+    """The passes that walk `errors.trial_blocks` (the sample scan, batch norm,
+    the banded products and finalize's maps) give the same bits with one
+    trial per block as with the default blocks."""
+
+    @pytest.mark.parametrize("ablate, shape", [(a, (24, 6, 40)) for a in ("",) + model.ABLATIONS]
+                             + [("", (40, 16, 250))])
+    def test_one_trial_blocks_match_the_default(self, monkeypatch, tmp_path, ablate, shape):
+        n, c, t = shape
+        trials, labels = desk_batch(np.random.default_rng(31), n=n, c=c, t=t)
+        cfg = desk_config(ablate=ablate, n_channels=c, n_timepoints=t)
+        files = []
+        for block_bytes in (errors.TRIAL_BLOCK_BYTES, 1):
+            monkeypatch.setattr(errors, "TRIAL_BLOCK_BYTES", block_bytes)
+            net = model.CCSPNet(cfg)
+            net.train_step(trials, labels)
+            stepped = net.save(tmp_path / "stepped.ccsp").read_bytes()
+            net.finalize(trials, labels)
+            frozen = [a.copy() for br in net.frozen_branches for a in vars(br).values()]
+            files.append((stepped, frozen, net.save(tmp_path / "final.ccsp").read_bytes()))
+        (stepped, frozen, final), (stepped_1, frozen_1, final_1) = files
+        assert stepped_1 == stepped
+        assert all(np.array_equal(a, b) for a, b in zip(frozen_1, frozen, strict=True))
+        assert final_1 == final
 
 
 class TestTrainStepMemory:
@@ -1195,6 +1224,18 @@ class TestSerialization:
         blob[:4] = b"NOPE"
         path.write_bytes(bytes(blob))
         with pytest.raises(DataError, match="magic"):
+            model.CCSPNet.load(path)
+
+    @pytest.mark.parametrize("flag", (2, 255))
+    def test_finalized_flag_other_than_0_or_1_rejected(self, tmp_path, flag):
+        # byte 6, after the magic and the version; read as a truth value it
+        # would load as finalized and save back as 1
+        net, _ = self.trained(tmp_path)
+        path = net.save(tmp_path / "m.ccsp")
+        blob = bytearray(path.read_bytes())
+        blob[6] = flag
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match=f"m.ccsp: finalized flag {flag} is not 0 or 1"):
             model.CCSPNet.load(path)
 
     def test_bad_version_rejected(self, tmp_path):
