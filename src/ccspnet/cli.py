@@ -64,6 +64,8 @@ def build_model_config(args) -> ModelConfig:
         value = values.pop(key, default)
         if getattr(args, key, None) in (None, ""):
             setattr(args, key, value)
+    if args.jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
     for flag in ("epochs", "batch_size", "seed", "loss_ratio"):
         v = getattr(args, flag, None)
         if v is not None:

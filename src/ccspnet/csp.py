@@ -18,6 +18,9 @@ from . import autodiff as ad
 from .errors import DataError, NumericalError, check_both_classes, check_labels
 
 RIDGE_SCALE = 1e-6
+# a CSP eigenvalue solves sigma0 w = lambda (sigma0 + sigma1) w for two
+# covariances, so a fitted one lies in [0, 1] up to rounding
+EIGENVALUE_SLACK = 1e-9
 
 
 @dataclass
@@ -64,29 +67,37 @@ def class_covariances(trials: np.ndarray | Iterable[np.ndarray],
     return tuple(0.5 * (mean + mean.T) for mean in map(np.divide, sums, counts))
 
 
+def in_unit_interval(eigenvalues: np.ndarray) -> bool:
+    """Whether every CSP eigenvalue lies in [0, 1] within EIGENVALUE_SLACK."""
+    return bool(((eigenvalues >= -EIGENVALUE_SLACK)
+                 & (eigenvalues <= 1 + EIGENVALUE_SLACK)).all())
+
+
 def solve_csp(sigma0: np.ndarray,
               sigma1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve sigma0 w = lambda (sigma0 + sigma1) w.
 
-    A Tikhonov ridge (1e-6 * trace / C) is added to the composite only when
-    it is not safely positive definite, so well-conditioned inputs solve the
-    stated problem exactly. Columns are sorted by descending eigenvalue, and
-    the sign of each column is fixed so its largest-magnitude entry is
-    positive.
+    The one `linalg.eigh` call decides the ridge: only when it cannot factor
+    the composite, or gives an eigenvalue outside [0, 1] (a composite
+    singular up to rounding), is a Tikhonov ridge (1e-6 * trace / C) added
+    and the problem solved once more. Columns are sorted by descending
+    eigenvalue, and the sign of each column is fixed so its largest-magnitude
+    entry is positive.
     """
     sigma0 = np.asarray(sigma0, dtype=np.float64)
     sigma1 = np.asarray(sigma1, dtype=np.float64)
     n = sigma0.shape[0]
     composite = sigma0 + sigma1
     try:
-        linalg.cholesky(composite)
+        eigvals, eigvecs = linalg.eigh(sigma0, composite)
+        if not in_unit_interval(eigvals):
+            raise linalg.LinAlgError("an eigenvalue outside [0, 1]")
     except linalg.LinAlgError:
         ridge = RIDGE_SCALE * np.trace(composite) / n
-        composite = composite + ridge * np.eye(n)
-    try:
-        eigvals, eigvecs = linalg.eigh(sigma0, composite)
-    except linalg.LinAlgError as exc:
-        raise NumericalError(f"composite covariance not positive definite: {exc}")
+        try:
+            eigvals, eigvecs = linalg.eigh(sigma0, composite + ridge * np.eye(n))
+        except linalg.LinAlgError as exc:
+            raise NumericalError(f"composite covariance not positive definite: {exc}")
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]

@@ -29,10 +29,6 @@ MODEL_VERSION = 1
 
 ABLATIONS = ("wkcnn", "tcnn", "frn", "lda")
 
-# a CSP eigenvalue solves sigma0 w = lambda (sigma0 + sigma1) w for two
-# covariances, so a fitted one lies in [0, 1] up to rounding
-_EIGENVALUE_SLACK = 1e-9
-
 
 @dataclass
 class ModelConfig:
@@ -637,7 +633,7 @@ class CCSPNet:
             if name in stage_scales and (arr == 0).any():
                 raise DataError(f"{path}: {name} holds a zero batch-norm scale")
             if name.startswith("csp.") and name.endswith(".eigenvalues"):
-                if ((arr < -_EIGENVALUE_SLACK) | (arr > 1 + _EIGENVALUE_SLACK)).any():
+                if not csp.in_unit_interval(arr):
                     raise DataError(f"{path}: {name} holds an eigenvalue below 0 or above 1")
                 if (np.diff(arr) > 0).any():
                     raise DataError(f"{path}: {name} is not in descending order")

@@ -311,16 +311,21 @@ class TestConfigFile:
             assert net.config.ablate == "tcnn"
 
     @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("command", ["train", "eval-sd", "eval-si", "ablate"])
     def test_jobs_below_one_is_config_error(self, dataset_dir, tmp_path, capsys,
-                                            source):
+                                            monkeypatch, command, source):
+        # checked with the config, before the dataset loads or --out-dir is made
+        loads = []
+        monkeypatch.setattr(data, "load_trials", lambda *args: loads.append(args))
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("jobs: 0\n" if source == "file" else "epochs: 1\n")
+        cfg.write_text("jobs: -3\n" if source == "file" else "epochs: 1\n")
         flags = ["--jobs", "0"] if source == "flag" else []
-        assert run("eval-sd", "--config", str(cfg), "--manifest",
-                   str(dataset_dir / "manifest.txt"), *flags,
-                   "--out-dir", str(tmp_path / "out")) == 1
-        assert "jobs must be >= 1" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "sd.csv").exists()
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfg), "--manifest",
+                   str(dataset_dir / "manifest.txt"), *flags, "--out-dir", str(out)) == 1
+        jobs = 0 if source == "flag" else -3
+        assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+        assert loads == [] and not out.exists()
 
     @pytest.mark.parametrize("line", ["temporal_len: 0", "wavelet_len: -3",
                                       "dense_dims: -2,4"])

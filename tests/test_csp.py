@@ -1,5 +1,9 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import linalg
 
 from ccspnet import autodiff as ad
 from ccspnet import csp
@@ -166,6 +170,70 @@ class TestSolveCsp:
         assert np.array_equal(w1, w2)
         peaks = np.argmax(np.abs(w1), axis=0)
         assert np.all(w1[peaks, np.arange(6)] > 0)
+
+
+def rank_deficient_pair(n, seed):
+    """Two covariances whose composite has rank n - 1: sigma0 from the first
+    (n - 1) // 2 columns of an n x (n - 1) normal draw, sigma1 from the rest."""
+    a = np.random.default_rng(seed).normal(size=(n, n - 1))
+    k = (n - 1) // 2
+    return tuple(0.5 * (s + s.T) for s in (p @ p.T for p in (a[:, :k], a[:, k:])))
+
+
+def sorted_and_sign_fixed(eigvals, eigvecs):
+    """Columns by descending eigenvalue, each with its largest-magnitude entry
+    positive."""
+    order = np.argsort(eigvals)[::-1]
+    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+    signs = np.sign(eigvecs[np.argmax(np.abs(eigvecs), axis=0), np.arange(len(eigvals))])
+    signs[signs == 0] = 1.0
+    return eigvecs * signs, eigvals
+
+
+def within_unit_interval(lam):
+    return lam.min() >= -csp.EIGENVALUE_SLACK and lam.max() <= 1 + csp.EIGENVALUE_SLACK
+
+
+class TestRidge:
+    def test_rank_deficient_composites_solve_in_the_unit_interval(self):
+        # eigh cannot factor some of these composites, and factors others
+        # whose zero eigenvalue rounded positive, giving eigenvalues far
+        # outside [0, 1]; both take the ridge
+        cases = {"factored": 0, "raised": 0, "out of range": 0}
+        for n in (4, 8, 16):
+            for seed in range(200):
+                s0, s1 = rank_deficient_pair(n, seed)
+                w, lam = csp.solve_csp(s0, s1)
+                assert within_unit_interval(lam)
+                composite = s0 + s1
+                try:
+                    want = linalg.eigh(s0, composite)
+                    case = "factored" if within_unit_interval(want[0]) else "out of range"
+                except linalg.LinAlgError:
+                    case = "raised"
+                cases[case] += 1
+                if case != "factored":
+                    ridge = csp.RIDGE_SCALE * np.trace(composite) / n
+                    want = linalg.eigh(s0, composite + ridge * np.eye(n))
+                want_w, want_lam = sorted_and_sign_fixed(*want)
+                assert np.array_equal(w, want_w) and np.array_equal(lam, want_lam)
+        assert min(cases.values()) > 0, cases
+
+    def test_composite_the_ridge_cannot_mend_is_numerical_error(self):
+        # the ridge scales with the trace, so an indefinite composite stays so
+        with pytest.raises(NumericalError, match="^composite covariance not positive definite"):
+            csp.solve_csp(-np.eye(4), np.zeros((4, 4)))
+
+    def test_one_factorization_per_csp_solve(self):
+        # the Cholesky factorization inside linalg.eigh decides the ridge: no
+        # other eigensolver or Cholesky call in the package
+        package = Path(csp.__file__).parent
+        hits = [(path.name, line.strip()) for path in sorted(package.glob("*.py"))
+                for line in path.read_text(encoding="utf-8").splitlines()
+                if re.search(r"cholesky|cho_\w+\(|eig\w*\(", line, re.IGNORECASE)]
+        assert hits == [
+            ("csp.py", "eigvals, eigvecs = linalg.eigh(sigma0, composite)"),
+            ("csp.py", "eigvals, eigvecs = linalg.eigh(sigma0, composite + ridge * np.eye(n))")]
 
 
 class TestReduceProjection:

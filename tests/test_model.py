@@ -6,13 +6,14 @@ import re
 import struct
 import tracemalloc
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from ccspnet import autodiff as ad
-from ccspnet import csp, data, errors, lda, model
+from ccspnet import csp, data, errors, harness, lda, model
 from ccspnet.errors import CcspError, ConfigError, DataError, ModelStateError, NumericalError
 
 from oracles import (add_nodes, class_covariances_stacked, eval_maps_conv,
@@ -559,6 +560,55 @@ class TestTrainingOnSyntheticData:
         net = model.CCSPNet(cfg).finalize(train.trials, train.labels)
         for br in net.frozen_branches:
             assert br.w_reduced.shape == (16, 4)
+
+
+def count_eigh_failures(monkeypatch):
+    """The composites `linalg.eigh` cannot factor, as CSP solves run."""
+    failures, eigh = [], linalg.eigh
+
+    def counting(*args):
+        try:
+            return eigh(*args)
+        except linalg.LinAlgError:
+            failures.append(args)
+            raise
+
+    monkeypatch.setattr(csp.linalg, "eigh", counting)
+    return failures
+
+
+def round_trips(net, trials, tmp_path):
+    """Whether a saved `net` loads and predicts `trials` as `net` does."""
+    loaded = model.CCSPNet.load(net.save(tmp_path / "m.ccsp"))
+    return np.array_equal(loaded.predict(trials), net.predict(trials))
+
+
+class TestCspRidgeEndToEnd:
+    def test_tiny_scale_fold_trains_finalizes_and_loads(self, tmp_path):
+        # at 1e-9 this fold's finalize meets a composite that eigh factors
+        # with eigenvalues outside [0, 1], and one whose upper Cholesky factor
+        # exists and whose lower one does not
+        proc = data.preprocess(data.synthesize(data.SynthConfig(
+            n_subjects=4, trials_per_class=40, n_channels=16, seed=0)))
+        proc = replace(proc, trials=proc.trials * 1e-9)
+        train, test = (proc.select(i) for i in data.sd_fold(proc, 3))
+        accuracy, net = harness._run_fold(
+            train, test, model.ModelConfig(epochs=10, seed=harness.fold_seed(0, 3)))
+        assert accuracy >= 75.0
+        assert round_trips(net, test.trials, tmp_path)
+
+    def test_duplicated_channel_trains_through_the_ridge(self, monkeypatch, tmp_path):
+        # a bridged electrode: channel 1 repeats channel 0, so every
+        # composite is singular in exact arithmetic
+        proc = data.preprocess(data.synthesize(data.SynthConfig(
+            n_subjects=1, trials_per_class=20, n_channels=8, seed=1)))
+        trials = proc.trials.copy()
+        trials[:, 1] = trials[:, 0]
+        failures = count_eigh_failures(monkeypatch)
+        net = model.CCSPNet(model.ModelConfig(n_channels=8, epochs=3, seed=1))
+        net.train(trials, proc.labels).finalize(trials, proc.labels)
+        assert failures
+        assert round_trips(net, trials, tmp_path)
 
 
 def fitted_desk_model(ablate="", seed=9):
