@@ -244,12 +244,15 @@ def project_channels(x: Node, w: np.ndarray) -> Node:
     return Node(np.matmul(np.swapaxes(w, -1, -2), x.value), (x,), backward)
 
 
-class BatchNormState:
-    """Running statistics for one batch-norm layer (not part of the graph)."""
+class BatchNorm:
+    """One batch-norm layer: its scale gamma, its shift beta and, one per
+    feature of gamma, the running statistics (not part of the graph)."""
 
-    def __init__(self, n_features):
-        self.running_mean = np.zeros(n_features)
-        self.running_var = np.ones(n_features)
+    def __init__(self, gamma: Node, beta: Node):
+        self.gamma = gamma
+        self.beta = beta
+        self.running_mean = np.zeros(gamma.shape)
+        self.running_var = np.ones(gamma.shape)
 
 
 def _per_feature(a: np.ndarray) -> np.ndarray:
@@ -264,8 +267,7 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(rows_a[:, :, None, :], rows_b[:, :, :, None])
 
 
-def batch_norm(x: Node, gamma: Node, beta: Node, state: BatchNormState,
-               training: bool) -> Node:
+def batch_norm(x: Node, layer: BatchNorm, training: bool) -> Node:
     """Batch normalization over all axes except the feature axis.
 
     2D flavour: x is N x K x C x T, features are the K maps. 1D flavour:
@@ -278,7 +280,10 @@ def batch_norm(x: Node, gamma: Node, beta: Node, state: BatchNormState,
     gradient and no other array of the size of x: it rebuilds x-hat one block
     at a time into one block buffer, with the same float operations as the
     forward, so its gradients are those of a stored x-hat bit for bit.
+    Training mode moves `layer`'s running statistics towards the batch's;
+    eval mode normalizes with them.
     """
+    gamma, beta = layer.gamma, layer.beta
     feat_shape = [1] * x.value.ndim
     feat_shape[1] = x.shape[1]
     count = x.value.size // x.shape[1]
@@ -300,12 +305,12 @@ def batch_norm(x: Node, gamma: Node, beta: Node, state: BatchNormState,
             dots[s] = _row_dots(out[s], out[s])
         var = dots.sum(axis=(0, 2, 3)) / count
         m = BN_MOMENTUM
-        state.running_mean = (1 - m) * state.running_mean + m * mean
-        state.running_var = (1 - m) * state.running_var + m * var
+        layer.running_mean = (1 - m) * layer.running_mean + m * mean
+        layer.running_var = (1 - m) * layer.running_var + m * var
     else:
         # a copy: a load writes the running statistics in place
-        mean_b = state.running_mean.copy().reshape(feat_shape)
-        var = state.running_var
+        mean_b = layer.running_mean.copy().reshape(feat_shape)
+        var = layer.running_var
 
     istd = 1.0 / np.sqrt(var + BN_EPS)
     istd_b = istd.reshape(feat_shape)

@@ -208,12 +208,11 @@ def cmd_plot(args) -> int:
     if args.csp_scatter and not net.finalized:
         raise DataError(f"{args.model}: model is not finalized, so it has no CSP "
                         "projections to scatter")
-    raw = data.load_trials(args.manifest)
-    subject = args.subject if args.subject is not None else raw.subjects()[0]
-    subset = raw.for_subject(subject)
-    if len(subset) == 0:
+    manifest = data.load_manifest(args.manifest)
+    subject = args.subject if args.subject is not None else min(manifest.subjects)
+    if subject not in manifest.subjects:
         raise DataError(f"subject {subject} not in dataset")
-    subset = data.preprocess(subset)
+    subset = data.preprocess(data.load_subject(args.manifest, manifest, subject))
     out = _out_dir(args)
     if args.stft:
         grids = plots.stft_stage_grids(net, subset.trials[0], args.channel)
@@ -269,7 +268,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval-si", help="leave-one-subject-out evaluation")
     _add_common_run_flags(p)
     p.add_argument("--phase", choices=sorted(data.PHASE_CODES),
-                   help="test phase (default: offline)")
+                   help="phase of the other subjects' training trials; the test set "
+                        "is the held-out subject's S2 online block (default: offline)")
     p.set_defaults(func=cmd_eval_si)
 
     p = sub.add_parser("ablate", help="run component-removal variants")

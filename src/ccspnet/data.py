@@ -287,33 +287,35 @@ def save_dataset(out_dir, trialset: TrialSet, non_separable=False) -> Path:
     return manifest_path
 
 
-def load_trials(manifest_path) -> TrialSet:
-    """Load every trial a manifest indexes, checking each file against its
-    entry; a file that cannot be read, the manifest included, raises its
-    OSError."""
-    manifest_path = Path(manifest_path)
-    manifest = load_manifest(manifest_path)
-    base = manifest_path.parent
-    parts = []
-    for sid in sorted(manifest.subjects):
-        fname, n_trials, n_bytes = manifest.subjects[sid]
-        fpath = base / fname
-        actual = fpath.stat().st_size
-        if actual != n_bytes:
-            raise DataError(f"{fname}: size {actual} != declared {n_bytes}")
-        trials, labels, sids, sess, phs = read_trial_file(fpath)
-        if len(trials) != n_trials:
-            raise DataError(f"{fname}: {len(trials)} trials != declared {n_trials}")
-        declared = (manifest.n_channels, manifest.n_timepoints)
-        if trials.shape[1:] != declared:
-            raise DataError(f"{fname}: trials of shape {trials.shape[1:]} != "
-                            f"declared {declared}")
-        if np.any(sids != sid):
-            raise DataError(f"{fname}: subject tag {sids[sids != sid][0]} != "
-                            f"declared subject {sid}")
-        parts.append((trials, labels, sids, sess, phs))
+def load_subject(manifest_path, manifest: DatasetManifest, sid: int) -> TrialSet:
+    """Subject `sid`'s trials: its file beside `manifest_path`, checked against
+    its entry in `manifest`; a file that cannot be read raises its OSError."""
+    fname, n_trials, n_bytes = manifest.subjects[sid]
+    fpath = Path(manifest_path).parent / fname
+    actual = fpath.stat().st_size
+    if actual != n_bytes:
+        raise DataError(f"{fname}: size {actual} != declared {n_bytes}")
+    trials, labels, sids, sess, phs = read_trial_file(fpath)
+    if len(trials) != n_trials:
+        raise DataError(f"{fname}: {len(trials)} trials != declared {n_trials}")
+    declared = (manifest.n_channels, manifest.n_timepoints)
+    if trials.shape[1:] != declared:
+        raise DataError(f"{fname}: trials of shape {trials.shape[1:]} != "
+                        f"declared {declared}")
+    if np.any(sids != sid):
+        raise DataError(f"{fname}: subject tag {sids[sids != sid][0]} != "
+                        f"declared subject {sid}")
+    return TrialSet(trials, labels, sids, sess, phs, manifest.sample_rate_hz)
 
-    return TrialSet(*(np.concatenate(column) for column in zip(*parts)),
+
+def load_trials(manifest_path) -> TrialSet:
+    """Load every trial a manifest indexes, one subject at a time
+    (`load_subject`); a file that cannot be read, the manifest included,
+    raises its OSError."""
+    manifest = load_manifest(manifest_path)
+    parts = [load_subject(manifest_path, manifest, sid) for sid in sorted(manifest.subjects)]
+    columns = ("trials", "labels", "subject_ids", "sessions", "phases")
+    return TrialSet(*(np.concatenate([getattr(p, c) for p in parts]) for c in columns),
                     manifest.sample_rate_hz)
 
 

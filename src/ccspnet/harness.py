@@ -149,7 +149,8 @@ def _run_folds(dataset, folds, config, approach, jobs):
         outcomes = [work(f) for f in folds]
     else:
         # every fold thread calls BLAS, which would otherwise start one
-        # thread per core in each of them
+        # thread per core in each of them; without this split, perfbench's
+        # sd-synth wall_s was 1.7-1.8x as long (4.0-4.7 s -> 6.9-8.4 s, 2 cores)
         with _blas_threads(max(1, (os.cpu_count() or 1) // threads)), \
                 ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(work, folds))

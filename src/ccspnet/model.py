@@ -11,6 +11,7 @@ constant during backprop.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import struct
@@ -163,40 +164,27 @@ _FIELD_TYPES = {
 }
 
 
-class _BnLayer(NamedTuple):
-    """Learnable affine + running statistics for one batch-norm layer."""
-
-    gamma: ad.Parameter
-    beta: ad.Parameter
-    state: ad.BatchNormState
-
-
 class _Stage(NamedTuple):
     """One spectral stage: a depthwise temporal convolution of every map, then
-    batch norm over the maps. The stage holds the Parameters its kernels are
-    made from, and `build`, a module-level function of them, makes the kernel
-    node: so a copy or a pickle of the model brings its stages with its own
-    Parameters. A stage must not hold the model, so that a dropped model is
-    freed at once rather than by the cycle collector."""
+    batch norm over the maps. `kernels()` makes the K x len kernel node: a
+    `functools.partial` of a module-level function and the Parameters the
+    kernels are made from, so a copy or a pickle of the model brings its
+    stages with its own Parameters. A stage must not hold the model, so that
+    a dropped model is freed at once rather than by the cycle collector."""
 
     name: str                          # names its partial operator in stage_operators
-    params: tuple                      # the arguments of `build`
-    build: Callable[..., ad.Node]      # build(*params): the K x len kernel node
+    kernels: Callable[[], ad.Node]
     bias: ad.Parameter | None
-    bn: _BnLayer
-
-    def kernels(self) -> ad.Node:
-        """The K x len kernel node, made from the stage's Parameters."""
-        return self.build(*self.params)
+    bn: ad.BatchNorm
 
     def operator(self, t_len: int) -> tuple[np.ndarray, np.ndarray]:
         """(B, o), K x T x T and K x T: in eval mode the stage sends row x of map
         k to x @ B[k] + o[k], its convolution then its batch norm as one map."""
-        state = self.bn.state
-        scale = self.bn.gamma.value / np.sqrt(state.running_var + ad.BN_EPS)
+        bn = self.bn
+        scale = bn.gamma.value / np.sqrt(bn.running_var + ad.BN_EPS)
         bands = dsp.toeplitz_bands(self.kernels().value, t_len) * scale[:, None, None]
         bias = self.bias.value if self.bias is not None else 0.0
-        offset = (bias - state.running_mean) * scale + self.bn.beta.value
+        offset = (bias - bn.running_mean) * scale + bn.beta.value
         return bands, np.repeat(offset[:, None], t_len, axis=1)
 
 
@@ -225,9 +213,8 @@ class CCSPNet:
         return p
 
     def _register_bn(self, name, n_features):
-        layer = _BnLayer(self._register(f"{name}.gamma", np.ones(n_features), "bn"),
-                         self._register(f"{name}.beta", np.zeros(n_features), "bn"),
-                         ad.BatchNormState(n_features))
+        layer = ad.BatchNorm(self._register(f"{name}.gamma", np.ones(n_features), "bn"),
+                             self._register(f"{name}.beta", np.zeros(n_features), "bn"))
         self._bn_layers[name] = layer
         return layer
 
@@ -248,8 +235,8 @@ class CCSPNet:
                     self._register(f"wavelet.c.{i}", 4.0 * np.log(2.0), "wavelet"),
                 ))
             self.spectral_stages.append(_Stage(
-                "wkcnn", (tuple(self.wavelet), cfg), _wavelet_kernels, None,
-                self._register_bn("bn_wk", k)))
+                "wkcnn", functools.partial(_wavelet_kernels, tuple(self.wavelet), cfg),
+                None, self._register_bn("bn_wk", k)))
 
         if cfg.ablate != "tcnn":
             bound = 1.0 / np.sqrt(cfg.temporal_len)
@@ -259,7 +246,7 @@ class CCSPNet:
                 "weight")
             bias = self._register("temporal.bias", np.zeros(k), "bias")
             self.spectral_stages.append(_Stage(
-                "tcnn", (kernels,), _temporal_kernels, bias,
+                "tcnn", functools.partial(_temporal_kernels, kernels), bias,
                 self._register_bn("bn_tc", k)))
 
         # (weight, bias, batch norm or None) per dense layer
@@ -310,15 +297,14 @@ class CCSPNet:
         x = ad.expand_maps(ad.constant(batch[:, None]), self.config.n_wavelet_kernels)
         for stage in self.spectral_stages:
             x = ad.conv_same_temporal(x, stage.kernels(), stage.bias)
-            x = ad.batch_norm(x, stage.bn.gamma, stage.bn.beta, stage.bn.state,
-                              training=True)
+            x = ad.batch_norm(x, stage.bn, training=True)
         return x
 
     def _dense_forward(self, x: ad.Node, training: bool) -> ad.Node:
         for w, b, bn in self.dense:
             x = ad.dense(x, w, b)
             if bn is not None:
-                x = ad.batch_norm(x, bn.gamma, bn.beta, bn.state, training)
+                x = ad.batch_norm(x, bn, training)
         return x
 
     def csp_feedback_loss(self, batch, labels):
@@ -470,7 +456,7 @@ class CCSPNet:
         parameter and running statistic: a training step, an in-place write or
         a load makes the next call rebuild it."""
         stats = [a for layer in self._bn_layers.values()
-                 for a in (layer.state.running_mean, layer.state.running_var)]
+                 for a in (layer.running_mean, layer.running_var)]
         key = b"".join(np.ascontiguousarray(a).tobytes()
                        for a in [p.value for p in self._params.values()] + stats)
         if self._eval_operator_cache is None or self._eval_operator_cache[0] != key:
@@ -511,8 +497,8 @@ class CCSPNet:
         is the model's live array except adam.step, history and lda.mu."""
         items = [(name, p.value) for name, p in self._params.items()]
         for bn_name, layer in self._bn_layers.items():
-            items.append((f"{bn_name}.running_mean", layer.state.running_mean))
-            items.append((f"{bn_name}.running_var", layer.state.running_var))
+            items.append((f"{bn_name}.running_mean", layer.running_mean))
+            items.append((f"{bn_name}.running_var", layer.running_var))
         items.append(("adam.step", np.asarray(float(self.optimizer.step_count))))
         for group in self.optimizer.groups:
             for p, m, v in zip(group["params"], group["m"], group["v"]):

@@ -242,13 +242,14 @@ def feature_dots(a, b):
     return np.matmul(rows_a[:, :, None, :], rows_b[:, :, :, None]).sum(axis=(0, 2, 3))
 
 
-def batch_norm_stored_xhat(x, gamma, beta, state, training):
+def batch_norm_stored_xhat(x, layer, training):
     """`ad.batch_norm` as it was when its forward kept x-hat for the backward
     and passed over whole arrays: the reductions `feature_sums` and
     `feature_dots` and the same float operations in the same order, with
     x-hat made once in the forward and read again by the backward. The op,
     which rebuilds x-hat one block of trials at a time in its backward, must
     match it bit for bit."""
+    gamma, beta = layer.gamma, layer.beta
     feat_shape = [1] * x.value.ndim
     feat_shape[1] = x.shape[1]
     count = x.value.size // x.shape[1]
@@ -260,11 +261,11 @@ def batch_norm_stored_xhat(x, gamma, beta, state, training):
         xhat = x.value - mean.reshape(feat_shape)
         var = feature_dots(xhat, xhat) / count
         m = ad.BN_MOMENTUM
-        state.running_mean = (1 - m) * state.running_mean + m * mean
-        state.running_var = (1 - m) * state.running_var + m * var
+        layer.running_mean = (1 - m) * layer.running_mean + m * mean
+        layer.running_var = (1 - m) * layer.running_var + m * var
     else:
-        var = state.running_var
-        xhat = x.value - state.running_mean.reshape(feat_shape)
+        var = layer.running_var
+        xhat = x.value - layer.running_mean.reshape(feat_shape)
 
     istd = 1.0 / np.sqrt(var + ad.BN_EPS)
     xhat *= istd.reshape(feat_shape)
@@ -329,8 +330,7 @@ def stage_maps_conv(net, batch):
     stages = []
     for stage in net.spectral_stages:
         x = ad.conv_same_temporal(x, stage.kernels(), stage.bias)
-        x = ad.batch_norm(x, stage.bn.gamma, stage.bn.beta, stage.bn.state,
-                          training=False)
+        x = ad.batch_norm(x, stage.bn, training=False)
         stages.append((stage.name, x.value))
     return stages
 

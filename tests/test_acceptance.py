@@ -170,17 +170,16 @@ def test_criterion_3_gradient_and_filter_properties():
             rng.normal(size=(n, k, c, t)))))
 
         f = int(rng.integers(3, 7))
-        state = ad.BatchNormState(f)
         gamma = ad.constant(rng.normal(size=f) + 2.0)
         beta = ad.constant(rng.normal(size=f))
         errors.append(("batch-norm input", node_gradient_error(
             lambda p: mean_of(ad.log_variance(
-                ad.batch_norm(p, gamma, beta, state, training=True))),
+                ad.batch_norm(p, ad.BatchNorm(gamma, beta), training=True))),
             rng.normal(size=(n + 2, f)))))
         x_bn = ad.constant(rng.normal(size=(n + 2, f)))
         errors.append(("batch-norm gamma", node_gradient_error(
             lambda p: mean_of(ad.log_variance(
-                ad.batch_norm(x_bn, p, beta, state, training=True))),
+                ad.batch_norm(x_bn, ad.BatchNorm(p, beta), training=True))),
             rng.normal(size=f) + 2.0)))
 
         d_in, d_out = int(rng.integers(2, 6)), int(rng.integers(2, 6))

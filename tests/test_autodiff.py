@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,7 +78,7 @@ def spectral_chain():
     bias = ad.Parameter(rng.normal(size=2))
     gamma, beta = ad.Parameter(rng.uniform(0.5, 1.5, size=2)), ad.Parameter(np.zeros(2))
     conv = ad.conv_same_temporal(x, kernels, bias)
-    norm = ad.batch_norm(conv, gamma, beta, ad.BatchNormState(2), training=True)
+    norm = ad.batch_norm(conv, ad.BatchNorm(gamma, beta), training=True)
     projected = ad.project_channels(norm, rng.normal(size=(2, 5, 4)))
     features = ad.log_variance(projected)
     return (mean_of(features), [conv, norm, projected, features],
@@ -289,12 +291,33 @@ class TestAccumulate:
 
 
 class TestBatchNorm:
+    def test_running_statistics_are_sized_from_gamma(self):
+        layer = ad.BatchNorm(ad.constant(np.full(3, 2.0)), ad.constant(np.zeros(3)))
+        assert np.array_equal(layer.running_mean, np.zeros(3))
+        assert np.array_equal(layer.running_var, np.ones(3))
+
+    def test_running_statistics_are_assigned_only_by_autodiff(self):
+        # one owner of the running statistics: the BatchNorm constructor and
+        # batch_norm's momentum update; a .ccsp load writes into them in place
+        package = Path(ad.__file__).parent
+        sources = {path.name: path.read_text(encoding="utf-8")
+                   for path in sorted(package.glob("*.py"))}
+        hits = [(name, line.strip()) for name, text in sources.items()
+                for line in text.splitlines()
+                if re.search(r"\.running_(?:mean|var)\b[\w\s.,]*[-+*/@]?=(?!=)", line)]
+        assert hits == [
+            ("autodiff.py", "self.running_mean = np.zeros(gamma.shape)"),
+            ("autodiff.py", "self.running_var = np.ones(gamma.shape)"),
+            ("autodiff.py", "layer.running_mean = (1 - m) * layer.running_mean + m * mean"),
+            ("autodiff.py", "layer.running_var = (1 - m) * layer.running_var + m * var")]
+        assert [name for name, text in sources.items()
+                if re.search(r"BatchNormState|_BnLayer", text)] == []
+
     def test_train_mode_standardizes(self):
         rng = np.random.default_rng(5)
         x = ad.constant(rng.normal(2.0, 3.0, size=(8, 4, 3, 5)))
-        state = ad.BatchNormState(4)
-        out = ad.batch_norm(x, ad.constant(np.ones(4)), ad.constant(np.zeros(4)),
-                            state, training=True)
+        layer = ad.BatchNorm(ad.constant(np.ones(4)), ad.constant(np.zeros(4)))
+        out = ad.batch_norm(x, layer, training=True)
         mean = out.value.mean(axis=(0, 2, 3))
         var = out.value.var(axis=(0, 2, 3))
         assert np.all(np.abs(mean) < 1e-6)
@@ -304,26 +327,23 @@ class TestBatchNorm:
         rng = np.random.default_rng(6)
         raw = rng.normal(size=(64, 3))
         raw = (raw - raw.mean(axis=0)) / raw.std(axis=0)
-        state = ad.BatchNormState(3)
-        out = ad.batch_norm(ad.constant(raw), ad.constant(np.ones(3)),
-                            ad.constant(np.zeros(3)), state, training=True)
+        layer = ad.BatchNorm(ad.constant(np.ones(3)), ad.constant(np.zeros(3)))
+        out = ad.batch_norm(ad.constant(raw), layer, training=True)
         assert np.allclose(out.value, raw, atol=1e-5)
 
     def test_eval_mode_uses_running_stats(self):
-        state = ad.BatchNormState(2)
-        state.running_mean = np.array([1.0, -1.0])
-        state.running_var = np.array([4.0, 0.25])
+        layer = ad.BatchNorm(ad.constant(np.ones(2)), ad.constant(np.zeros(2)))
+        layer.running_mean = np.array([1.0, -1.0])
+        layer.running_var = np.array([4.0, 0.25])
         x = ad.constant(np.array([[1.0, -1.0], [3.0, 0.0]]))
-        out = ad.batch_norm(x, ad.constant(np.ones(2)), ad.constant(np.zeros(2)),
-                            state, training=False)
-        expected = (x.value - state.running_mean) / np.sqrt(state.running_var + 1e-5)
+        out = ad.batch_norm(x, layer, training=False)
+        expected = (x.value - layer.running_mean) / np.sqrt(layer.running_var + 1e-5)
         assert np.allclose(out.value, expected)
 
     def test_batch_size_one_rejected(self):
-        state = ad.BatchNormState(2)
+        layer = ad.BatchNorm(ad.constant(np.ones(2)), ad.constant(np.zeros(2)))
         with pytest.raises(NumericalError):
-            ad.batch_norm(ad.constant(np.zeros((1, 2))), ad.constant(np.ones(2)),
-                          ad.constant(np.zeros(2)), state, training=True)
+            ad.batch_norm(ad.constant(np.zeros((1, 2))), layer, training=True)
 
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(7)
@@ -333,8 +353,7 @@ class TestBatchNorm:
         weights = rng.normal(size=x0.shape)
 
         def make(x_node, g_node, b_node):
-            state = ad.BatchNormState(4)
-            out = ad.batch_norm(x_node, g_node, b_node, state, training=True)
+            out = ad.batch_norm(x_node, ad.BatchNorm(g_node, b_node), training=True)
             return ad.Node((out.value * weights).sum(), (out,),
                            lambda g: out._accumulate(g * weights), requires_grad=True)
 
@@ -358,18 +377,18 @@ class TestBatchNormMatchesReference:
         if zero_gamma:
             gamma.value[1] = 0.0
         beta = ad.Parameter(rng.normal(size=n_feat))
-        state = ad.BatchNormState(n_feat)
-        state.running_mean = rng.normal(size=n_feat)
-        state.running_var = rng.uniform(0.5, 2.0, size=n_feat)
+        layer = ad.BatchNorm(gamma, beta)
+        layer.running_mean = rng.normal(size=n_feat)
+        layer.running_var = rng.uniform(0.5, 2.0, size=n_feat)
         g = rng.normal(size=shape)
         x_before, g_before = x.value.copy(), g.copy()
 
         want = batch_norm_reference(x.value, gamma.value, beta.value,
-                                    state.running_mean, state.running_var, g,
+                                    layer.running_mean, layer.running_var, g,
                                     training)
-        out = ad.batch_norm(x, gamma, beta, state, training)
+        out = ad.batch_norm(x, layer, training)
         out._backward(g)
-        got = (out.value, state.running_mean, state.running_var, x.grad,
+        got = (out.value, layer.running_mean, layer.running_var, x.grad,
                gamma.grad, beta.grad)
         for name, a, b in zip(("out", "running_mean", "running_var", "dx",
                                "dgamma", "dbeta"), got, want):
@@ -383,12 +402,12 @@ class TestBatchNormMatchesReference:
         gamma = ad.constant(rng.uniform(0.5, 1.5, size=4))
         beta = ad.constant(rng.normal(size=4))
         weights = rng.normal(size=x0.shape)
-        state = ad.BatchNormState(4)
-        state.running_mean = rng.normal(size=4)
-        state.running_var = rng.uniform(0.5, 2.0, size=4)
+        layer = ad.BatchNorm(gamma, beta)
+        layer.running_mean = rng.normal(size=4)
+        layer.running_var = rng.uniform(0.5, 2.0, size=4)
 
         def loss(x_node):
-            out = ad.batch_norm(x_node, gamma, beta, state, training=False)
+            out = ad.batch_norm(x_node, layer, training=False)
             return ad.Node((out.value * weights).sum(), (out,),
                            lambda g: out._accumulate(g * weights), requires_grad=True)
 
@@ -437,11 +456,11 @@ class TestBatchNormMatchesStoredXhat:
         results = []
         for op in (ad.batch_norm, batch_norm_stored_xhat):
             x, gamma, beta = (ad.Parameter(a.copy()) for a in (x0, gamma0, beta0))
-            state = ad.BatchNormState(n_feat)
-            state.running_mean, state.running_var = mean0.copy(), var0.copy()
-            out = op(x, gamma, beta, state, training)
+            layer = ad.BatchNorm(gamma, beta)
+            layer.running_mean, layer.running_var = mean0.copy(), var0.copy()
+            out = op(x, layer, training)
             out._backward(g)
-            results.append((out.value, state.running_mean, state.running_var,
+            results.append((out.value, layer.running_mean, layer.running_var,
                             x.grad, gamma.grad, beta.grad))
         for name, got, want in zip(("out", "running_mean", "running_var", "dx",
                                     "dgamma", "dbeta"), *results):
@@ -495,14 +514,14 @@ class TestBatchNormAllocations:
         x = ad.Parameter(rng.normal(size=self.SHAPE))
         gamma = ad.Parameter(rng.uniform(0.5, 1.5, size=4))
         beta = ad.Parameter(rng.normal(size=4))
-        state = ad.BatchNormState(4)
+        layer = ad.BatchNorm(gamma, beta)
         g = rng.normal(size=self.SHAPE)
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
             out, fwd = _traced_peak(
-                lambda: ad.batch_norm(x, gamma, beta, state, training))
+                lambda: ad.batch_norm(x, layer, training))
             _, bwd = _traced_peak(lambda: out._backward(g))
         finally:
             if not tracing:
@@ -732,8 +751,7 @@ class TestRandomizedGradientSuite:
         bn_beta = ad.constant(rng.normal(size=k))
 
         def bn_loss(p):
-            state = ad.BatchNormState(k)
-            out = ad.batch_norm(p, bn_gamma, bn_beta, state, training=True)
+            out = ad.batch_norm(p, ad.BatchNorm(bn_gamma, bn_beta), training=True)
             return contracted(out)
 
         grad_check(bn_loss, rng.normal(size=(n + 2, k, c, t)), tol=1e-4)

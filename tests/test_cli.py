@@ -523,17 +523,22 @@ class TestPlotCommand:
 
     def test_only_the_drawn_subject_is_preprocessed(self, dataset_dir, trained_model,
                                                     tmp_path, capsys, monkeypatch):
-        seen = []
-        preprocess = data.preprocess
+        seen, opened = [], []
+        preprocess, read_trial_file = data.preprocess, data.read_trial_file
         monkeypatch.setattr(data, "preprocess",
                             lambda raw: seen.append(raw.subjects()) or preprocess(raw))
+        monkeypatch.setattr(data, "read_trial_file",
+                            lambda path: opened.append(path.name) or read_trial_file(path))
         argv = ["plot", "--stft", "--model", str(trained_model),
                 "--manifest", str(dataset_dir / "manifest.txt"), "--out-dir", str(tmp_path)]
         assert run(*argv, "--subject", "2") == 0
         assert seen == [[2]]
+        # only the drawn subject's file is read, not every subject's
+        assert opened == ["subject_002.eegt"]
         assert run(*argv, "--subject", "9") == 2
         assert capsys.readouterr().err == "data error: subject 9 not in dataset\n"
         assert seen == [[2]]
+        assert opened == ["subject_002.eegt"]
 
     def test_missing_model_is_data_error(self, dataset_dir, tmp_path):
         assert run("plot", "--stft", "--model", str(tmp_path / "no.ccsp"),

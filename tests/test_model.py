@@ -770,7 +770,7 @@ class TestEvalOperator:
         elif change == "wavelet_width":
             net.wavelet[1][1].value = np.asarray(0.3)
         elif change == "running_var":
-            net._bn_layers["bn_tc"].state.running_var[2] *= 2.0
+            net._bn_layers["bn_tc"].running_var[2] *= 2.0
         else:
             net._params["temporal.bias"].value[1] = 0.5
         builds = count_operator_builds(monkeypatch)
