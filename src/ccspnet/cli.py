@@ -38,7 +38,8 @@ def parse_config_file(path) -> dict:
     numbers."""
     path = Path(path)
     out = {}
-    for lineno, key, raw in data.key_value_lines(path, ConfigError):
+    text = data.read_text(path, ConfigError)
+    for lineno, key, raw in data.key_value_lines(text, path.name, ConfigError, ":"):
         try:
             if key == "jobs":
                 out[key] = int(raw)
@@ -64,8 +65,7 @@ def build_model_config(args) -> ModelConfig:
         value = values.pop(key, default)
         if getattr(args, key, None) in (None, ""):
             setattr(args, key, value)
-    if args.jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
+    harness.check_jobs(args.jobs)
     for flag in ("epochs", "batch_size", "seed", "loss_ratio"):
         v = getattr(args, flag, None)
         if v is not None:

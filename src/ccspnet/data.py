@@ -5,7 +5,8 @@ Trial files are flat little-endian binaries (magic "EEGT"): per-trial header
 (channels u32, timepoints u32, label u8, subject u16, session u8, phase u8)
 followed by float32 samples channel-major. A structured-text manifest indexes
 the per-subject files. Text files are UTF-8: `read_text` is their one reader
-and `write_text` their one writer.
+and `write_text` their one writer; `key_value_lines` reads settings text (the
+manifest, `--config` files and the config header of a .ccsp file).
 """
 
 from __future__ import annotations
@@ -202,22 +203,23 @@ def write_csv(path, header, rows) -> None:
     write_text(path, text.getvalue())
 
 
-def key_value_lines(path: Path, error: type[Exception]):
-    """(lineno, key, value) for each `key: value` line of a text file, both
-    stripped; blank and `#` lines are skipped, and any other line without a
-    colon, or with a key an earlier line has, raises `error` naming the file
-    and line."""
+def key_value_lines(text: str, name: str, error: type[Exception], sep: str):
+    """(lineno, key, value) for each `key<sep>value` line of settings text, both
+    stripped: the manifest and `--config` use ":", a .ccsp config header "=".
+    Blank and `#` lines are skipped; any other line without `sep`, or with a
+    key an earlier line has, raises `error` naming `name` and the line."""
+    form = "key: value" if sep == ":" else f"key{sep}value"
     seen = set()
-    for lineno, line in enumerate(read_text(path, error).splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if ":" not in line:
-            raise error(f"{path.name}:{lineno}: expected 'key: value'")
-        key, _, value = line.partition(":")
+        if sep not in line:
+            raise error(f"{name}:{lineno}: expected {form!r}")
+        key, _, value = line.partition(sep)
         key = key.strip()
         if key in seen:
-            raise error(f"{path.name}:{lineno}: repeated key {key!r}")
+            raise error(f"{name}:{lineno}: repeated key {key!r}")
         seen.add(key)
         yield lineno, key, value.strip()
 
@@ -228,7 +230,8 @@ def load_manifest(path) -> DatasetManifest:
     # manifests carry, are read and ignored
     fields = {}
     subjects = {}
-    for lineno, key, value in key_value_lines(path, DataError):
+    text = read_text(path, DataError)
+    for lineno, key, value in key_value_lines(text, path.name, DataError, ":"):
         if key.startswith("subject "):
             try:
                 sid = int(key.split()[1])

@@ -63,6 +63,11 @@ def fold_seed(global_seed: int, subject_id: int) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
+def check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+
+
 def _shaped(config: ModelConfig, trials: data.TrialSet) -> ModelConfig:
     """`config` with its shape fields set from `trials`."""
     return replace(config, n_channels=trials.n_channels, n_timepoints=trials.n_timepoints,
@@ -129,8 +134,7 @@ def _run_folds(dataset, folds, config, approach, jobs):
     under its own class, and any other error in a note."""
     start = time.monotonic()
     _shaped(config, dataset).validate()
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    check_jobs(jobs)
     threads = min(jobs, len(folds))
 
     def work(fold):

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from . import csp, dsp, lda
+from . import csp, data, dsp, lda
 from .errors import (ConfigError, DataError, ModelStateError, check_both_classes,
                      check_finite_trials, check_labels, numpy_faults, trial_blocks)
 
@@ -116,18 +116,10 @@ class ModelConfig:
     @classmethod
     def from_text(cls, text: str) -> "ModelConfig":
         """Parse `name=value` lines as `to_text` writes them; every field must
-        appear exactly once. Raises ValueError on a malformed line, a missing
-        or repeated name, or a line `read_field` rejects. The values are not
-        validated."""
+        appear once, and no value is validated. Raises ValueError on a missing
+        name or a line that `data.key_value_lines` or `read_field` rejects."""
         values = {}
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            name, sep, raw = line.partition("=")
-            if not sep:
-                raise ValueError(f"malformed config line {line!r}")
-            if name in values:
-                raise ValueError(f"repeated key {name!r}")
+        for _, name, raw in data.key_value_lines(text, "config text", ValueError, "="):
             values[name] = cls.read_field(name, raw)
         missing = [f.name for f in fields(cls) if f.name not in values]
         if missing:

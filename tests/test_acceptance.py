@@ -289,7 +289,8 @@ def test_criterion_5_end_to_end_learning(synthetic_dataset, sd_run):
 
     baselines = {}
     for sid in synthetic_dataset.subjects():
-        train, test = data.split_sd(synthetic_dataset.for_subject(sid))
+        train, test = (synthetic_dataset.select(i)
+                       for i in data.sd_fold(synthetic_dataset, sid))
         baselines[int(sid)] = baseline_csp_lda_accuracy(train, test)
 
     for sid, acc_pct in zip(result.subject_ids, result.accuracies):

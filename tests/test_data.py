@@ -251,7 +251,8 @@ class TestKeyValueLines:
     def test_pairs_are_stripped_and_numbered(self, tmp_path):
         path = tmp_path / "kv.txt"
         path.write_text("# head\n\n  a :  1 \nurl: http://x:80\n\tempty:\n")
-        assert list(data.key_value_lines(path, DataError)) == [
+        text = data.read_text(path, DataError)
+        assert list(data.key_value_lines(text, path.name, DataError, ":")) == [
             (3, "a", "1"), (4, "url", "http://x:80"), (5, "empty", "")]
 
     @pytest.mark.parametrize("error", [DataError, NumericalError])
@@ -259,14 +260,25 @@ class TestKeyValueLines:
         path = tmp_path / "kv.txt"
         path.write_text("a: 1\nno colon\n")
         with pytest.raises(error, match="^kv.txt:2: expected 'key: value'$"):
-            list(data.key_value_lines(path, error))
+            list(data.key_value_lines(data.read_text(path, error), path.name, error, ":"))
 
     @pytest.mark.parametrize("error", [DataError, NumericalError])
     def test_repeated_key_raises_the_callers_error(self, tmp_path, error):
         path = tmp_path / "kv.txt"
         path.write_text("a: 1\nb: 2\n a : 3\n")
         with pytest.raises(error, match="^kv.txt:3: repeated key 'a'$"):
-            list(data.key_value_lines(path, error))
+            list(data.key_value_lines(data.read_text(path, error), path.name, error, ":"))
+
+    def test_settings_text_is_split_only_by_the_one_reader(self):
+        # one reader of key-value settings text (manifest, --config, the
+        # .ccsp config header): no other code splits text into lines or
+        # partitions a line
+        package = Path(data.__file__).parent
+        hits = [(path.name, line.strip()) for path in sorted(package.glob("*.py"))
+                for line in path.read_text(encoding="utf-8").splitlines()
+                if re.search(r'\.(splitlines|r?partition)\(|\.split\("\\n"', line)]
+        assert hits == [("data.py", "for lineno, line in enumerate(text.splitlines(), start=1):"),
+                        ("data.py", "key, _, value = line.partition(sep)")]
 
 
 class TestPreprocess:
@@ -416,7 +428,7 @@ class TestSynthesize:
     def test_default_config_baseline_separability(self):
         proc = data.preprocess(data.synthesize(data.SynthConfig()))
         for sid in proc.subjects():
-            train, test = data.split_sd(proc.for_subject(sid))
+            train, test = (proc.select(i) for i in data.sd_fold(proc, sid))
             assert baseline_csp_lda_accuracy(train, test) >= 0.85
 
     def test_erd_one_is_chance_level(self):
@@ -424,7 +436,7 @@ class TestSynthesize:
         proc = data.preprocess(data.synthesize(cfg))
         accs = []
         for sid in proc.subjects():
-            train, test = data.split_sd(proc.for_subject(sid))
+            train, test = (proc.select(i) for i in data.sd_fold(proc, sid))
             accs.append(baseline_csp_lda_accuracy(train, test))
         assert abs(np.mean(accs) - 0.5) <= 0.1
 

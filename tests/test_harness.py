@@ -164,7 +164,7 @@ class TestFoldThreads:
         pooled = harness.run_sd(small_dataset, fast_config(), jobs=2)
         assert serial.accuracies == pooled.accuracies
         for sid in serial.subject_ids:
-            _, test = data.split_sd(small_dataset.for_subject(sid))
+            test = small_dataset.select(data.sd_fold(small_dataset, sid)[1])
             np.testing.assert_array_equal(serial.models[sid].predict(test.trials),
                                           pooled.models[sid].predict(test.trials))
 

@@ -111,7 +111,7 @@ def synth_subject():
     """Preprocessed single-subject synthetic set with an SD split."""
     cfg = data.SynthConfig(n_subjects=1, seed=3)
     proc = data.preprocess(data.synthesize(cfg))
-    return data.split_sd(proc)
+    return tuple(proc.select(i) for i in data.sd_fold(proc, 1))
 
 
 class TestForwardSpectral:
@@ -1482,7 +1482,7 @@ class TestConfigText:
 
     @pytest.mark.parametrize("text, error", [
         ("epochs=20\n", "missing key"),
-        ("epochs\n", "malformed"),
+        ("epochs\n", "^config text:1: expected 'key=value'$"),
         ("bogus=1\n", "unknown key 'bogus'"),
         ("dense_dims=16,8,x\n", "bad value for 'dense_dims'"),
         pytest.param(model.ModelConfig().to_text() + "epochs=5\n",
@@ -1491,6 +1491,31 @@ class TestConfigText:
     def test_bad_text_rejected(self, text, error):
         with pytest.raises(ValueError, match=error):
             model.ModelConfig.from_text(text)
+
+    def test_blank_and_comment_lines_are_skipped(self):
+        cfg = every_field_changed()
+        lines = cfg.to_text().splitlines(keepends=True)
+        text = "# note\n\n" + "".join(lines[:5]) + "\n  # note\n" + "".join(lines[5:])
+        assert model.ModelConfig.from_text(text) == cfg
+
+    @pytest.mark.parametrize("new, error", [
+        ("seed\n", "^config text:15: expected 'key=value'$"),
+        ("seed=0\nseed=5\n", "^config text:16: repeated key 'seed'$"),
+    ])
+    def test_line_errors_name_the_line(self, new, error):
+        text = model.ModelConfig().to_text().replace("seed=0\n", new)
+        with pytest.raises(ValueError, match=error):
+            model.ModelConfig.from_text(text)
+
+    @pytest.mark.parametrize("new, error", [
+        ("epochs\n", "config text:4: expected 'key=value'"),
+        ("epochs=3\nepochs=3\n", "config text:5: repeated key 'epochs'"),
+    ])
+    def test_line_errors_through_load_name_the_file(self, tmp_path, new, error):
+        path = model.CCSPNet(desk_config()).save(tmp_path / "m.ccsp")
+        edit_config_text(path, "epochs=3\n", new)
+        with pytest.raises(DataError, match=rf"m\.ccsp: bad config text: {error}$"):
+            model.CCSPNet.load(path)
 
     def test_numpy_values_are_written_as_python_values(self, tmp_path):
         cfg = desk_config(loss_ratio=np.float64(0.25), seed=np.int64(3),

@@ -17,7 +17,7 @@ def fitted():
     cfg = data.SynthConfig(n_subjects=1, trials_per_class=10, n_channels=8,
                            seed=9)
     proc = data.preprocess(data.synthesize(cfg))
-    train, test = data.split_sd(proc)
+    train, test = (proc.select(i) for i in data.sd_fold(proc, 1))
     net = CCSPNet(ModelConfig(n_channels=8, epochs=2, batch_size=300, seed=0))
     net.train(train.trials, train.labels).finalize(train.trials, train.labels)
     return net, train, test
@@ -96,7 +96,8 @@ def test_evaluation_runs_no_convolution(monkeypatch):
     # predict, finalize and both plots go through the stage operators; only
     # training convolves
     cfg = data.SynthConfig(n_subjects=1, trials_per_class=10, n_channels=8, seed=4)
-    train, _ = data.split_sd(data.preprocess(data.synthesize(cfg)))
+    proc = data.preprocess(data.synthesize(cfg))
+    train = proc.select(data.sd_fold(proc, 1)[0])
     net = CCSPNet(ModelConfig(n_channels=8, epochs=1, batch_size=300, seed=0))
     net.train(train.trials, train.labels)
 
