@@ -41,8 +41,7 @@ class RunResult:
         if len(self.subject_ids) != len(self.accuracies):
             raise DataError("one accuracy per test subject required")
         for a in self.accuracies:
-            if not 0.0 <= a <= 100.0:
-                raise DataError(f"accuracy {a} outside [0, 100]")
+            _check_accuracy(a)
 
     @property
     def ablation(self) -> str:
@@ -66,6 +65,11 @@ def fold_seed(global_seed: int, subject_id: int) -> int:
 def check_jobs(jobs: int) -> None:
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+
+
+def _check_accuracy(accuracy: float, where: str = "") -> None:
+    if not 0.0 <= accuracy <= 100.0:
+        raise DataError(f"{where}accuracy {accuracy} outside [0, 100]")
 
 
 def _shaped(config: ModelConfig, trials: data.TrialSet) -> ModelConfig:
@@ -208,9 +212,7 @@ def read_results_csv(path) -> list[dict]:
         except (TypeError, ValueError) as exc:
             raise DataError(f"{path}: line {reader.line_num}: malformed row "
                             f"{row}: {exc}")
-        if not 0.0 <= row["accuracy"] <= 100.0:
-            raise DataError(f"{path}: line {reader.line_num}: accuracy "
-                            f"{row['accuracy']} outside [0, 100]")
+        _check_accuracy(row["accuracy"], f"{path}: line {reader.line_num}: ")
         rows.append(row)
     if not rows:
         raise DataError(f"{path}: no result rows")

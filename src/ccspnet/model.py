@@ -1,12 +1,12 @@
 """CCSPNet assembly: spectral CNN stack, CSP branches, dense reduction, LDA.
 
 The pipeline is wavelet-kernel convolution -> temporal convolution -> four
-CSP branches -> 16 log-variance features -> dense 16-16-8-4 network -> LDA.
+CSP branches -> 16 log-variance features -> dense 16-16-8-4 network -> head.
 Training alternates two signals per batch: the CSP feedback loss L drives the
 convolutional stack (wavelet parameters get their own learning rate) and the
-Fisher criterion J, weighted by (1 - r), drives the dense network on detached
-features. CSP projections and the LDA direction are refit per batch and held
-constant during backprop.
+head's J, weighted by (1 - r), drives the dense network on detached features:
+`_LdaHead`'s Fisher criterion, or `_SoftmaxHead`'s cross-entropy under `lda`.
+CSP projections and LDA directions are refit per batch, constant in backprop.
 """
 
 from __future__ import annotations
@@ -117,10 +117,13 @@ class ModelConfig:
     def from_text(cls, text: str) -> "ModelConfig":
         """Parse `name=value` lines as `to_text` writes them; every field must
         appear once, and no value is validated. Raises ValueError on a missing
-        name or a line that `data.key_value_lines` or `read_field` rejects."""
+        name, and `config text:<n>:` on a line `key_value_lines` or `read_field` rejects."""
         values = {}
-        for _, name, raw in data.key_value_lines(text, "config text", ValueError, "="):
-            values[name] = cls.read_field(name, raw)
+        for lineno, name, raw in data.key_value_lines(text, "config text", ValueError, "="):
+            try:
+                values[name] = cls.read_field(name, raw)
+            except ValueError as exc:
+                raise ValueError(f"config text:{lineno}: {exc}") from None
         missing = [f.name for f in fields(cls) if f.name not in values]
         if missing:
             raise ValueError(f"config missing key {missing[0]!r}")
@@ -185,7 +188,6 @@ class CCSPNet:
         config.validate()
         self.config = config
         self.frozen_branches = None
-        self.frozen_lda = None
         self.history = []
         self._rng = np.random.default_rng(config.seed)
         self._params = {}
@@ -211,9 +213,8 @@ class CCSPNet:
         return layer
 
     def _build(self):
-        """Lay out the model: the spectral stages, then the head's dense
-        layers and classifier. An ablation leaves its component out here and
-        nowhere else."""
+        """Lay out the spectral stages, the dense layers and the head: an ablation
+        leaves its component out, or picks the softmax head, here and nowhere else."""
         cfg = self.config
         k = cfg.n_wavelet_kernels
         self.wavelet = []
@@ -243,8 +244,8 @@ class CCSPNet:
 
         # (weight, bias, batch norm or None) per dense layer
         self.dense = []
+        d_in = 4 * k
         if cfg.ablate != "frn":
-            d_in = 4 * k
             for li, d_out in enumerate(cfg.dense_dims):
                 bound = 1.0 / np.sqrt(d_in)
                 w = self._register(f"dense.{li}.w",
@@ -255,7 +256,7 @@ class CCSPNet:
                       if li < len(cfg.dense_dims) - 1 else None)
                 self.dense.append((w, b, bn))
                 d_in = d_out
-        self.classifier = "softmax" if cfg.ablate == "lda" else "lda"
+        self.head = _SoftmaxHead() if cfg.ablate == "lda" else _LdaHead(d_in)
 
     def _build_optimizer(self):
         cfg = self.config
@@ -316,24 +317,6 @@ class CCSPNet:
 
     # training -------------------------------------------------------------
 
-    def _discriminant_backward(self, concat: np.ndarray, labels) -> float:
-        """Fit the discriminant on detached features and backprop (1-r) * J.
-        With no dense layer (`frn`) J reaches no parameter and is only logged."""
-        cfg = self.config
-        out = self._dense_forward(ad.constant(concat), training=True)
-        if self.classifier == "softmax":
-            ce = ad.scale(ad.binary_cross_entropy(ad.softmax(out),
-                                                  csp.target_vectors(labels)),
-                          1.0 / len(labels))
-            ce.backward(seed=1.0 - cfg.loss_ratio)
-            return float(ce.value)
-        model = lda.fit(out.value, labels)
-        projected = ad.dense(out, ad.constant(model.w[:, None]),
-                             ad.constant(np.zeros(1)))
-        j = lda.fisher_criterion_node(projected, labels)
-        j.backward(seed=1.0 - cfg.loss_ratio)
-        return float(j.value)
-
     def _clamp_wavelets(self):
         for f, h, _ in self.wavelet:
             f.value = np.asarray(np.clip(f.value, dsp.WAVELET_FREQ_MIN,
@@ -357,8 +340,9 @@ class CCSPNet:
             loss_node, feats = self.csp_feedback_loss(batch, labels)
             loss_node.backward()
             loss_l = float(loss_node.value)
-            concat = feats.value.reshape(len(feats.value), -1)
-            loss_j = self._discriminant_backward(concat, labels)
+            concat = ad.constant(feats.value.reshape(len(feats.value), -1))
+            out = self._dense_forward(concat, training=True)
+            loss_j = self.head.backward(out, labels, 1.0 - self.config.loss_ratio)
         self.optimizer.step()
         self._clamp_wavelets()
         return loss_l, loss_j, lda.combined_loss(loss_l, loss_j,
@@ -381,8 +365,8 @@ class CCSPNet:
     # freezing and inference ------------------------------------------------
 
     def finalize(self, trials, labels):
-        """Refit and freeze CSP + LDA on the full training set: the CSP class
-        covariances streamed from its eval-mode maps, the LDA on its features."""
+        """Refit and freeze CSP and the head on the full training set: the CSP
+        class covariances streamed from its eval-mode maps, the head on its outputs."""
         trials = self._checked_batch(trials)
         labels = check_labels(labels, len(trials))
         check_both_classes(labels)
@@ -391,10 +375,12 @@ class CCSPNet:
             covariances = [csp.class_covariances(_branch_maps(trials, m, c), labels)
                            for m, c in zip(*self._eval_operator())]
         self.frozen_branches = [csp.fit_branch(*pair) for pair in covariances]
-        self.frozen_lda = None
-        if self.classifier == "lda":
-            self.frozen_lda = lda.fit(self._frozen_head(self._frozen_features(trials)).value,
-                                      labels)
+        try:
+            self.head.freeze(lambda: self._frozen_dense(self._frozen_features(trials)).value,
+                             labels)
+        except BaseException:
+            self.frozen_branches = None   # finalized whole or not at all
+            raise
         return self
 
     @property
@@ -421,13 +407,12 @@ class CCSPNet:
                                                self.frozen_projection(),
                                                self._eval_operator())
 
-    def _frozen_head(self, feats: ad.Node) -> ad.Node:
-        """Eval-mode dense head over N x K x 4 frozen features, the K branches'
+    def _frozen_dense(self, feats: ad.Node) -> ad.Node:
+        """Eval-mode dense layers over N x K x 4 frozen features, the K branches'
         four features side by side."""
-        width = 4 * self.config.n_wavelet_kernels
+        flat = ad.constant(feats.value.reshape(-1, 4 * self.config.n_wavelet_kernels))
         with numpy_faults(lambda exc: f"eval-mode dense head is not finite ({exc})"):
-            return self._dense_forward(ad.constant(feats.value.reshape(-1, width)),
-                                       training=False)
+            return self._dense_forward(flat, training=False)
 
     def stage_operators(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
         """(name, M, c) after each spectral stage: in eval mode the stages up to
@@ -456,11 +441,7 @@ class CCSPNet:
         return self._eval_operator_cache[1:]
 
     def predict(self, batch) -> np.ndarray:
-        out = self._frozen_head(self.frozen_features(batch))
-        if self.classifier == "softmax":
-            probs = ad.softmax(out).value
-            return (probs[:, :2].sum(axis=1) > probs[:, 2:].sum(axis=1)).astype(np.uint8)
-        return lda.predict(self.frozen_lda, out.value)
+        return self.head.predict(self._frozen_dense(self.frozen_features(batch)))
 
     # accounting -------------------------------------------------------------
 
@@ -471,22 +452,16 @@ class CCSPNet:
             layer = name.split(".")[0]
             counts["batch_norm" if layer.startswith("bn_") else layer] += p.value.size
         counts["csp_frozen"] = cfg.n_wavelet_kernels * cfg.n_channels * 4
-        # the LDA direction over the head's output, and the two class means
-        counts["lda"] = self._head_width() + 2 if self.classifier == "lda" else 0
+        # the head's frozen state: the LDA direction and the two class means
+        counts["lda"] = sum(a.size for _, a in self.head.arrays())
         counts["total"] = sum(counts.values())
         return counts
-
-    def _head_width(self) -> int:
-        """Width of the head's output: the last dense layer's, or the K
-        branches' four CSP features side by side when there is none."""
-        return self.dense[-1][0].value.shape[1] if self.dense \
-            else 4 * self.config.n_wavelet_kernels
 
     # serialization ----------------------------------------------------------
 
     def _state_arrays(self):
         """The .ccsp file's arrays in file order, as (name, array) pairs. Each
-        is the model's live array except adam.step, history and lda.mu."""
+        is the model's live array except adam.step and history."""
         items = [(name, p.value) for name, p in self._params.items()]
         for bn_name, layer in self._bn_layers.items():
             items.append((f"{bn_name}.running_mean", layer.running_mean))
@@ -501,10 +476,7 @@ class CCSPNet:
         if self.finalized:
             for i, br in enumerate(self.frozen_branches):
                 items += [(f"csp.{i}.{f.name}", getattr(br, f.name)) for f in fields(br)]
-            if self.frozen_lda is not None:
-                items.append(("lda.w", self.frozen_lda.w))
-                items.append(("lda.mu",
-                              np.array([self.frozen_lda.mu0, self.frozen_lda.mu1])))
+            items += self.head.arrays()
         return items
 
     def save(self, path):
@@ -569,7 +541,7 @@ class CCSPNet:
 
     def _restore(self, arrays, finalized, path):
         """Copy a file's arrays into this fresh model, walking `_state_arrays`;
-        a finalized file first gets zero frozen state of the config's shapes.
+        a finalized file first gets zero CSP branches of the config's shapes.
         It must hold no array that `_state_arrays` does not list. Every array
         must be finite, a running variance, an Adam second moment or a CSP
         class covariance's diagonal non-negative, a wavelet width positive, a
@@ -584,8 +556,6 @@ class CCSPNet:
                 csp.CspBranch(np.zeros((c, c)), np.zeros((c, c)), np.zeros((c, c)),
                               np.zeros(c), np.zeros((c, 4)))
                 for _ in range(self.config.n_wavelet_kernels)]
-            if self.classifier == "lda":
-                self.frozen_lda = lda.LdaModel(np.zeros(self._head_width()), 0.0, 0.0)
 
         state = self._state_arrays()
         listed = {name for name, _ in state}
@@ -635,10 +605,53 @@ class CCSPNet:
             elif name == "history":   # any number of rows of 5 columns
                 rows = np.shape(arrays.get(name))[:1]
                 self.history = [tuple(row) for row in fetch(name, rows + (5,))]
-            elif name == "lda.mu":
-                self.frozen_lda.mu0, self.frozen_lda.mu1 = map(float, fetch(name, (2,)))
             else:
                 live[...] = fetch(name, live.shape)
+
+
+class _LdaHead:
+    """The paper's classifier, LDA over the `width`-wide dense output, trained by
+    the Fisher criterion of each batch's own LDA; `freeze` fits `w` and `mu`."""
+
+    def __init__(self, width: int):
+        self.w, self.mu = np.zeros(width), np.zeros(2)
+
+    def backward(self, out: ad.Node, labels, seed: float) -> float:
+        w = ad.constant(lda.fit(out.value, labels).w[:, None])
+        j = lda.fisher_criterion_node(ad.dense(out, w, ad.constant(np.zeros(1))), labels)
+        j.backward(seed=seed)
+        return float(j.value)
+
+    def freeze(self, outputs: Callable[[], np.ndarray], labels):
+        fitted = lda.fit(outputs(), labels)
+        self.w[...], self.mu[...] = fitted.w, (fitted.mu0, fitted.mu1)
+
+    def predict(self, out: ad.Node) -> np.ndarray:
+        return lda.predict(lda.LdaModel(self.w, *self.mu), out.value)
+
+    def arrays(self) -> list[tuple[str, np.ndarray]]:
+        return [("lda.w", self.w), ("lda.mu", self.mu)]
+
+
+class _SoftmaxHead:
+    """The `lda` ablation's classifier, a softmax over the four dense outputs
+    trained by cross-entropy: class 1 if the first two hold more. No frozen state."""
+
+    def backward(self, out: ad.Node, labels, seed: float) -> float:
+        ce = ad.scale(ad.binary_cross_entropy(ad.softmax(out), csp.target_vectors(labels)),
+                      1.0 / len(labels))
+        ce.backward(seed=seed)
+        return float(ce.value)
+
+    def freeze(self, outputs: Callable[[], np.ndarray], labels):
+        pass
+
+    def predict(self, out: ad.Node) -> np.ndarray:
+        probs = ad.softmax(out).value
+        return (probs[:, :2].sum(axis=1) > probs[:, 2:].sum(axis=1)).astype(np.uint8)
+
+    def arrays(self) -> list[tuple[str, np.ndarray]]:
+        return []
 
 
 def _wavelet_kernels(wavelet, cfg: ModelConfig) -> ad.Node:

@@ -11,7 +11,7 @@ import numpy as np
 from scipy import signal as sps
 
 from ccspnet import autodiff as ad
-from ccspnet import csp, lda
+from ccspnet import csp
 from ccspnet.errors import NumericalError
 
 
@@ -347,7 +347,4 @@ def predict_conv(net, batch):
     maps = eval_maps_conv(net, batch)
     feats = csp.spatial_filter_features(ad.constant(maps), net.frozen_projection()).value
     out = net._dense_forward(ad.constant(feats.reshape(len(feats), -1)), training=False)
-    if net.classifier == "softmax":
-        probs = ad.softmax(out).value
-        return (probs[:, :2].sum(axis=1) > probs[:, 2:].sum(axis=1)).astype(np.uint8)
-    return lda.predict(net.frozen_lda, out.value)
+    return net.head.predict(out)

@@ -272,6 +272,16 @@ class TestKernelLength:
         assert len(fold_calls) == 3
 
 
+class TestRunResult:
+    @pytest.mark.parametrize("accuracy", [float("nan"), 150, -5, 100.01])
+    def test_accuracy_outside_0_to_100_rejected(self, accuracy):
+        with pytest.raises(DataError, match=rf"^accuracy {accuracy} outside \[0, 100\]$"):
+            harness.RunResult("SD", [1, 2], [70.0, accuracy], ModelConfig(), 0.0)
+
+    def test_accuracy_bounds_are_valid(self):
+        assert harness.RunResult("SD", [1, 2], [0, 100], ModelConfig(), 0.0).mean() == 50.0
+
+
 class TestCsvAndSummary:
     def test_round_trip(self, small_dataset, tmp_path):
         result = harness.run_sd(small_dataset, fast_config())

@@ -1,3 +1,4 @@
+import ast
 import copy
 import gc
 import math
@@ -7,6 +8,7 @@ import struct
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -630,6 +632,21 @@ class TestPredict:
         with pytest.raises(ModelStateError, match="not finalized"):
             net.frozen_features(np.zeros((1, 6, 40)))
 
+    @pytest.mark.parametrize("finalized_before", [False, True])
+    def test_a_finalize_that_fails_leaves_the_model_unfinalized(self, finalized_before):
+        # a zero scale on the last dense batch norm makes every output the
+        # same, so the LDA fit finds no direction; a half-frozen model must
+        # not predict
+        net, trials, labels = fitted_desk_model()
+        if not finalized_before:
+            net = model.CCSPNet(desk_config(epochs=1)).train(trials, labels)
+        net._params["bn_d.1.gamma"].value[...] = 0.0
+        with pytest.raises(NumericalError, match="degenerate LDA direction"):
+            net.finalize(trials, labels)
+        assert not net.finalized
+        with pytest.raises(ModelStateError):
+            net.predict(trials)
+
     def test_deterministic_and_batch_size_independent(self):
         net, _, _ = fitted_desk_model()
         fresh, _ = desk_batch(np.random.default_rng(10), n=6)
@@ -1183,6 +1200,32 @@ class TestFrnFisherCriterion:
                 assert np.array_equal(p.grad, twin._params[name].grad), name
 
 
+class TestSoftmaxHead:
+    def test_j_is_the_mean_cross_entropy_and_trains_the_dense_layers(self, tmp_path):
+        # without the LDA stage J is the binary cross-entropy of the dense
+        # output's softmax over N; each gradient is the CSP loss's plus that
+        # cross-entropy's weighted by 1 - r, as a twin loaded from the model's
+        # file before the step computes them
+        trials, labels = desk_batch(np.random.default_rng(31), n=24)
+        net = model.CCSPNet(desk_config(ablate="lda"))
+        for _ in range(3):
+            twin = model.CCSPNet.load(net.save(tmp_path / "m.ccsp"))
+            loss, feats = twin.csp_feedback_loss(trials, labels)
+            loss.backward()
+            out = twin._dense_forward(ad.constant(feats.value.reshape(len(labels), -1)),
+                                      training=True)
+            ce = ad.scale(ad.binary_cross_entropy(ad.softmax(out),
+                                                  csp.target_vectors(labels)),
+                          1.0 / len(labels))
+            ce.backward(seed=1.0 - twin.config.loss_ratio)
+            _, loss_j, _ = net.train_step(trials, labels)
+            assert loss_j == pytest.approx(float(ce.value), rel=1e-12, abs=0)
+            for name, p in net._params.items():
+                assert np.array_equal(p.grad, twin._params[name].grad), name
+            assert all(p.grad is not None for p in net._params.values()
+                       if p.name.startswith(("dense.", "bn_d.")))
+
+
 class TestAblations:
     @pytest.mark.parametrize("ablate", model.ABLATIONS)
     def test_each_variant_trains_and_predicts(self, ablate):
@@ -1208,6 +1251,47 @@ class TestParameterAccounting:
         assert counts["csp_frozen"] == 4 * 62 * 4
         assert counts["lda"] == 6
         assert counts["total"] == sum(v for k, v in counts.items() if k != "total")
+
+    @pytest.mark.parametrize("ablate, size", [("", 6), ("wkcnn", 6), ("tcnn", 6),
+                                              ("frn", 18), ("lda", 0)])
+    def test_lda_count_is_the_frozen_heads_file_arrays(self, ablate, size):
+        # the LDA direction over the dense output (the 16 CSP features under
+        # frn) and the two class means; the softmax head freezes nothing
+        net, _, _ = fitted_desk_model(ablate)
+        frozen = sum(a.size for name, a in net._state_arrays() if name.startswith("lda."))
+        assert net.count_parameters()["lda"] == frozen == size
+
+
+def functions_comparing(path, attr):
+    """`Class.function` (or `function`) of each function in the source file
+    `path` that compares an attribute or a name `attr`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+    for owner in [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+        prefix = f"{owner.name}." if isinstance(owner, ast.ClassDef) else ""
+        for fn in owner.body:
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(c, ast.Compare) and any(
+                        getattr(n, "attr", getattr(n, "id", None)) == attr
+                        for n in ast.walk(c))
+                    for c in ast.walk(fn)):
+                found.add(prefix + fn.name)
+    return found
+
+
+class TestOneLayout:
+    def test_only_build_chooses_the_layout_and_no_code_asks_for_the_head(self):
+        # an ablation is compared where the config is checked and where
+        # _build lays out the stages, the dense layers and the head; the
+        # rest of the model calls the head without asking which one it is
+        package = Path(model.__file__).parent
+        compared = {f"{path.stem}.{name}" for path in sorted(package.glob("*.py"))
+                    for name in functions_comparing(path, "ablate")}
+        assert compared == {"model.ModelConfig.validate", "model.CCSPNet._build"}
+        hits = [(path.name, word) for path in sorted(package.glob("*.py"))
+                for word in (".classifier", "frozen_lda", "_head_width")
+                if word in path.read_text(encoding="utf-8")]
+        assert hits == []
 
 
 # one array of each kind in a finalized full-model file
@@ -1501,6 +1585,8 @@ class TestConfigText:
     @pytest.mark.parametrize("new, error", [
         ("seed\n", "^config text:15: expected 'key=value'$"),
         ("seed=0\nseed=5\n", "^config text:16: repeated key 'seed'$"),
+        ("bogus=1\n", "^config text:15: unknown key 'bogus'$"),
+        ("seed=x\n", r"^config text:15: bad value for 'seed': invalid literal for int\(\)"),
     ])
     def test_line_errors_name_the_line(self, new, error):
         text = model.ModelConfig().to_text().replace("seed=0\n", new)
@@ -1510,6 +1596,9 @@ class TestConfigText:
     @pytest.mark.parametrize("new, error", [
         ("epochs\n", "config text:4: expected 'key=value'"),
         ("epochs=3\nepochs=3\n", "config text:5: repeated key 'epochs'"),
+        ("epochs=3\nbogus=1\n", "config text:5: unknown key 'bogus'"),
+        ("epochs=x\n", r"config text:4: bad value for 'epochs': "
+                       r"invalid literal for int\(\) with base 10: 'x'"),
     ])
     def test_line_errors_through_load_name_the_file(self, tmp_path, new, error):
         path = model.CCSPNet(desk_config()).save(tmp_path / "m.ccsp")
@@ -1607,9 +1696,10 @@ def kernel_parameters(net):
 
 class TestCopiesHoldTheirOwnParameters:
     """A copied or unpickled model computes with, and trains, its own
-    Parameters: each stage holds them as data, not in a closure."""
+    Parameters: each stage holds them as data, not in a closure, and the head
+    its own frozen state."""
 
-    @pytest.mark.parametrize("ablate", ["", "wkcnn", "tcnn"])
+    @pytest.mark.parametrize("ablate", ("",) + model.ABLATIONS)
     def test_deepcopy_trains_its_own_parameters(self, tmp_path, ablate):
         net, trials, labels = fitted_desk_model(ablate)
         before = net.save(tmp_path / "before.ccsp").read_bytes()
@@ -1628,7 +1718,7 @@ class TestCopiesHoldTheirOwnParameters:
         assert twin.save(tmp_path / "twin.ccsp").read_bytes() \
             == net.save(tmp_path / "net.ccsp").read_bytes()
 
-    @pytest.mark.parametrize("ablate", ["", "wkcnn", "tcnn"])
+    @pytest.mark.parametrize("ablate", ("",) + model.ABLATIONS)
     def test_pickle_round_trip(self, tmp_path, ablate):
         net, trials, labels = fitted_desk_model(ablate)
         twin = pickle.loads(pickle.dumps(net))
