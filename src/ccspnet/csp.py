@@ -3,7 +3,8 @@
 Per-branch class covariances, the generalized eigendecomposition, the 4-column
 reduced projection, log-variance features, and the cross-entropy loss that
 sends gradients back into the spectral CNN stack (the projection itself is
-treated as a constant during backprop).
+treated as a constant during backprop). `fit_branches` is the one refit of
+every branch, for each training batch and for `finalize`.
 """
 
 from __future__ import annotations
@@ -118,6 +119,13 @@ def fit_branch(sigma0: np.ndarray, sigma1: np.ndarray) -> CspBranch:
     """Per-branch fit to two class covariances: eigenvectors -> reduced projection."""
     w, eigvals = solve_csp(sigma0, sigma1)
     return CspBranch(sigma0, sigma1, w, eigvals, reduce_projection(w))
+
+
+def fit_branches(branch_maps: Iterable, labels: np.ndarray) -> list[CspBranch]:
+    """`fit_branch` of each branch's maps' `class_covariances`, every sum before
+    any solve, as scipy's LAPACK waits on numpy's spinning BLAS threads."""
+    covariances = [class_covariances(maps, labels) for maps in branch_maps]
+    return [fit_branch(*pair) for pair in covariances]
 
 
 def spatial_filter_features(x: ad.Node, w_reduced: np.ndarray,

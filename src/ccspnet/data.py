@@ -129,8 +129,9 @@ def write_trial_file(path, trialset: TrialSet):
 
 
 def read_trial_file(path):
-    """Read one EEGT file into parallel arrays: views of one buffer of the
-    file's bytes, but for the subject tags, which are widened to int."""
+    """Read one EEGT file into parallel arrays: the samples a view of one
+    buffer of the file's bytes, the label, session and phase tags copies that
+    do not keep it alive, and the subject tags widened to int."""
     path = Path(path)
     # numpy, unlike bytes, asks for huge pages on a large buffer, so a fresh
     # one takes far fewer page faults than one per 4 KiB page
@@ -162,8 +163,8 @@ def read_trial_file(path):
     if rest:
         raise DataError(f"{path.name}: truncated record at byte {end}")
     _check_tags(path, records)
-    return (records["samples"], records["label"], records["subject"].astype(np.int_),
-            records["session"], records["phase"])
+    return (records["samples"], records["label"].copy(), records["subject"].astype(np.int_),
+            records["session"].copy(), records["phase"].copy())
 
 
 def write_manifest(path, manifest: DatasetManifest):
@@ -441,22 +442,18 @@ def synthesize(config: SynthConfig) -> TrialSet:
         # per-block offset so every block holds both classes and the subject
         # stays class-balanced overall
         n_total = 2 * config.trials_per_class
-        counts = [n_total // 4 + (1 if r < n_total % 4 else 0) for r in range(4)]
-        order, class_seq = [], []
-        for b_idx, (block, n_b) in enumerate(zip(blocks, counts)):
-            for t in range(n_b):
-                order.append(block)
-                class_seq.append((t + b_idx) % 2)
-        for block, label in zip(order, class_seq):
-            sources = synth_sources(rng, config, int(label), erd)
-            observed = mixing @ sources
-            noise_std = np.sqrt(np.mean(observed ** 2) / config.snr)
-            observed = observed + noise_std * rng.normal(size=observed.shape)
-            trials.append(observed.astype(np.float32))
-            labels.append(int(label))
-            sids.append(sid)
-            sessions.append(block[0])
-            phases.append(block[1])
+        for b_idx, (session, phase) in enumerate(blocks):
+            for t in range(n_total // 4 + (b_idx < n_total % 4)):
+                label = (t + b_idx) % 2
+                sources = synth_sources(rng, config, label, erd)
+                observed = mixing @ sources
+                noise_std = np.sqrt(np.mean(observed ** 2) / config.snr)
+                observed = observed + noise_std * rng.normal(size=observed.shape)
+                trials.append(observed.astype(np.float32))
+                labels.append(label)
+                sids.append(sid)
+                sessions.append(session)
+                phases.append(phase)
     return TrialSet(np.stack(trials), np.asarray(labels, dtype=np.uint8),
                     np.asarray(sids), np.asarray(sessions, dtype=np.uint8),
                     np.asarray(phases, dtype=np.uint8),

@@ -293,7 +293,9 @@ class CCSPNet:
             x = ad.batch_norm(x, stage.bn, training=True)
         return x
 
-    def _dense_forward(self, x: ad.Node, training: bool) -> ad.Node:
+    def _dense_forward(self, feats: ad.Node, training: bool) -> ad.Node:
+        """The dense layers over N x K x 4 CSP features, flattened to N x 4K."""
+        x = ad.constant(feats.value.reshape(-1, 4 * self.config.n_wavelet_kernels))
         for w, b, bn in self.dense:
             x = ad.dense(x, w, b)
             if bn is not None:
@@ -310,8 +312,8 @@ class CCSPNet:
         labels = check_labels(labels, len(batch) if np.ndim(batch) else 0)
         check_both_classes(labels)
         spectral = self.forward_spectral(batch)
-        wrs = np.stack([csp.fit_branch(*csp.class_covariances(maps, labels)).w_reduced
-                        for maps in np.moveaxis(spectral.value, 1, 0)])
+        wrs = np.stack([branch.w_reduced for branch in
+                        csp.fit_branches(np.moveaxis(spectral.value, 1, 0), labels)])
         feats = csp.spatial_filter_features(spectral, wrs)
         return csp.csp_loss(feats, labels), ad.constant(feats.value)
 
@@ -340,8 +342,7 @@ class CCSPNet:
             loss_node, feats = self.csp_feedback_loss(batch, labels)
             loss_node.backward()
             loss_l = float(loss_node.value)
-            concat = ad.constant(feats.value.reshape(len(feats.value), -1))
-            out = self._dense_forward(concat, training=True)
+            out = self._dense_forward(feats, training=True)
             loss_j = self.head.backward(out, labels, 1.0 - self.config.loss_ratio)
         self.optimizer.step()
         self._clamp_wavelets()
@@ -365,16 +366,15 @@ class CCSPNet:
     # freezing and inference ------------------------------------------------
 
     def finalize(self, trials, labels):
-        """Refit and freeze CSP and the head on the full training set: the CSP
-        class covariances streamed from its eval-mode maps, the head on its outputs."""
+        """Refit and freeze CSP and the head on the full training set: CSP by
+        `csp.fit_branches` over its eval-mode maps, streamed a block at a time,
+        the head on its outputs."""
         trials = self._checked_batch(trials)
         labels = check_labels(labels, len(trials))
         check_both_classes(labels)
-        # all the sums before any solve: scipy's LAPACK waits on numpy's spinning BLAS threads
         with numpy_faults(lambda exc: f"CSP class covariances are not finite ({exc})"):
-            covariances = [csp.class_covariances(_branch_maps(trials, m, c), labels)
-                           for m, c in zip(*self._eval_operator())]
-        self.frozen_branches = [csp.fit_branch(*pair) for pair in covariances]
+            self.frozen_branches = csp.fit_branches(
+                (_branch_maps(trials, m, c) for m, c in zip(*self._eval_operator())), labels)
         try:
             self.head.freeze(lambda: self._frozen_dense(self._frozen_features(trials)).value,
                              labels)
@@ -408,11 +408,9 @@ class CCSPNet:
                                                self._eval_operator())
 
     def _frozen_dense(self, feats: ad.Node) -> ad.Node:
-        """Eval-mode dense layers over N x K x 4 frozen features, the K branches'
-        four features side by side."""
-        flat = ad.constant(feats.value.reshape(-1, 4 * self.config.n_wavelet_kernels))
+        """Eval-mode `_dense_forward` over N x K x 4 frozen features."""
         with numpy_faults(lambda exc: f"eval-mode dense head is not finite ({exc})"):
-            return self._dense_forward(flat, training=False)
+            return self._dense_forward(feats, training=False)
 
     def stage_operators(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
         """(name, M, c) after each spectral stage: in eval mode the stages up to

@@ -345,6 +345,6 @@ def predict_conv(net, batch):
     `eval_maps_conv`, their frozen CSP features, the dense head, then the
     classifier."""
     maps = eval_maps_conv(net, batch)
-    feats = csp.spatial_filter_features(ad.constant(maps), net.frozen_projection()).value
-    out = net._dense_forward(ad.constant(feats.reshape(len(feats), -1)), training=False)
+    feats = csp.spatial_filter_features(ad.constant(maps), net.frozen_projection())
+    out = net._dense_forward(feats, training=False)
     return net.head.predict(out)

@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -6,11 +7,12 @@ import pytest
 from scipy import linalg
 
 from ccspnet import autodiff as ad
-from ccspnet import csp
+from ccspnet import csp, model
 from ccspnet.errors import DataError, NumericalError
 
 from oracles import (central_difference, class_covariances_einsum,
                      class_covariances_stacked, project_channels_einsum, rel_err)
+from test_model import desk_batch, desk_config
 
 
 def random_spd(rng, n):
@@ -256,6 +258,61 @@ class TestReduceProjection:
     def test_too_few_channels_rejected(self):
         with pytest.raises(NumericalError):
             csp.reduce_projection(np.eye(3))
+
+
+def assert_branches_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for field in fields(csp.CspBranch):
+            np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name))
+
+
+class TestFitBranches:
+    def test_matches_fit_branch_of_each_branch(self):
+        rng = np.random.default_rng(9)
+        maps = rng.normal(size=(30, 3, 6, 40))
+        labels = np.arange(30) % 2
+        want = [csp.fit_branch(*csp.class_covariances(maps[:, k], labels)) for k in range(3)]
+        # the branches of an N x K x C x T array, as training hands them over
+        assert_branches_equal(csp.fit_branches(np.moveaxis(maps, 1, 0), labels), want)
+        # each branch a stream of blocks of consecutive trials, as finalize does
+        streams = ([maps[i:i + 7, k] for i in range(0, 30, 7)] for k in range(3))
+        assert_branches_equal(csp.fit_branches(streams, labels), want)
+
+    @pytest.mark.parametrize("entry", ["train_step", "finalize"])
+    def test_every_sum_before_any_solve(self, monkeypatch, entry):
+        calls = []
+        for name in ("class_covariances", "fit_branch"):
+            def recorded(*args, _name=name, _fn=getattr(csp, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(csp, name, recorded)
+        cfg = desk_config()
+        trials, labels = desk_batch(np.random.default_rng(3))
+        getattr(model.CCSPNet(cfg), entry)(trials, labels)
+        k = cfg.n_wavelet_kernels
+        assert calls == ["class_covariances"] * k + ["fit_branch"] * k
+
+    def test_one_refit_and_one_feature_flattening(self):
+        # only fit_branches refits CSP, and only _dense_forward flattens the
+        # N x K x 4 features to N x 4K
+        package = Path(csp.__file__).parent
+        hits = []
+        for path in sorted(package.glob("*.py")):
+            function = None
+            for line in path.read_text(encoding="utf-8").splitlines():
+                defined = re.match(r"\s*def (\w+)", line)
+                if defined:
+                    function = defined.group(1)
+                elif re.search(r"\b(fit_branch|class_covariances)\(|feats[\w.]*\.reshape\("
+                               r"|reshape\(-1, 4 \*", line):
+                    hits.append((path.name, function, line.strip()))
+        assert hits == [
+            ("csp.py", "fit_branches",
+             "covariances = [class_covariances(maps, labels) for maps in branch_maps]"),
+            ("csp.py", "fit_branches", "return [fit_branch(*pair) for pair in covariances]"),
+            ("model.py", "_dense_forward",
+             "x = ad.constant(feats.value.reshape(-1, 4 * self.config.n_wavelet_kernels))")]
 
 
 class TestSpatialFilterFeatures:

@@ -1,5 +1,7 @@
+import gc
 import re
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +81,23 @@ class TestTrialFileRoundTrip:
         assert np.array_equal(loaded.subject_ids, ts.subject_ids)
         assert np.array_equal(loaded.sessions, ts.sessions)
         assert np.array_equal(loaded.phases, ts.phases)
+
+    def test_preprocessed_subject_does_not_pin_its_file_buffer(self, tmp_path):
+        ts = small_trialset(np.random.default_rng(2), n_subjects=1, t=350, fs=100.0)
+        manifest_path = data.save_dataset(tmp_path, ts)
+        raw = data.load_subject(manifest_path, data.load_manifest(manifest_path), 1)
+        buffer = raw.trials
+        while buffer.base is not None:
+            buffer = buffer.base
+        file_buffer = weakref.ref(buffer)
+        del buffer
+        proc = data.preprocess(raw)
+        del raw
+        gc.collect()
+        assert file_buffer() is None
+        assert np.array_equal(proc.labels, ts.labels)
+        assert np.array_equal(proc.sessions, ts.sessions)
+        assert np.array_equal(proc.phases, ts.phases)
 
     def test_manifest_counts(self, tmp_path):
         ts = small_trialset(np.random.default_rng(1), n_subjects=2, trials_per_block=1)

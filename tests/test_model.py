@@ -1212,8 +1212,7 @@ class TestSoftmaxHead:
             twin = model.CCSPNet.load(net.save(tmp_path / "m.ccsp"))
             loss, feats = twin.csp_feedback_loss(trials, labels)
             loss.backward()
-            out = twin._dense_forward(ad.constant(feats.value.reshape(len(labels), -1)),
-                                      training=True)
+            out = twin._dense_forward(feats, training=True)
             ce = ad.scale(ad.binary_cross_entropy(ad.softmax(out),
                                                   csp.target_vectors(labels)),
                           1.0 / len(labels))
