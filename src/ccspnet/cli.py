@@ -210,8 +210,6 @@ def cmd_plot(args) -> int:
                         "projections to scatter")
     manifest = data.load_manifest(args.manifest)
     subject = args.subject if args.subject is not None else min(manifest.subjects)
-    if subject not in manifest.subjects:
-        raise DataError(f"subject {subject} not in dataset")
     subset = data.preprocess(data.load_subject(args.manifest, manifest, subject))
     out = _out_dir(args)
     if args.stft:

@@ -1,10 +1,10 @@
 """Common spatial patterns with a differentiable feedback loss.
 
 Per-branch class covariances, the generalized eigendecomposition, the 4-column
-reduced projection, log-variance features, and the cross-entropy loss that
-sends gradients back into the spectral CNN stack (the projection itself is
-treated as a constant during backprop). `fit_branches` is the one refit of
-every branch, for each training batch and for `finalize`.
+reduced projection, log-variance features, and the cross-entropy loss (the
+projection constant in backprop) that trains the spectral CNN stack and, under
+the `lda` ablation, the dense layers. `fit_branches` is the one refit of every
+branch, for each training batch and for `finalize`.
 """
 
 from __future__ import annotations
@@ -167,14 +167,12 @@ def target_vectors(labels: np.ndarray) -> np.ndarray:
 
 
 def csp_loss(features: ad.Node, labels: np.ndarray) -> ad.Node:
-    """Cross-entropy between softmaxed branch features and the class targets.
-
-    features: N x K x 4, the K branches' log-variance features. The BCE is
-    summed over branches and averaged over the batch.
-    """
-    if features.value.ndim != 3 or features.shape[2] != 4:
-        raise NumericalError(f"CSP features of shape {features.shape} are not (N, K, 4)")
-    n = features.shape[0]
-    targets = target_vectors(check_labels(labels, n))
-    loss = ad.binary_cross_entropy(ad.softmax(features), targets[:, None])
-    return ad.scale(loss, 1.0 / n)
+    """Cross-entropy between softmaxed features and the class targets, summed over
+    branches and averaged over the batch: N x K x 4 features, the K branches'
+    log-variance, or N x 4, the `lda` ablation's dense outputs."""
+    shape = features.shape
+    if len(shape) not in (2, 3) or shape[-1] != 4:
+        raise NumericalError(f"CSP features of shape {shape} are not (N, K, 4) or (N, 4)")
+    n = shape[0]
+    targets = target_vectors(check_labels(labels, n)).reshape(n, *[1] * (len(shape) - 2), 4)
+    return ad.scale(ad.binary_cross_entropy(ad.softmax(features), targets), 1.0 / n)

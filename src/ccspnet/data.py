@@ -225,6 +225,17 @@ def key_value_lines(text: str, name: str, error: type[Exception], sep: str):
         yield lineno, key, value.strip()
 
 
+def check_sample_rate(rate, where: str) -> int:
+    """`rate` in whole Hz, or a DataError naming `where` if it is not a positive
+    whole number of Hz: the rate rule of the manifest reader and writer,
+    `preprocess` and `synthesize`."""
+    rate = float(rate)
+    if not (rate > 0 and rate.is_integer()):
+        raise DataError(f"{where}: sample_rate_hz must be a positive whole number "
+                        f"of Hz, got {rate:g}")
+    return int(rate)
+
+
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     # keys this reader does not use, such as the "openbmi" flag older
@@ -259,17 +270,16 @@ def load_manifest(path) -> DatasetManifest:
         )
     except (KeyError, ValueError) as exc:
         raise DataError(f"{path.name}: invalid manifest field ({exc})")
-    rate = manifest.sample_rate_hz
-    if not (rate > 0 and rate.is_integer()):
-        raise DataError(f"{path.name}: sample_rate_hz must be a positive whole "
-                        f"number of Hz, got {rate:g}")
+    check_sample_rate(manifest.sample_rate_hz, path.name)
     if len(manifest.channel_names) != manifest.n_channels:
         raise DataError(f"{path.name}: channel name count != n_channels")
     return manifest
 
 
 def save_dataset(out_dir, trialset: TrialSet, non_separable=False) -> Path:
-    """Write one trial file per subject plus the manifest; returns manifest path."""
+    """Write one trial file per subject plus the manifest; returns manifest path.
+    A rate the manifest reader rejects is a DataError before any file is written."""
+    check_sample_rate(trialset.sample_rate_hz, "manifest.txt")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     subjects = {}
@@ -294,6 +304,8 @@ def save_dataset(out_dir, trialset: TrialSet, non_separable=False) -> Path:
 def load_subject(manifest_path, manifest: DatasetManifest, sid: int) -> TrialSet:
     """Subject `sid`'s trials: its file beside `manifest_path`, checked against
     its entry in `manifest`; a file that cannot be read raises its OSError."""
+    if sid not in manifest.subjects:
+        raise DataError(f"subject {sid} not in dataset")
     fname, n_trials, n_bytes = manifest.subjects[sid]
     fpath = Path(manifest_path).parent / fname
     actual = fpath.stat().st_size
@@ -332,10 +344,8 @@ def preprocess(raw: TrialSet) -> TrialSet:
     that is not a positive multiple of 100 Hz, trials shorter than the window
     or trials without channels are a `DataError`.
     """
-    rate = float(raw.sample_rate_hz)
-    if not (rate.is_integer() and rate > 0):
-        raise DataError(f"sample rate {rate:g} Hz is not a positive whole number of Hz")
-    start, stop, op = dsp.preprocess_operator(int(rate), raw.n_timepoints)
+    rate = check_sample_rate(raw.sample_rate_hz, "trial set")
+    start, stop, op = dsp.preprocess_operator(rate, raw.n_timepoints)
     if raw.n_channels == 0:
         raise DataError(f"trials of shape {raw.trials.shape} have no channels")
     check_finite_trials(raw.trials[:, :, start:stop], first_sample=start)
@@ -425,6 +435,9 @@ def synthesize(config: SynthConfig) -> TrialSet:
                         "per class")
     if config.seed < 0:
         raise DataError(f"seed must be >= 0, got {config.seed}")
+    check_sample_rate(config.sample_rate_hz, "generator")
+    if config.n_timepoints < 2:
+        raise DataError(f"generator needs at least 2 time points, got {config.n_timepoints}")
     rng = np.random.default_rng(config.seed)
     base_mixing = rng.normal(size=(config.n_channels, config.n_channels))
 

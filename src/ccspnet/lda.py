@@ -1,8 +1,8 @@
 """Two-class linear discriminant analysis.
 
 Closed-form fitting (S_w^-1 (m1 - m0)), the Fisher criterion as a
-differentiable training signal, nearest-class-mean prediction, and the
-combined loss that weights the CSP loss against the Fisher criterion.
+differentiable training signal, and nearest-class-mean prediction. The model's
+`train_step` weights the CSP loss against the Fisher criterion.
 """
 
 from __future__ import annotations
@@ -83,13 +83,6 @@ def fisher_criterion_node(projected: ad.Node, labels: np.ndarray) -> ad.Node:
             projected._accumulate((up * grad).reshape(projected.value.shape))
 
     return ad.Node(value, (projected,), backward)
-
-
-def combined_loss(csp_loss_value: float, fisher_j: float, r: float) -> float:
-    """Weighted average r * L + (1 - r) * J."""
-    if not 0.0 <= r <= 1.0:
-        raise NumericalError(f"loss ratio r must be in [0, 1], got {r}")
-    return r * csp_loss_value + (1 - r) * fisher_j
 
 
 def predict(model: LdaModel, features: np.ndarray) -> np.ndarray:

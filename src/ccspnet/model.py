@@ -4,8 +4,9 @@ The pipeline is wavelet-kernel convolution -> temporal convolution -> four
 CSP branches -> 16 log-variance features -> dense 16-16-8-4 network -> head.
 Training alternates two signals per batch: the CSP feedback loss L drives the
 convolutional stack (wavelet parameters get their own learning rate) and the
-head's J, weighted by (1 - r), drives the dense network on detached features:
-`_LdaHead`'s Fisher criterion, or `_SoftmaxHead`'s cross-entropy under `lda`.
+head's J node, which `train_step` backpropagates with seed 1 - r, drives the
+dense network on detached features: `_LdaHead`'s Fisher criterion, or, under
+the `lda` ablation, `_SoftmaxHead`'s `csp.csp_loss` of the 4 dense outputs.
 CSP projections and LDA directions are refit per batch, constant in backprop.
 """
 
@@ -326,8 +327,9 @@ class CCSPNet:
             h.value = np.asarray(np.maximum(h.value, dsp.WAVELET_WIDTH_MIN))
 
     def train_step(self, batch, labels):
-        """One optimizer step; returns (L, J, combined loss)."""
+        """One optimizer step; returns (L, J, r * L + (1 - r) * J)."""
         self.optimizer.zero_grad()
+        r = self.config.loss_ratio
 
         def blame(exc):
             p = max(self._params.values(), key=lambda p: np.abs(p.value).max())
@@ -339,15 +341,14 @@ class CCSPNet:
 
         # raise, not warn: weights an Adam step threw too far overflow here
         with numpy_faults(blame):
-            loss_node, feats = self.csp_feedback_loss(batch, labels)
-            loss_node.backward()
-            loss_l = float(loss_node.value)
-            out = self._dense_forward(feats, training=True)
-            loss_j = self.head.backward(out, labels, 1.0 - self.config.loss_ratio)
+            l_node, feats = self.csp_feedback_loss(batch, labels)
+            l_node.backward()
+            j_node = self.head.loss(self._dense_forward(feats, training=True), labels)
+            j_node.backward(seed=1.0 - r)
         self.optimizer.step()
         self._clamp_wavelets()
-        return loss_l, loss_j, lda.combined_loss(loss_l, loss_j,
-                                                 self.config.loss_ratio)
+        loss_l, loss_j = float(l_node.value), float(j_node.value)
+        return loss_l, loss_j, r * loss_l + (1 - r) * loss_j
 
     def train(self, trials, labels):
         """Epoch/batch loop over a training set; appends to the history log."""
@@ -614,11 +615,9 @@ class _LdaHead:
     def __init__(self, width: int):
         self.w, self.mu = np.zeros(width), np.zeros(2)
 
-    def backward(self, out: ad.Node, labels, seed: float) -> float:
+    def loss(self, out: ad.Node, labels) -> ad.Node:
         w = ad.constant(lda.fit(out.value, labels).w[:, None])
-        j = lda.fisher_criterion_node(ad.dense(out, w, ad.constant(np.zeros(1))), labels)
-        j.backward(seed=seed)
-        return float(j.value)
+        return lda.fisher_criterion_node(ad.dense(out, w, ad.constant(np.zeros(1))), labels)
 
     def freeze(self, outputs: Callable[[], np.ndarray], labels):
         fitted = lda.fit(outputs(), labels)
@@ -633,13 +632,10 @@ class _LdaHead:
 
 class _SoftmaxHead:
     """The `lda` ablation's classifier, a softmax over the four dense outputs
-    trained by cross-entropy: class 1 if the first two hold more. No frozen state."""
+    trained by `csp.csp_loss`: class 1 if the first two hold more. No frozen state."""
 
-    def backward(self, out: ad.Node, labels, seed: float) -> float:
-        ce = ad.scale(ad.binary_cross_entropy(ad.softmax(out), csp.target_vectors(labels)),
-                      1.0 / len(labels))
-        ce.backward(seed=seed)
-        return float(ce.value)
+    def loss(self, out: ad.Node, labels) -> ad.Node:
+        return csp.csp_loss(out, labels)
 
     def freeze(self, outputs: Callable[[], np.ndarray], labels):
         pass

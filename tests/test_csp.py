@@ -416,9 +416,27 @@ class TestCspLoss:
         fd = central_difference(lambda x: float(loss_value(x).value), x0.copy())
         assert rel_err(p.grad, fd) < 1e-4
 
-    def test_features_without_branch_axis_rejected(self):
+    @pytest.mark.parametrize("seed", range(3))
+    def test_features_without_branch_axis_are_the_mean_cross_entropy(self, seed):
+        # N x 4 features, the lda ablation's dense outputs, give the mean BCE
+        # of their softmax against the targets: value and gradient to the bit
+        rng = np.random.default_rng(40 + seed)
+        n = int(rng.integers(2, 30))
+        labels = rng.integers(0, 2, size=n)
+        x = ad.Parameter(rng.normal(scale=3.0, size=(n, 4)))
+        twin = ad.Parameter(x.value.copy())
+        loss = csp.csp_loss(x, labels)
+        expected = ad.scale(ad.binary_cross_entropy(ad.softmax(twin),
+                                                    csp.target_vectors(labels)), 1 / n)
+        assert np.array_equal(loss.value, expected.value)
+        loss.backward(seed=0.75)
+        expected.backward(seed=0.75)
+        assert np.array_equal(x.grad, twin.grad)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 2, 5), (3,)])
+    def test_other_feature_shapes_rejected(self, shape):
         with pytest.raises(NumericalError):
-            csp.csp_loss(ad.constant(np.zeros((3, 4))), np.array([0, 1, 0]))
+            csp.csp_loss(ad.constant(np.zeros(shape)), np.array([0, 1, 0]))
 
     def test_nonbinary_labels_rejected(self):
         with pytest.raises(DataError):

@@ -164,6 +164,14 @@ class TestTrialFileRoundTrip:
             data.save_dataset(tmp_path, ts)
         assert not list(tmp_path.glob("*.eegt"))
 
+    @pytest.mark.parametrize("rate", [200.5, 0.0])
+    def test_writer_rejects_the_rate_its_reader_rejects(self, tmp_path, rate):
+        ts = small_trialset(np.random.default_rng(13), n_subjects=1, fs=rate)
+        with pytest.raises(DataError, match="manifest.txt: sample_rate_hz must be a "
+                                            "positive whole number of Hz"):
+            data.save_dataset(tmp_path, ts)
+        assert not list(tmp_path.iterdir())
+
     def test_mixed_shapes_rejected(self, tmp_path):
         rng = np.random.default_rng(10)
         first, second = tmp_path / "a.eegt", tmp_path / "b.eegt"
@@ -191,6 +199,12 @@ class TestTrialFileRoundTrip:
         redeclare_size(manifest_path, 2)
         with pytest.raises(DataError, match="subject_002.eegt: trials of shape"):
             data.load_trials(manifest_path)
+
+    def test_subject_not_in_manifest_is_data_error(self, tmp_path):
+        manifest_path = data.save_dataset(tmp_path, small_trialset(np.random.default_rng(14)))
+        manifest = data.load_manifest(manifest_path)
+        with pytest.raises(DataError, match="^subject 9 not in dataset$"):
+            data.load_subject(manifest_path, manifest, 9)
 
     def test_subject_tags_must_match_manifest(self, tmp_path):
         ts = small_trialset(np.random.default_rng(14))
@@ -482,7 +496,12 @@ class TestSynthesize:
     @pytest.mark.parametrize("overrides, message", [
         (dict(erd=-1.0), "ERD"), (dict(erd=np.nan), "ERD"), (dict(snr=np.nan), "SNR"),
         (dict(n_subjects=0), "subject"), (dict(trials_per_class=0), "trial"),
-        (dict(seed=-1), "seed")])
+        (dict(seed=-1), "seed"),
+        (dict(sample_rate_hz=0), "sample_rate_hz must be a positive whole number"),
+        (dict(sample_rate_hz=-100), "sample_rate_hz must be a positive whole number"),
+        (dict(sample_rate_hz=200.5), "sample_rate_hz must be a positive whole number"),
+        (dict(n_timepoints=0), "at least 2 time points"),
+        (dict(n_timepoints=1), "at least 2 time points")])
     def test_invalid_settings_rejected(self, overrides, message):
         with pytest.raises(DataError, match=message):
             data.synthesize(data.SynthConfig(**overrides))

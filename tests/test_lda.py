@@ -116,21 +116,6 @@ class TestFisherCriterion:
         assert rel_err(p.grad, fd) < 1e-4
 
 
-class TestCombinedLoss:
-    def test_r_zero_returns_fisher(self):
-        assert lda.combined_loss(5.0, 2.0, 0.0) == 2.0
-
-    def test_r_one_returns_csp_loss(self):
-        assert lda.combined_loss(5.0, 2.0, 1.0) == 5.0
-
-    def test_weighted_average(self):
-        assert lda.combined_loss(2.0, 1.0, 0.3) == pytest.approx(1.3)
-
-    def test_r_out_of_range_rejected(self):
-        with pytest.raises(NumericalError):
-            lda.combined_loss(1.0, 1.0, 1.5)
-
-
 class TestPredict:
     def fitted(self):
         return lda.LdaModel(w=np.array([1.0, 0, 0, 0]), mu0=-1.0, mu1=1.0)

@@ -355,6 +355,21 @@ class TestTrainStep:
                 assert 8.0 <= float(f.value) <= 30.0
                 assert float(h.value) > 0
 
+    @pytest.mark.parametrize("ablate", ("", "lda"))
+    @pytest.mark.parametrize("r", (0.25, 1.0))
+    def test_reported_loss_is_r_l_plus_one_minus_r_j(self, ablate, r):
+        # train_step's third value, and the history's column 4, is the mix
+        # r * L + (1 - r) * J of the L and J beside it, to the bit
+        trials, labels = desk_batch(np.random.default_rng(7), n=24)
+        net = model.CCSPNet(desk_config(ablate=ablate, loss_ratio=r, epochs=2,
+                                        batch_size=12))
+        loss_l, loss_j, combined = net.train_step(trials, labels)
+        assert loss_j > 0 and combined == r * loss_l + (1 - r) * loss_j
+        net.train(trials, labels)
+        assert len(net.history) == 4
+        for _, _, loss_l, loss_j, combined in net.history:
+            assert combined == r * loss_l + (1 - r) * loss_j
+
     def test_label_symmetry_feedback_loss_trajectory(self):
         rng = np.random.default_rng(6)
         trials, labels = desk_batch(rng)
@@ -1223,6 +1238,39 @@ class TestSoftmaxHead:
                 assert np.array_equal(p.grad, twin._params[name].grad), name
             assert all(p.grad is not None for p in net._params.values()
                        if p.name.startswith(("dense.", "bn_d.")))
+
+
+class TestOneLossPath:
+    def test_train_step_backpropagates_each_loss_and_only_csp_loss_takes_a_bce(self):
+        # each head returns its J as a node and train_step runs the only two
+        # backward calls, on L and on J; the softmax head's cross-entropy is
+        # csp.csp_loss's, and the loss mix has no function of its own
+        package = Path(model.__file__).parent
+        bce_calls, backward_calls, heads = [], [], {}
+        for path in sorted(package.glob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            assert "combined_loss" not in source, path.name
+            tree = ast.parse(source)
+            for fn in ast.walk(tree):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                for call in ast.walk(fn):
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute):
+                        if ast.unparse(call.func) == "ad.binary_cross_entropy":
+                            bce_calls.append((path.name, fn.name))
+                        elif call.func.attr == "backward":
+                            backward_calls.append((path.name, fn.name,
+                                                   ast.unparse(call.func.value)))
+            heads.update({cls.name: {fn.name for fn in cls.body
+                                     if isinstance(fn, ast.FunctionDef)}
+                          for cls in tree.body
+                          if isinstance(cls, ast.ClassDef) and cls.name.endswith("Head")})
+        assert bce_calls == [("csp.py", "csp_loss")]
+        assert backward_calls == [("model.py", "train_step", "l_node"),
+                                  ("model.py", "train_step", "j_node")]
+        assert set(heads) == {"_LdaHead", "_SoftmaxHead"}
+        for name, methods in heads.items():
+            assert "loss" in methods and "backward" not in methods, name
 
 
 class TestAblations:
